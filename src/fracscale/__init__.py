@@ -49,15 +49,6 @@ from .transport import (
     run_transport,
     step_transport,
 )
-from .upscale import (
-    CellProperties,
-    PropertyField,
-    cell_fracture_data,
-    cell_permeability_tensor,
-    spectral_radius,
-    transformation_tensor,
-    upscale_cell,
-    upscale_mesh,
-)
+from .upscale import PropertyField, spectral_radius, transformation_tensor, upscale_mesh
 
 __version__ = "0.1.0"

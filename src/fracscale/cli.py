@@ -12,22 +12,11 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 STAGE_EXIT_CODES = {
     "generate": 2, "mesh": 3, "upscale": 4, "flow": 5, "transport": 6, "report": 7,
 }
-
-THREAD_ENV_VAR = "FRACSCALE_NUM_THREADS"
-
-
-def _apply_thread_override() -> None:
-    # must happen before numpy spins up its BLAS pools
-    threads = os.environ.get(THREAD_ENV_VAR)
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +71,6 @@ def _load_config(args):
 
 
 def main(argv=None) -> int:
-    _apply_thread_override()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

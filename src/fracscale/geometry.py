@@ -45,12 +45,6 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def expanded(self, pad: float) -> "Box":
-        return Box(self.lo - pad, self.hi + pad)
-
-    def overlaps_aabb(self, lo, hi) -> bool:
-        return bool(np.all(self.lo <= hi) and np.all(lo <= self.hi))
-
 
 @dataclass
 class PlanarPolygon:
@@ -159,19 +153,9 @@ def polygon_area(poly: PlanarPolygon) -> float:
     return vertex_area(poly.vertices)
 
 
-def clipped_disc_area(poly: PlanarPolygon, box: Box) -> float:
-    """Area of polygon ∩ box with cheap AABB short-circuits."""
-    lo, hi = poly.aabb()
-    if not box.overlaps_aabb(lo, hi):
-        return 0.0
-    if np.all(lo >= box.lo) and np.all(hi <= box.hi):
-        return polygon_area(poly)
-    return polygon_area(clip_polygon_to_box(poly, box))
-
-
 def polygon_intersects_box(poly: PlanarPolygon, box: Box) -> bool:
     """Positive-area intersection test (touching a corner or edge does not count)."""
-    return clipped_disc_area(poly, box) > AREA_EPS
+    return polygon_area(clip_polygon_to_box(poly, box)) > AREA_EPS
 
 
 def discs_intersect(f1, f2, eps: float = 1e-9) -> bool:

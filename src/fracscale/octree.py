@@ -3,8 +3,10 @@
 A uniform level-0 grid of edge l is refined near fractures: at each pass,
 every fracture-tagged leaf and each of its face neighbors splits into eight
 children of half edge, children re-tagged by clipping; after orl passes the
-finest fracture cells have edge l / 2^orl.  An optional 2:1 balancing sweep
-limits face-level jumps to one, which keeps two-point flux stencils sane.
+finest fracture cells have edge l / 2^orl.  Each leaf keeps the in-cell
+area of every fracture it holds, so upscaling never clips again.  An
+optional 2:1 balancing sweep limits face-level jumps to one, which keeps
+two-point flux stencils sane.
 Leaves are addressed by integer coordinates (level, i, j, k); neighbor
 resolution walks that index lattice instead of storing pointers.
 """
@@ -59,11 +61,15 @@ def _exact_divisions(extent: float, l: float) -> int:
 
 
 class _Leaf:
-    __slots__ = ("is_fracture", "fracture_ids")
+    __slots__ = ("fracture_ids", "fracture_areas")
 
-    def __init__(self, is_fracture: bool = False, fracture_ids: tuple = ()):
-        self.is_fracture = is_fracture
+    def __init__(self, fracture_ids: tuple = (), fracture_areas: tuple = ()):
         self.fracture_ids = fracture_ids
+        self.fracture_areas = fracture_areas   # in-cell polygon area per id [m^2]
+
+    @property
+    def is_fracture(self) -> bool:
+        return bool(self.fracture_ids)
 
 
 class _PolyCache:
@@ -124,6 +130,7 @@ class OctreeMesh:
         self.n0 = tuple(_exact_divisions(domain.hi[a] - domain.lo[a], l) for a in range(3))
         self.leaves: dict[tuple, _Leaf] = {}
         self.max_level = 0
+        self.m_vertices = None   # disc polygonization the leaf areas were clipped from
         self._final = False
 
     # -- index geometry ----------------------------------------------------
@@ -151,7 +158,7 @@ class OctreeMesh:
     # -- construction ------------------------------------------------------
 
     def split(self, key, cache: _PolyCache | None = None) -> list:
-        """Replace a leaf by its 8 children, re-tagging by clipping."""
+        """Replace a leaf by its 8 children, re-tagging and re-measuring by clipping."""
         leaf = self.leaves.pop(key)
         if leaf.is_fracture and cache is None:
             raise MeshError("splitting a fracture leaf requires the polygon cache")
@@ -165,13 +172,15 @@ class OctreeMesh:
                 lo = self.domain.lo + edge * np.array(ck[1:], dtype=float)
                 hi = lo + edge
                 center = lo + 0.5 * edge
-                ids = tuple(
-                    fid for fid in leaf.fracture_ids
-                    if cache.area_in(fid, lo, hi, center, edge) > AREA_EPS
-                )
-                self.leaves[ck] = _Leaf(bool(ids), ids)
+                ids, areas = [], []
+                for fid in leaf.fracture_ids:
+                    area = cache.area_in(fid, lo, hi, center, edge)
+                    if area > AREA_EPS:
+                        ids.append(fid)
+                        areas.append(area)
+                self.leaves[ck] = _Leaf(tuple(ids), tuple(areas))
             else:
-                self.leaves[ck] = _Leaf(False, ())
+                self.leaves[ck] = _Leaf()
             out.append(ck)
         self.max_level = max(self.max_level, child_level)
         return out
@@ -253,6 +262,7 @@ class OctreeMesh:
         self.volume = self.edge**3
         self.is_fracture = np.array([self.leaves[k].is_fracture for k in keys], dtype=bool)
         self.fracture_ids = [self.leaves[k].fracture_ids for k in keys]
+        self.fracture_areas = [self.leaves[k].fracture_areas for k in keys]
         self._final = True
         return self
 
@@ -278,14 +288,15 @@ def tag_fracture_cells(mesh: OctreeMesh, network, m_vertices: int = 32) -> Octre
     """Mark level-0 cells with positive-area fracture intersections.
 
     Point or edge contacts (zero area) do not tag a cell; a fracture lying
-    exactly on a shared cell face tags both cells.
+    exactly on a shared cell face tags both cells.  Each tagged leaf stores
+    the clipped area of every fracture it holds.
     """
     if any(key[0] != 0 for key in mesh.leaves):
         raise MeshError("tag_fracture_cells expects the unrefined initial grid")
     cache = _PolyCache(network, m_vertices)
     edge = mesh.cell_edge(0)
     dims = mesh.grid_dims(0)
-    hit_ids: dict[tuple, list] = {}
+    hits: dict[tuple, tuple[list, list]] = {}
     for fid in range(len(cache.verts)):
         lo_idx = np.floor((cache.lo[fid] - mesh.domain.lo) / edge).astype(int)
         hi_idx = np.floor((cache.hi[fid] - mesh.domain.lo) / edge).astype(int)
@@ -296,11 +307,15 @@ def tag_fracture_cells(mesh: OctreeMesh, network, m_vertices: int = 32) -> Octre
                 for k in range(lo_idx[2], hi_idx[2] + 1):
                     key = (0, i, j, k)
                     lo, hi = mesh.cell_bounds(key)
-                    if cache.area_in(fid, lo, hi, lo + 0.5 * edge, edge) > AREA_EPS:
-                        hit_ids.setdefault(key, []).append(fid)
-    for key, ids in hit_ids.items():
-        mesh.leaves[key] = _Leaf(True, tuple(ids))
+                    area = cache.area_in(fid, lo, hi, lo + 0.5 * edge, edge)
+                    if area > AREA_EPS:
+                        ids, areas = hits.setdefault(key, ([], []))
+                        ids.append(fid)
+                        areas.append(area)
+    for key, (ids, areas) in hits.items():
+        mesh.leaves[key] = _Leaf(tuple(ids), tuple(areas))
     mesh._cache = cache
+    mesh.m_vertices = m_vertices
     return mesh
 
 

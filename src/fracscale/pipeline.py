@@ -33,6 +33,7 @@ from .topology import (
     count_false_connections,
     dfn_percolates,
     mesh_percolates,
+    percolating_cluster,
     remove_isolated,
 )
 from .transport import TracerParams, decay_constant, normalize_btc, run_transport, write_btc_csv
@@ -263,7 +264,7 @@ def _generate_stage(config, manifest, root, seed, p_prime, counts):
     )
     graph = build_intersection_graph(network, m_vertices=config.m_vertices)
     removed = remove_isolated(network, graph)
-    graph_removed = build_intersection_graph(removed, m_vertices=config.m_vertices)
+    graph_removed = graph.subset(percolating_cluster(graph))
 
     nets = {"retained": network, "removed": removed}
     graphs = {"retained": graph, "removed": graph_removed}

@@ -75,6 +75,20 @@ class IntersectionGraph:
             return False
         return (min(i, j), max(i, j)) in self.edge_set
 
+    def subset(self, keep_ids) -> "IntersectionGraph":
+        """Graph of network.subset(keep_ids): kept fractures re-indexed in id order.
+
+        Equal to building the graph of the subset network afresh, because
+        every edge and boundary attachment is decided per pair or per fracture.
+        """
+        new_id = {old: new for new, old in enumerate(sorted(keep_ids))}
+        return IntersectionGraph(
+            len(new_id),
+            [(new_id[i], new_id[j]) for i, j in self.edges if i in new_id and j in new_id],
+            [new_id[i] for i in self.source_ids if i in new_id],
+            [new_id[i] for i in self.sink_ids if i in new_id],
+        )
+
 
 def build_intersection_graph(
     network: FractureNetwork, *, eps: float = 1e-9, m_vertices: int = 32
@@ -147,16 +161,23 @@ def dfn_percolates(graph: IntersectionGraph) -> bool:
     return uf.connected(graph.n_fractures, graph.n_fractures + 1)
 
 
-def remove_isolated(network: FractureNetwork, graph: IntersectionGraph) -> FractureNetwork:
-    """Keep only the cluster connecting both boundary planes (possibly nothing)."""
+def percolating_cluster(graph: IntersectionGraph) -> list[int]:
+    """Ids of the fractures connecting both boundary planes (empty if none do)."""
     uf = _components(graph)
     src, snk = graph.n_fractures, graph.n_fractures + 1
     if not uf.connected(src, snk):
-        logger.info("network does not percolate; all %d fractures removed", len(network))
-        return network.subset([])
+        return []
     root = uf.find(src)
-    keep = [i for i in range(graph.n_fractures) if uf.find(i) == root]
-    logger.info("retained %d / %d fractures", len(keep), len(network))
+    return [i for i in range(graph.n_fractures) if uf.find(i) == root]
+
+
+def remove_isolated(network: FractureNetwork, graph: IntersectionGraph) -> FractureNetwork:
+    """Keep only the cluster connecting both boundary planes (possibly nothing)."""
+    keep = percolating_cluster(graph)
+    if not keep:
+        logger.info("network does not percolate; all %d fractures removed", len(network))
+    else:
+        logger.info("retained %d / %d fractures", len(keep), len(network))
     return network.subset(keep)
 
 

@@ -89,9 +89,6 @@ class TransportState:
     def in_domain_mass(self) -> float:
         return float(self.operator.storage @ self.concentration)
 
-    def dissolved_mass(self) -> float:
-        return float(self.operator.pore_volume @ self.concentration)
-
 
 class TransportOperator:
     """Frozen spatial operator and storage/decay diagonals for one tracer."""

@@ -4,17 +4,17 @@ Each fracture contributes its in-cell surface area times aperture as pore
 volume, and a rank-deficient projector tensor scaled by porosity and
 aperture squared (cubic-law style) to the cell permeability tensor.  The
 tensor is collapsed to a scalar by its spectral radius, then blended with
-the matrix permeability by fracture-volume weighting.
+the matrix permeability by fracture-volume weighting.  The in-cell areas
+are the ones the octree clipped while tagging; nothing is clipped here.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-
-from .geometry import AREA_EPS, Box, clip_polygon_to_box, disc_to_polygon, polygon_area
 
 logger = logging.getLogger(__name__)
 
@@ -23,109 +23,23 @@ class UpscaleError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CellProperties:
-    """Scalar equivalent permeability [m^2], porosity, and fracture tagging."""
-
-    permeability: float
-    porosity: float
-    is_fracture: bool
-    fracture_porosity: float = 0.0
-
-
-@dataclass(frozen=True)
-class FractureContribution:
-    """Per-fracture, per-cell upscaling inputs: a_f, b_f, v_f, phi_f and normal."""
-
-    area: float
-    aperture: float
-    volume: float
-    porosity: float
-    normal: np.ndarray
-
-
 def transformation_tensor(normal) -> np.ndarray:
-    """Projector onto the fracture plane, I - n n^T (eigenvalues 1, 1, 0)."""
+    """Projector onto the fracture plane, I - n n^T (eigenvalues 1, 1, 0).
+
+    normal may be one unit vector or a stack (..., 3) of them.
+    """
     n = np.asarray(normal, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
+    if np.any(np.abs(np.linalg.norm(n, axis=-1) - 1.0) > 1e-9):
         raise ValueError("normal must be a unit vector")
-    return np.eye(3) - np.outer(n, n)
+    return np.eye(3) - n[..., :, None] * n[..., None, :]
 
 
-def cell_fracture_data(
-    cell: Box, fractures, m_vertices: int = 32
-) -> list[FractureContribution]:
-    """Clip every fracture against the cell and collect its contribution.
-
-    Fractures whose clip comes back empty (tagging and clipping disagreeing
-    at epsilon scale) are dropped with a diagnostic, never silently.
-    """
-    v_c = cell.volume
-    out = []
-    for f in fractures:
-        a_f = polygon_area(clip_polygon_to_box(disc_to_polygon(f, m_vertices), cell))
-        if a_f <= AREA_EPS:
-            logger.warning(
-                "fracture %d tagged to cell at %s but clips to zero area; dropped",
-                f.id, cell.center,
-            )
-            continue
-        v_f = a_f * f.aperture
-        out.append(FractureContribution(
-            area=a_f,
-            aperture=f.aperture,
-            volume=v_f,
-            porosity=v_f / v_c,
-            normal=np.asarray(f.normal, dtype=float),
-        ))
-    return out
-
-
-def cell_permeability_tensor(data) -> np.ndarray:
-    """K_F = (1/12) sum_f phi_f * (I - n n^T) * b_f^2 over the cell's fractures."""
-    K = np.zeros((3, 3))
-    for c in data:
-        K += c.porosity * transformation_tensor(c.normal) * c.aperture**2
-    return K / 12.0
-
-
-def spectral_radius(K: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric 3x3 tensor."""
+def spectral_radius(K):
+    """Largest absolute eigenvalue of a symmetric 3x3 tensor, or of each in a stack."""
     K = np.asarray(K, dtype=float)
-    if not np.allclose(K, K.T, rtol=1e-12, atol=0.0):
+    if not np.allclose(K, np.swapaxes(K, -1, -2), rtol=1e-12, atol=0.0):
         raise ValueError("permeability tensor must be symmetric")
-    if not K.any():
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(K))))
-
-
-def upscale_cell(
-    data,
-    k_m: float,
-    phi_m: float,
-    v_c: float,
-    *,
-    strict_fracture_porosity: bool = False,
-) -> CellProperties:
-    """Combine fracture contributions with the matrix background.
-
-    k = (1 - phi_F) * k_m + k_F with k_F the tensor spectral radius.  Cell
-    porosity defaults to phi_F + (1 - phi_F) * phi_m so transport through a
-    barely-fractured cell keeps matrix storage; strict_fracture_porosity
-    assigns phi_F alone to fracture cells.
-    """
-    if k_m <= 0 or not 0 < phi_m < 1:
-        raise ValueError("need k_m > 0 and 0 < phi_m < 1")
-    if not data:
-        return CellProperties(k_m, phi_m, is_fracture=False)
-    v_F = sum(c.volume for c in data)
-    phi_F = v_F / v_c
-    if phi_F >= 1.0:
-        raise UpscaleError(f"fracture porosity {phi_F:.3g} >= 1; geometry inconsistent")
-    k_F = spectral_radius(cell_permeability_tensor(data))
-    k = (1.0 - phi_F) * k_m + k_F
-    phi = phi_F if strict_fracture_porosity else phi_F + (1.0 - phi_F) * phi_m
-    return CellProperties(k, phi, is_fracture=True, fracture_porosity=phi_F)
+    return np.abs(np.linalg.eigvalsh(K)).max(axis=-1)
 
 
 @dataclass
@@ -138,14 +52,6 @@ class PropertyField:
     is_fracture: np.ndarray
     k_m: float
     phi_m: float
-
-    def cell(self, idx: int) -> CellProperties:
-        return CellProperties(
-            float(self.permeability[idx]),
-            float(self.porosity[idx]),
-            bool(self.is_fracture[idx]),
-            float(self.fracture_porosity[idx]),
-        )
 
     def summary(self) -> dict:
         return {
@@ -169,27 +75,49 @@ def upscale_mesh(
     m_vertices: int = 32,
     strict_fracture_porosity: bool = False,
 ) -> PropertyField:
-    """Apply upscale_cell to every leaf of a tagged, refined mesh."""
+    """Upscale every leaf of a tagged, refined mesh from its stored fracture areas.
+
+    A fracture f with area a_f in cell c adds v_f = a_f b_f to the cell's
+    fracture volume and phi_f (I - n_f n_f^T) b_f^2 / 12, phi_f = v_f / v_c,
+    to its tensor K_F.  A fracture cell gets k = (1 - phi_F) k_m + k_F with
+    k_F the spectral radius of K_F.  Its porosity defaults to
+    phi_F + (1 - phi_F) phi_m, so transport through a barely-fractured cell
+    keeps matrix storage; strict_fracture_porosity assigns phi_F alone.
+    Every other cell keeps k_m and phi_m.  m_vertices must be the disc
+    polygonization the mesh was tagged with.
+    """
+    if k_m <= 0 or not 0 < phi_m < 1:
+        raise ValueError("need k_m > 0 and 0 < phi_m < 1")
+    if mesh.m_vertices is not None and mesh.m_vertices != m_vertices:
+        raise ValueError(
+            f"mesh areas come from {mesh.m_vertices}-gon discs, not m_vertices={m_vertices}"
+        )
     n = mesh.num_cells
+    # one entry per (cell, fracture) pair, cells ascending
+    cell = np.repeat(np.arange(n), [len(ids) for ids in mesh.fracture_ids])
+    fid = np.fromiter(chain.from_iterable(mesh.fracture_ids), dtype=int, count=len(cell))
+    area = np.fromiter(chain.from_iterable(mesh.fracture_areas), dtype=float, count=len(cell))
+    fractures = network.fractures
+    aperture = np.array([f.aperture for f in fractures], dtype=float)[fid]
+    # squared one fracture at a time, as scalars; the array power can round differently
+    b2 = np.array([f.aperture**2 for f in fractures], dtype=float)[fid]
+    normal = np.array([f.normal for f in fractures], dtype=float).reshape(-1, 3)[fid]
+
+    v_f = area * aperture
+    phi_f = v_f / mesh.volume[cell]
+    v_F = np.zeros(n)
+    np.add.at(v_F, cell, v_f)
+    phi_F = v_F / mesh.volume
+    if np.any(phi_F >= 1.0):
+        raise UpscaleError(f"fracture porosity {phi_F.max():.3g} >= 1; geometry inconsistent")
+    K = np.zeros((n, 3, 3))
+    np.add.at(K, cell, phi_f[:, None, None] * transformation_tensor(normal) * b2[:, None, None])
+
+    tag = mesh.is_fracture.copy()
     k = np.full(n, float(k_m))
     phi = np.full(n, float(phi_m))
-    phi_F = np.zeros(n)
-    tag = np.zeros(n, dtype=bool)
-    fractures = network.fractures
-    for idx in range(n):
-        ids = mesh.fracture_ids[idx]
-        if not ids:
-            continue
-        cell = mesh.cell_box(mesh.keys[idx])
-        data = cell_fracture_data(cell, [fractures[fid] for fid in ids], m_vertices)
-        props = upscale_cell(
-            data, k_m, phi_m, cell.volume,
-            strict_fracture_porosity=strict_fracture_porosity,
-        )
-        k[idx] = props.permeability
-        phi[idx] = props.porosity
-        phi_F[idx] = props.fracture_porosity
-        tag[idx] = props.is_fracture
+    k[tag] = (1.0 - phi_F[tag]) * k_m + spectral_radius(K[tag] / 12.0)
+    phi[tag] = phi_F[tag] if strict_fracture_porosity else phi_F[tag] + (1.0 - phi_F[tag]) * phi_m
     field = PropertyField(k, phi, phi_F, tag, float(k_m), float(phi_m))
     logger.info("upscaled %d cells: %s", n, field.summary())
     return field

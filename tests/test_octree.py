@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracscale.geometry import Box, clip_polygon_to_box, disc_to_polygon, polygon_area
 from fracscale.network import GenerationParams, generate_network
@@ -123,6 +125,29 @@ class TestRefine:
                 for i in np.nonzero(mesh.is_fracture)[0]
             )
             assert tagged_area == pytest.approx(domain_area, rel=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.tuples(*[st.floats(-12.0, 12.0)] * 3),
+            st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+                lambda n: np.linalg.norm(n) > 0.1),
+            st.floats(0.5, 12.0),
+        ),
+        min_size=1, max_size=3,
+    ))
+    def test_leaf_areas_sum_to_domain_clipped_area(self, discs):
+        net = make_network(
+            [make_disc(i, c, n, r) for i, (c, n, r) in enumerate(discs)], 20.0)
+        for orl in (0, 1, 2):
+            mesh = cube_mesh(20.0, 5.0, net, orl=orl)
+            stored = np.zeros(len(net))
+            for ids, areas in zip(mesh.fracture_ids, mesh.fracture_areas):
+                stored[list(ids)] += areas
+            for fid, poly in enumerate(net.polygons(32)):
+                domain_area = polygon_area(clip_polygon_to_box(poly, mesh.domain))
+                # cells cut by a sliver of at most AREA_EPS store nothing
+                assert stored[fid] == pytest.approx(domain_area, rel=1e-9, abs=1e-9)
 
     def test_two_to_one_balance_holds(self):
         net = make_network([make_disc(0, (0.3, -0.4, 0.3), (0, 0, 1), 2.0)], 20.0)

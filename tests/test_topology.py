@@ -8,6 +8,7 @@ from fracscale.topology import (
     count_false_connections,
     dfn_percolates,
     mesh_percolates,
+    percolating_cluster,
     remove_isolated,
 )
 
@@ -111,6 +112,20 @@ class TestRemoveIsolated:
             graph = build_intersection_graph(net)
             kept = remove_isolated(net, graph)
             assert dfn_percolates(build_intersection_graph(kept)) == dfn_percolates(graph)
+
+    def test_relabelled_graph_equals_fresh_build(self):
+        networks = [chain_network(with_outlier=True), chain_network(with_bridge=False)]
+        networks += [generate_network(GenerationParams(L=15.0, n_fractures=n, seed=seed))
+                     for n in (40, 80) for seed in (2, 3, 6)]
+        sizes = []
+        for net in networks:
+            graph = build_intersection_graph(net)
+            keep = percolating_cluster(graph)
+            kept = remove_isolated(net, graph)
+            assert len(kept) == len(keep)
+            assert graph.subset(keep) == build_intersection_graph(kept)
+            sizes.append(len(keep))
+        assert 0 in sizes and max(sizes) > 3
 
 
 class TestFalseConnections:

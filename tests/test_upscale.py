@@ -1,26 +1,65 @@
 import numpy as np
 import pytest
 
-from fracscale.geometry import Box, disc_to_polygon, polygon_area
-from fracscale.upscale import (
-    FractureContribution,
-    UpscaleError,
-    cell_fracture_data,
-    cell_permeability_tensor,
-    spectral_radius,
-    transformation_tensor,
-    upscale_cell,
-    upscale_mesh,
-)
+from fracscale.geometry import AREA_EPS, clip_polygon_to_box, disc_to_polygon, polygon_area
+from fracscale.network import GenerationParams, generate_network
+from fracscale.upscale import UpscaleError, spectral_radius, transformation_tensor, upscale_mesh
 
-from conftest import cube_mesh, make_disc, make_network
+from conftest import box_mesh, cube_mesh, make_disc, make_network, two_plate_network
+
+# one cell of edge 15.625 m cut across by a disc of aperture 5e-4 m holds
+# fracture porosity 15.625^2 * 5e-4 / 15.625^3 = 3.2e-5
+EDGE = 15.625
+PHI_F = 3.2e-5
+APERTURE = 5e-4
 
 
-def contribution(porosity, aperture, normal):
-    return FractureContribution(
-        area=1.0, aperture=aperture, volume=porosity, porosity=porosity,
-        normal=np.asarray(normal, dtype=float),
-    )
+def one_cell(discs, edge=EDGE):
+    """A single-cell mesh [0, edge]^3 tagged by the given discs, and their network."""
+    net = make_network(discs, edge)
+    return box_mesh((edge, edge, edge), edge, net), net
+
+
+def cross_disc(fid=0, normal=(0, 0, 1), aperture=APERTURE, edge=EDGE):
+    """A disc through the cell center wide enough to cut the whole cell."""
+    return make_disc(fid, (0.5 * edge,) * 3, normal, 2.0 * edge, aperture=aperture)
+
+
+def fracture_permeability(discs):
+    """k_F of the single cell: the permeability minus its matrix share."""
+    props = upscale_mesh(*one_cell(discs), 1e-16, 0.01)
+    return props.permeability[0] - (1.0 - props.fracture_porosity[0]) * 1e-16
+
+
+def reference_upscale(mesh, network, k_m, phi_m, *, m_vertices=32,
+                      strict_fracture_porosity=False):
+    """The per-cell path upscale_mesh replaced: re-clip every tagged pair, cell by cell."""
+    n = mesh.num_cells
+    k, phi = np.full(n, float(k_m)), np.full(n, float(phi_m))
+    phi_F, tag = np.zeros(n), np.zeros(n, dtype=bool)
+    for idx in range(n):
+        cell = mesh.cell_box(mesh.keys[idx])
+        v_c = cell.volume
+        v_F, K = 0.0, np.zeros((3, 3))
+        for fid in mesh.fracture_ids[idx]:
+            f = network.fractures[fid]
+            a_f = polygon_area(clip_polygon_to_box(disc_to_polygon(f, m_vertices), cell))
+            if a_f <= AREA_EPS:
+                continue
+            v_f = a_f * f.aperture
+            v_F += v_f
+            normal = np.asarray(f.normal, dtype=float)
+            K += v_f / v_c * (np.eye(3) - np.outer(normal, normal)) * f.aperture**2
+        if v_F == 0.0:
+            continue
+        cell_phi_F = v_F / v_c
+        k_F = float(np.max(np.abs(np.linalg.eigvalsh(K / 12.0))))
+        k[idx] = (1.0 - cell_phi_F) * k_m + k_F
+        phi[idx] = (cell_phi_F if strict_fracture_porosity
+                    else cell_phi_F + (1.0 - cell_phi_F) * phi_m)
+        phi_F[idx] = cell_phi_F
+        tag[idx] = True
+    return k, phi, phi_F, tag
 
 
 class TestTransformationTensor:
@@ -44,61 +83,65 @@ class TestTransformationTensor:
     def test_rejects_non_unit_normal(self):
         with pytest.raises(ValueError):
             transformation_tensor((0.0, 0.0, 2.0))
+        with pytest.raises(ValueError):
+            transformation_tensor([(0.0, 0.0, 1.0), (0.0, 0.0, 2.0)])
+
+    def test_stack_equals_single_normals(self):
+        rng = np.random.default_rng(3)
+        normals = rng.normal(size=(20, 3))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        stack = transformation_tensor(normals)
+        assert stack.shape == (20, 3, 3)
+        for n, P in zip(normals, stack):
+            assert np.array_equal(P, transformation_tensor(n))
 
 
 class TestCellFractureData:
     def test_volume_and_porosity_arithmetic(self):
-        cell = Box(np.zeros(3), np.full(3, 2.5))
         disc = make_disc(0, (1.25, 1.25, 1.2), (0, 0, 1), 0.8, aperture=5e-4)
-        data = cell_fracture_data(cell, [disc])
-        assert len(data) == 1
+        mesh, net = one_cell([disc], edge=2.5)
+        props = upscale_mesh(mesh, net, 1e-16, 0.01)
         poly_area = polygon_area(disc_to_polygon(disc, 32))
-        assert data[0].area == pytest.approx(poly_area, rel=1e-12)
-        assert data[0].volume == pytest.approx(poly_area * 5e-4, rel=1e-12)
-        assert data[0].porosity == pytest.approx(poly_area * 5e-4 / 15.625, rel=1e-12)
+        assert mesh.fracture_ids == [(0,)]
+        assert mesh.fracture_areas[0][0] == pytest.approx(poly_area, rel=1e-12)
+        volume = props.fracture_porosity[0] * mesh.volume[0]
+        assert volume == pytest.approx(poly_area * 5e-4, rel=1e-12)
+        assert props.fracture_porosity[0] == pytest.approx(poly_area * 5e-4 / 15.625, rel=1e-12)
 
     def test_no_fractures_gives_empty_list(self):
-        assert cell_fracture_data(Box.cube(2.5), []) == []
+        mesh, _ = one_cell([], edge=2.5)
+        assert mesh.fracture_ids == [()]
+        assert mesh.fracture_areas == [()]
 
     def test_disc_spanning_two_cells_conserves_area(self):
-        disc = make_disc(0, (0.0, 1.0, 1.2), (0, 0, 1), 0.8)
-        left = Box(np.array([-2.5, 0.0, 0.0]), np.array([0.0, 2.5, 2.5]))
-        right = Box(np.array([0.0, 0.0, 0.0]), np.array([2.5, 2.5, 2.5]))
-        total = sum(d.area for cell in (left, right) for d in cell_fracture_data(cell, [disc]))
+        disc = make_disc(0, (2.5, 1.0, 1.2), (0, 0, 1), 0.8)
+        mesh = box_mesh((5.0, 2.5, 2.5), 2.5, make_network([disc], 5.0))
+        assert mesh.fracture_ids == [(0,), (0,)]
+        total = sum(a for areas in mesh.fracture_areas for a in areas)
         assert total == pytest.approx(polygon_area(disc_to_polygon(disc, 32)), rel=1e-9)
-
-    def test_zero_area_clip_dropped_with_diagnostic(self, caplog):
-        cell = Box(np.zeros(3), np.full(3, 2.5))
-        outside = make_disc(0, (10.0, 10.0, 10.0), (0, 0, 1), 0.5)
-        with caplog.at_level("WARNING"):
-            data = cell_fracture_data(cell, [outside])
-        assert data == []
-        assert "dropped" in caplog.text
 
 
 class TestPermeabilityTensor:
     def test_single_fracture_reference_values(self):
-        data = [contribution(3.2e-5, 5e-4, (0, 0, 1))]
-        K = cell_permeability_tensor(data)
-        expected = 3.2e-5 * (5e-4) ** 2 / 12.0
-        assert K[0, 0] == pytest.approx(expected, rel=1e-12)
-        assert K[1, 1] == pytest.approx(expected, rel=1e-12)
-        assert K[2, 2] == 0.0
+        k_F = fracture_permeability([cross_disc()])
+        expected = PHI_F * APERTURE**2 / 12.0
+        assert k_F == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(6.667e-13, rel=1e-3)
 
     def test_no_fractures_zero_tensor(self):
-        assert not cell_permeability_tensor([]).any()
+        assert fracture_permeability([]) == 0.0
 
     def test_coincident_fractures_add_linearly(self):
-        one = cell_permeability_tensor([contribution(1e-5, 4e-4, (0, 1, 0))])
-        two = cell_permeability_tensor([contribution(1e-5, 4e-4, (0, 1, 0))] * 2)
-        assert np.allclose(two, 2.0 * one, rtol=1e-14)
+        one = fracture_permeability([cross_disc(0, (0, 1, 0), 4e-4)])
+        two = fracture_permeability(
+            [cross_disc(0, (0, 1, 0), 4e-4), cross_disc(1, (0, 1, 0), 4e-4)])
+        assert two == pytest.approx(2.0 * one, rel=1e-14)
 
     def test_aperture_cubed_scaling(self):
         # porosity tracks aperture, so doubling b multiplies the tensor by 8
-        base = cell_permeability_tensor([contribution(1e-5, 4e-4, (1, 0, 0))])
-        doubled = cell_permeability_tensor([contribution(2e-5, 8e-4, (1, 0, 0))])
-        assert np.allclose(doubled, 8.0 * base, rtol=1e-14)
+        base = fracture_permeability([cross_disc(0, (1, 0, 0), 4e-4)])
+        doubled = fracture_permeability([cross_disc(0, (1, 0, 0), 8e-4)])
+        assert doubled == pytest.approx(8.0 * base, rel=1e-14)
 
 
 class TestSpectralRadius:
@@ -109,22 +152,19 @@ class TestSpectralRadius:
         assert spectral_radius(np.zeros((3, 3))) == 0.0
 
     def test_rank_deficient_projector_spectrum(self):
-        data = [contribution(3.2e-5, 5e-4, (0, 0, 1))]
-        k_f = spectral_radius(cell_permeability_tensor(data))
-        assert k_f == pytest.approx(3.2e-5 * (5e-4) ** 2 / 12.0, rel=1e-12)
+        K = PHI_F * transformation_tensor((0, 0, 1)) * APERTURE**2 / 12.0
+        assert spectral_radius(K) == pytest.approx(PHI_F * APERTURE**2 / 12.0, rel=1e-12)
 
     def test_homogeneous_scaling(self):
-        K = cell_permeability_tensor([contribution(2e-5, 3e-4, (1, 1, 1) / np.sqrt(3))])
+        K = 2e-5 * transformation_tensor(np.ones(3) / np.sqrt(3)) * 3e-4**2 / 12.0
         assert spectral_radius(0.0 * K) == 0.0
         for c in (0.5, 7.0):
             assert spectral_radius(c * K) == pytest.approx(c * spectral_radius(K), rel=1e-12)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(6)
-        K = cell_permeability_tensor([
-            contribution(2e-5, 3e-4, (0, 0, 1)),
-            contribution(1e-5, 2e-4, (1, 0, 0)),
-        ])
+        K = (2e-5 * transformation_tensor((0, 0, 1)) * 3e-4**2
+             + 1e-5 * transformation_tensor((1, 0, 0)) * 2e-4**2) / 12.0
         for _ in range(20):
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             assert spectral_radius(q @ K @ q.T) == pytest.approx(spectral_radius(K), rel=1e-10)
@@ -133,42 +173,55 @@ class TestSpectralRadius:
         bad = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError):
             spectral_radius(bad)
+        with pytest.raises(ValueError):
+            spectral_radius(np.stack([np.eye(3), bad]))
+
+    def test_stack_equals_single_tensors(self):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(15, 3, 3))
+        stack = A + np.swapaxes(A, 1, 2)
+        radii = spectral_radius(stack)
+        assert radii.shape == (15,)
+        for K, r in zip(stack, radii):
+            assert r == spectral_radius(K)
 
 
 class TestUpscaleCell:
+    """Formula checks on one-cell meshes."""
+
     def test_matrix_cell_gets_background_values(self):
-        props = upscale_cell([], 1e-16, 0.01, 15.625)
-        assert props.permeability == 1e-16
-        assert props.porosity == 0.01
-        assert not props.is_fracture
+        props = upscale_mesh(*one_cell([]), 1e-16, 0.01)
+        assert props.permeability[0] == 1e-16
+        assert props.porosity[0] == 0.01
+        assert not props.is_fracture[0]
 
     def test_single_fracture_reference_permeability(self):
-        data = [contribution(3.2e-5, 5e-4, (0, 0, 1))]
-        props = upscale_cell(data, 1e-16, 0.01, 1.0)
-        expected = (1.0 - 3.2e-5) * 1e-16 + 3.2e-5 * (5e-4) ** 2 / 12.0
-        assert props.permeability == pytest.approx(expected, rel=1e-12)
-        assert props.permeability == pytest.approx(6.668e-13, rel=1e-3)
-        assert props.is_fracture
+        props = upscale_mesh(*one_cell([cross_disc()]), 1e-16, 0.01)
+        expected = (1.0 - PHI_F) * 1e-16 + PHI_F * APERTURE**2 / 12.0
+        assert props.permeability[0] == pytest.approx(expected, rel=1e-12)
+        assert props.permeability[0] == pytest.approx(6.668e-13, rel=1e-3)
+        assert props.is_fracture[0]
 
     def test_porosity_blend_and_strict_mode(self):
-        data = [contribution(3.2e-5, 5e-4, (0, 0, 1))]
-        blended = upscale_cell(data, 1e-16, 0.01, 1.0)
-        phi_f = 3.2e-5
-        assert blended.porosity == pytest.approx(phi_f + (1 - phi_f) * 0.01, rel=1e-12)
-        strict = upscale_cell(data, 1e-16, 0.01, 1.0, strict_fracture_porosity=True)
-        assert strict.porosity == pytest.approx(phi_f, rel=1e-12)
-        assert blended.fracture_porosity == strict.fracture_porosity == phi_f
+        mesh, net = one_cell([cross_disc()])
+        blended = upscale_mesh(mesh, net, 1e-16, 0.01)
+        assert blended.porosity[0] == pytest.approx(PHI_F + (1 - PHI_F) * 0.01, rel=1e-12)
+        strict = upscale_mesh(mesh, net, 1e-16, 0.01, strict_fracture_porosity=True)
+        assert strict.porosity[0] == pytest.approx(PHI_F, rel=1e-12)
+        assert blended.fracture_porosity[0] == strict.fracture_porosity[0]
+        assert strict.fracture_porosity[0] == pytest.approx(PHI_F, rel=1e-12)
 
     def test_overfull_cell_rejected(self):
-        data = [contribution(1.5, 5e-4, (0, 0, 1))]
+        mesh, net = one_cell([cross_disc(aperture=1.5, edge=1.0)], edge=1.0)
         with pytest.raises(UpscaleError):
-            upscale_cell(data, 1e-16, 0.01, 1.0)
+            upscale_mesh(mesh, net, 1e-16, 0.01)
 
     def test_invalid_background_rejected(self):
+        mesh, net = one_cell([])
         with pytest.raises(ValueError):
-            upscale_cell([], 0.0, 0.01, 1.0)
+            upscale_mesh(mesh, net, 0.0, 0.01)
         with pytest.raises(ValueError):
-            upscale_cell([], 1e-16, 1.5, 1.0)
+            upscale_mesh(mesh, net, 1e-16, 1.5)
 
 
 class TestUpscaleMesh:
@@ -192,8 +245,6 @@ class TestUpscaleMesh:
             assert v == pytest.approx(exact, rel=1e-6)
 
     def test_permeability_never_below_matrix(self):
-        from fracscale.network import GenerationParams, generate_network
-
         net = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=12))
         mesh = cube_mesh(20.0, 5.0, net, orl=1)
         props = upscale_mesh(mesh, net, 1e-16, 0.01)
@@ -209,7 +260,39 @@ class TestUpscaleMesh:
         stats = props.summary()
         assert stats["n_cells"] == mesh.num_cells
         assert stats["n_fracture_cells"] == int(mesh.is_fracture.sum())
+        assert stats["k_max"] == props.permeability.max()
         idx = int(np.nonzero(props.is_fracture)[0][0])
-        cell = props.cell(idx)
-        assert cell.is_fracture
-        assert cell.permeability == props.permeability[idx]
+        assert props.permeability[idx] > props.k_m
+        assert props.porosity[idx] > props.phi_m
+
+    def test_m_vertices_must_match_mesh(self):
+        net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 2.0)], 10.0)
+        mesh = cube_mesh(10.0, 2.5, net, orl=1)
+        upscale_mesh(mesh, net, 1e-16, 0.01, m_vertices=32)
+        with pytest.raises(ValueError):
+            upscale_mesh(mesh, net, 1e-16, 0.01, m_vertices=16)
+
+    @pytest.mark.parametrize("orl", [0, 1, 2])
+    def test_tags_agree_with_mesh(self, orl):
+        net = generate_network(GenerationParams(L=20.0, n_fractures=40, seed=6))
+        mesh = cube_mesh(20.0, 5.0, net, orl=orl)
+        props = upscale_mesh(mesh, net, 1e-16, 0.01)
+        assert mesh.is_fracture.any()
+        assert np.array_equal(mesh.is_fracture, props.is_fracture)
+
+    @pytest.mark.parametrize("case", ["generated-orl1", "generated-orl2",
+                                      "two-plate-orl1", "two-plate-orl2"])
+    def test_matches_per_cell_reference(self, case):
+        kind, orl = case.rsplit("-orl", 1)
+        if kind == "generated":
+            L, net = 20.0, generate_network(GenerationParams(L=20.0, n_fractures=30, seed=12))
+        else:
+            L, net = 25.0, two_plate_network()
+        mesh = cube_mesh(L, 5.0, net, orl=int(orl))
+        for strict in (False, True):
+            props = upscale_mesh(mesh, net, 1e-16, 0.01, strict_fracture_porosity=strict)
+            ref = reference_upscale(mesh, net, 1e-16, 0.01, strict_fracture_porosity=strict)
+            got = (props.permeability, props.porosity, props.fracture_porosity,
+                   props.is_fracture)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
