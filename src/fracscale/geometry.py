@@ -8,13 +8,12 @@ test instead, so network topology never depends on the polygonization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tolerances: absolute plane-side slack for clipping, and the minimum area
-# regarded as a real (positive-area) intersection.
-PLANE_EPS = 1e-12
+# The minimum area regarded as a real (positive-area) intersection.
 AREA_EPS = 1e-12
 
 
@@ -98,9 +97,15 @@ def _tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _clip_halfspace(verts: np.ndarray, axis: int, bound: float, keep_below: bool) -> np.ndarray:
-    """One Sutherland-Hodgman pass against x[axis] <= bound (or >= when keep_below=False)."""
+    """One Sutherland-Hodgman pass against x[axis] <= bound (or >= when keep_below=False).
+
+    The side test is exact, with no slack: a slack keeps vertices just
+    outside the plane while edges are still cut on it, which extrapolates
+    the cut beyond the edge and, for a polygon nearly parallel to the plane,
+    counts a strip of it in the boxes on both sides.
+    """
     d = bound - verts[:, axis] if keep_below else verts[:, axis] - bound
-    inside = d >= -PLANE_EPS
+    inside = d >= 0.0
     if inside.all():
         return verts
     if not inside.any():
@@ -163,13 +168,16 @@ def discs_intersect(f1, f2, eps: float = 1e-9) -> bool:
 
     Intersect the two carrier planes; each disc cuts a chord interval out of
     that line, and the discs intersect iff the intervals overlap by more
-    than eps.  Parallel (and coplanar) planes are declared non-intersecting:
-    that configuration has probability zero under continuous orientations.
+    than eps.  A disc that misses the line gets an inverted interval of
+    half-length -sqrt(h^2 - r^2), so the overlap is negative and the verdict
+    moves continuously with eps.  Parallel (and coplanar) planes are declared
+    non-intersecting: that configuration has probability zero under
+    continuous orientations.
     """
     n1 = np.asarray(f1.normal, dtype=float)
     n2 = np.asarray(f2.normal, dtype=float)
-    c1 = np.asarray(f1.center, dtype=float)
-    c2 = np.asarray(f2.center, dtype=float)
+    # work relative to c1, so a common translation cannot cost precision
+    offset = np.asarray(f2.center, dtype=float) - np.asarray(f1.center, dtype=float)
 
     direction = np.cross(n1, n2)
     norm2 = float(direction @ direction)
@@ -177,24 +185,17 @@ def discs_intersect(f1, f2, eps: float = 1e-9) -> bool:
         return False
     u = direction / np.sqrt(norm2)
 
-    # point on the intersection line: p0 = a*n1 + b*n2 with n_i . p0 = n_i . c_i
-    d1 = float(n1 @ c1)
-    d2 = float(n2 @ c2)
-    cos12 = float(n1 @ n2)
-    det = 1.0 - cos12 * cos12
-    a = (d1 - cos12 * d2) / det
-    b = (d2 - cos12 * d1) / det
-    p0 = a * n1 + b * n2
+    # point on the intersection line: p0 = s * (n2 - (n1 . n2) n1) satisfies
+    # n1 . p0 = 0, and n2 . p0 = n2 . offset for s = n2 . offset / |n1 x n2|^2
+    # (unit normals), which never rounds to 0 / 0 as 1 - (n1 . n2)^2 can
+    p0 = float(n2 @ offset) / norm2 * (n2 - float(n1 @ n2) * n1)
 
     intervals = []
-    for c, r in ((c1, f1.radius), (c2, f2.radius)):
-        t = float(u @ (c - p0))
-        closest = p0 + t * u
-        h2 = float((c - closest) @ (c - closest))
-        half = r * r - h2
-        if half <= 0.0:
-            return False
-        s = np.sqrt(half)
+    for rel, r in ((-p0, f1.radius), (offset - p0, f2.radius)):   # center - p0
+        t = float(u @ rel)
+        h = rel - t * u
+        half = r * r - float(h @ h)
+        s = math.copysign(math.sqrt(abs(half)), half)
         intervals.append((t - s, t + s))
 
     overlap = min(intervals[0][1], intervals[1][1]) - max(intervals[0][0], intervals[1][0])

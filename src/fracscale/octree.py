@@ -7,15 +7,20 @@ finest fracture cells have edge l / 2^orl.  Each leaf keeps the in-cell
 area of every fracture it holds, so upscaling never clips again.  An
 optional 2:1 balancing sweep limits face-level jumps to one, which keeps
 two-point flux stencils sane.
-Leaves are addressed by integer coordinates (level, i, j, k); neighbor
-resolution walks that index lattice instead of storing pointers.
+
+The leaves are flat arrays kept sorted in (level, i, j, k) order, with the
+(cell, fracture id, clipped area) pairs cell-major and ids ascending.  Every
+neighbor question is answered by one owner map: an int array on the lattice
+of the finest level present that gives each voxel the index of the leaf
+covering it.  Comparing the map with itself shifted one voxel along an axis
+yields every face contact.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +29,9 @@ from .geometry import AREA_EPS, Box, clip_vertices, vertex_area
 logger = logging.getLogger(__name__)
 
 _SQRT3_HALF = np.sqrt(3.0) / 2.0
+
+# child index offsets (di, dj, dk) of the eight octants
+_OCTANTS = np.indices((2, 2, 2)).reshape(3, -1).T
 
 
 class MeshError(RuntimeError):
@@ -60,44 +68,35 @@ def _exact_divisions(extent: float, l: float) -> int:
     return int(round(n))
 
 
-class _Leaf:
-    __slots__ = ("fracture_ids", "fracture_areas")
+class _Polygons:
+    """Per-fracture polygon vertices with vectorised AABB and plane quick-rejects."""
 
-    def __init__(self, fracture_ids: tuple = (), fracture_areas: tuple = ()):
-        self.fracture_ids = fracture_ids
-        self.fracture_areas = fracture_areas   # in-cell polygon area per id [m^2]
+    def __init__(self, network, m_vertices: int):
+        self.verts = [poly.vertices for poly in network.polygons(m_vertices)]
+        self.lo = np.array([v.min(axis=0) for v in self.verts]).reshape(-1, 3)
+        self.hi = np.array([v.max(axis=0) for v in self.verts]).reshape(-1, 3)
+        self.point = np.array([f.center for f in network.fractures], dtype=float).reshape(-1, 3)
+        self.normal = np.array([f.normal for f in network.fractures], dtype=float).reshape(-1, 3)
 
-    @property
-    def is_fracture(self) -> bool:
-        return bool(self.fracture_ids)
+    def areas(self, fid, lo, hi, edge, top) -> np.ndarray:
+        """Clipped area of polygon fid[n] in box [lo[n], hi[n]] of edge edge[n].
 
-
-class _PolyCache:
-    """Per-fracture polygon vertices with AABB and plane quick-rejects."""
-
-    def __init__(self, network, m_vertices: int = 32):
-        self.verts = []
-        self.lo = []
-        self.hi = []
-        self.point = []
-        self.normal = []
-        for frac, poly in zip(network.fractures, network.polygons(m_vertices)):
-            self.verts.append(poly.vertices)
-            lo, hi = poly.aabb()
-            self.lo.append(lo)
-            self.hi.append(hi)
-            self.point.append(frac.center)
-            self.normal.append(frac.normal)
-
-    def area_in(self, fid: int, lo, hi, center, edge: float) -> float:
-        plo, phi = self.lo[fid], self.hi[fid]
-        if (plo[0] > hi[0] or phi[0] < lo[0] or plo[1] > hi[1] or phi[1] < lo[1]
-                or plo[2] > hi[2] or phi[2] < lo[2]):
-            return 0.0
+        The boxes are half-open: a polygon lying at or above hi on some axis
+        is left to the box above, unless top[n] marks that face as the
+        domain's upper boundary.  So a polygon lying in a face shared by two
+        boxes is measured once, in the upper one.
+        """
+        above = np.where(top, self.lo[fid] > hi, self.lo[fid] >= hi)
+        near = ~(above | (self.hi[fid] < lo)).any(axis=1)
         # the plane must pass within the cell's circumscribed sphere
-        if abs(float(self.normal[fid] @ (center - self.point[fid]))) > edge * _SQRT3_HALF:
-            return 0.0
-        return vertex_area(clip_vertices(self.verts[fid], lo, hi))
+        d = lo + 0.5 * edge[:, None] - self.point[fid]
+        n = self.normal[fid]
+        dist = d[:, 0] * n[:, 0] + d[:, 1] * n[:, 1] + d[:, 2] * n[:, 2]
+        near &= np.abs(dist) <= edge * _SQRT3_HALF
+        out = np.zeros(len(fid))
+        for m in np.flatnonzero(near):
+            out[m] = vertex_area(clip_vertices(self.verts[fid[m]], lo[m], hi[m]))
+        return out
 
 
 @dataclass
@@ -117,7 +116,13 @@ class FaceSet:
 
 
 class OctreeMesh:
-    """Leaf store plus, after finalize(), flat per-cell arrays and faces."""
+    """Leaves as sorted flat arrays, their fracture pairs, and (once built) faces.
+
+    level, ijk: leaf level and integer lattice index at that level, sorted
+    in (level, i, j, k) order; pair_cell, pair_fid, pair_area: every
+    (leaf, fracture id, clipped area) with positive area, cell-major with
+    ids ascending.  edge, center, volume and is_fracture follow from them.
+    """
 
     BTAG_INTERIOR = -1
     BTAG_XMIN, BTAG_XMAX = 0, 1
@@ -125,13 +130,35 @@ class OctreeMesh:
     BTAG_ZMIN, BTAG_ZMAX = 4, 5
 
     def __init__(self, domain: Box, l: float):
+        """Uniform level-0 grid; every domain edge must be an integer multiple of l."""
         self.domain = domain
         self.l = float(l)
         self.n0 = tuple(_exact_divisions(domain.hi[a] - domain.lo[a], l) for a in range(3))
-        self.leaves: dict[tuple, _Leaf] = {}
-        self.max_level = 0
-        self.m_vertices = None   # disc polygonization the leaf areas were clipped from
-        self._final = False
+        self.m_vertices = None   # disc polygonization the pair areas were clipped from
+        ijk = np.indices(self.n0).reshape(3, -1).T
+        self._set_leaves(np.zeros(len(ijk), dtype=int), ijk,
+                         np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+
+    def _set_leaves(self, level, ijk, pair_cell, pair_fid, pair_area) -> None:
+        """Store leaves and pairs in canonical order and derive the per-cell arrays."""
+        order = np.lexsort((ijk[:, 2], ijk[:, 1], ijk[:, 0], level))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        pair_cell = rank[pair_cell]
+        pair_order = np.lexsort((pair_fid, pair_cell))
+        self.level = level[order]
+        self.ijk = ijk[order]
+        self.pair_cell = pair_cell[pair_order]
+        self.pair_fid = pair_fid[pair_order]
+        self.pair_area = pair_area[pair_order]
+        self.edge = self.l / 2.0 ** self.level
+        self.center = self.domain.lo + self.edge[:, None] * (self.ijk + 0.5)
+        self.volume = self.edge**3
+        self.is_fracture = np.zeros(self.num_cells, dtype=bool)
+        self.is_fracture[self.pair_cell] = True
+        self._faces = None
+        for name in ("fracture_ids", "fracture_areas"):
+            self.__dict__.pop(name, None)
 
     # -- index geometry ----------------------------------------------------
 
@@ -141,180 +168,131 @@ class OctreeMesh:
     def grid_dims(self, level: int) -> tuple:
         return tuple(n * 2**level for n in self.n0)
 
-    def cell_bounds(self, key) -> tuple[np.ndarray, np.ndarray]:
-        level, i, j, k = key
-        edge = self.cell_edge(level)
-        lo = self.domain.lo + edge * np.array([i, j, k], dtype=float)
-        return lo, lo + edge
-
-    def cell_box(self, key) -> Box:
-        lo, hi = self.cell_bounds(key)
-        return Box(lo, hi)
+    def cell_box(self, idx: int) -> Box:
+        edge = self.cell_edge(int(self.level[idx]))
+        lo = self.domain.lo + edge * self.ijk[idx].astype(float)
+        return Box(lo, lo + edge)
 
     @property
     def num_cells(self) -> int:
-        return len(self.keys) if self._final else len(self.leaves)
+        return len(self.level)
+
+    @cached_property
+    def fracture_ids(self) -> list:
+        """Per-cell fracture ids, ascending: views into pair_fid."""
+        return np.split(self.pair_fid, self._pair_bounds())
+
+    @cached_property
+    def fracture_areas(self) -> list:
+        """Per-cell clipped areas [m^2] aligned with fracture_ids: views into pair_area."""
+        return np.split(self.pair_area, self._pair_bounds())
+
+    def _pair_bounds(self) -> np.ndarray:
+        return np.searchsorted(self.pair_cell, np.arange(1, self.num_cells))
 
     # -- construction ------------------------------------------------------
 
-    def split(self, key, cache: _PolyCache | None = None) -> list:
-        """Replace a leaf by its 8 children, re-tagging and re-measuring by clipping."""
-        leaf = self.leaves.pop(key)
-        if leaf.is_fracture and cache is None:
-            raise MeshError("splitting a fracture leaf requires the polygon cache")
-        level, i, j, k = key
-        child_level = level + 1
-        edge = self.cell_edge(child_level)
-        out = []
-        for dk, dj, di in product((0, 1), repeat=3):
-            ck = (child_level, 2 * i + di, 2 * j + dj, 2 * k + dk)
-            if leaf.is_fracture:
-                lo = self.domain.lo + edge * np.array(ck[1:], dtype=float)
-                hi = lo + edge
-                center = lo + 0.5 * edge
-                ids, areas = [], []
-                for fid in leaf.fracture_ids:
-                    area = cache.area_in(fid, lo, hi, center, edge)
-                    if area > AREA_EPS:
-                        ids.append(fid)
-                        areas.append(area)
-                self.leaves[ck] = _Leaf(tuple(ids), tuple(areas))
-            else:
-                self.leaves[ck] = _Leaf()
-            out.append(ck)
-        self.max_level = max(self.max_level, child_level)
-        return out
+    def _measure(self, fid, level, ijk, polys: _Polygons) -> np.ndarray:
+        """Clipped area of fracture fid[n] in the lattice cell (level[n], ijk[n])."""
+        edge = self.l / 2.0 ** level
+        # both bounds from the lattice index, so a face shared by two cells
+        # is the same float in each
+        lo = self.domain.lo + edge[:, None] * ijk.astype(float)
+        hi = self.domain.lo + edge[:, None] * (ijk + 1).astype(float)
+        top = ijk + 1 == np.array(self.n0) * 2 ** level[:, None]
+        return polys.areas(fid, lo, hi, edge, top)
 
-    def _resolve_neighbors(self, level: int, idx: tuple, axis: int, side: int) -> list:
-        """Leaf keys covering the neighbor region of a same-level index."""
-        key = (level, *idx)
-        if key in self.leaves:
-            return [key]
-        lvl, ii = level, idx
-        while lvl > 0:
-            lvl -= 1
-            ii = tuple(x >> 1 for x in ii)
-            up = (lvl, *ii)
-            if up in self.leaves:
-                return [up]
-        found = []
-        stack = [(level, idx)]
-        while stack:
-            lvl, ii = stack.pop()
-            if lvl >= self.max_level:
-                continue
-            for child in self._face_children(ii, axis, side):
-                ck = (lvl + 1, *child)
-                if ck in self.leaves:
-                    found.append(ck)
-                else:
-                    stack.append((lvl + 1, child))
-        return found
+    def split(self, cells, polys: _Polygons | None = None) -> None:
+        """Replace the given leaves by their 8 children, re-tagging and re-measuring by clipping."""
+        split = np.zeros(self.num_cells, dtype=bool)
+        split[cells] = True
+        on_split = split[self.pair_cell]
+        if on_split.any() and polys is None:
+            raise MeshError("splitting a fracture leaf requires the fracture polygons")
+        parents = np.flatnonzero(split)
+        child_level = np.repeat(self.level[parents] + 1, 8)
+        child_ijk = (2 * self.ijk[parents][:, None, :] + _OCTANTS).reshape(-1, 3)
+        # every child inherits its parent's fractures as candidates
+        cand = (8 * np.searchsorted(parents, self.pair_cell[on_split])[:, None]
+                + np.arange(8)).ravel()
+        cand_fid = np.repeat(self.pair_fid[on_split], 8)
+        area = (self._measure(cand_fid, child_level[cand], child_ijk[cand], polys)
+                if len(cand) else np.zeros(0))
+        hit = area > AREA_EPS
+        kept = ~split
+        new_index = np.cumsum(kept) - 1
+        n_kept = int(kept.sum())
+        self._set_leaves(
+            np.concatenate((self.level[kept], child_level)),
+            np.concatenate((self.ijk[kept], child_ijk)),
+            np.concatenate((new_index[self.pair_cell[~on_split]], n_kept + cand[hit])),
+            np.concatenate((self.pair_fid[~on_split], cand_fid[hit])),
+            np.concatenate((self.pair_area[~on_split], area[hit])),
+        )
 
-    @staticmethod
-    def _face_children(idx: tuple, axis: int, side: int):
-        """Children of a cell index lying on the face that looks back toward -side."""
-        lohi = [(0, 1)] * 3
-        lohi[axis] = (0,) if side > 0 else (1,)
-        for da in lohi[0]:
-            for db in lohi[1]:
-                for dc in lohi[2]:
-                    yield (2 * idx[0] + da, 2 * idx[1] + db, 2 * idx[2] + dc)
+    def contacts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair of leaves sharing a face, once: (low-side leaf, high-side leaf, axis).
 
-    def face_neighbor_keys(self, key) -> list:
-        level, i, j, k = key
-        dims = self.grid_dims(level)
-        out = []
+        Built from the owner map on the finest lattice present; sorted by
+        axis, then low-side leaf, then high-side leaf.
+        """
+        owner = np.full(self.n0, -1)
+        for level in range(int(self.level.max(initial=0)) + 1):
+            if level:
+                owner = owner.repeat(2, axis=0).repeat(2, axis=1).repeat(2, axis=2)
+            at = np.flatnonzero(self.level == level)
+            i, j, k = self.ijk[at].T
+            owner[i, j, k] = at
+        n = self.num_cells
+        low, high, axes = [], [], []
         for axis in range(3):
-            for side in (-1, 1):
-                idx = [i, j, k]
-                idx[axis] += side
-                if idx[axis] < 0 or idx[axis] >= dims[axis]:
-                    continue
-                out.extend(self._resolve_neighbors(level, tuple(idx), axis, side))
-        return out
-
-    def balance(self, cache: _PolyCache | None = None) -> None:
-        """Split leaves until no face joins cells more than one level apart."""
-        while True:
-            to_split = []
-            for key in self.leaves:
-                level = key[0]
-                for nb in self.face_neighbor_keys(key):
-                    if nb[0] - level >= 2:
-                        to_split.append(key)
-                        break
-            if not to_split:
-                return
-            for key in sorted(to_split):
-                self.split(key, cache)
-
-    # -- finalized arrays ----------------------------------------------------
-
-    def finalize(self) -> "OctreeMesh":
-        keys = sorted(self.leaves)
-        self.keys = keys
-        self.key_index = {k: n for n, k in enumerate(keys)}
-        self.level = np.array([k[0] for k in keys], dtype=int)
-        self.edge = self.l / 2.0 ** self.level
-        ijk = np.array([k[1:] for k in keys], dtype=float) if keys else np.zeros((0, 3))
-        self.center = self.domain.lo + self.edge[:, None] * (ijk + 0.5)
-        self.volume = self.edge**3
-        self.is_fracture = np.array([self.leaves[k].is_fracture for k in keys], dtype=bool)
-        self.fracture_ids = [self.leaves[k].fracture_ids for k in keys]
-        self.fracture_areas = [self.leaves[k].fracture_areas for k in keys]
-        self._final = True
-        return self
+            shifted = np.moveaxis(owner, axis, 0)
+            a, b = shifted[:-1].ravel(), shifted[1:].ravel()
+            differ = a != b
+            pairs = np.unique(a[differ] * n + b[differ])
+            low.append(pairs // n)
+            high.append(pairs % n)
+            axes.append(np.full(len(pairs), axis))
+        return np.concatenate(low), np.concatenate(high), np.concatenate(axes)
 
     @property
     def faces(self) -> FaceSet:
-        if not hasattr(self, "_faces"):
+        if self._faces is None:
             raise MeshError("call build_face_adjacency(mesh) first")
         return self._faces
 
 
 def build_initial_grid(domain: Box, l: float) -> OctreeMesh:
     """Uniform level-0 grid; every domain edge must be an integer multiple of l."""
-    mesh = OctreeMesh(domain, l)
-    nx, ny, nz = mesh.n0
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                mesh.leaves[(0, i, j, k)] = _Leaf()
-    return mesh
+    return OctreeMesh(domain, l)
 
 
 def tag_fracture_cells(mesh: OctreeMesh, network, m_vertices: int = 32) -> OctreeMesh:
     """Mark level-0 cells with positive-area fracture intersections.
 
     Point or edge contacts (zero area) do not tag a cell; a fracture lying
-    exactly on a shared cell face tags both cells.  Each tagged leaf stores
-    the clipped area of every fracture it holds.
+    exactly in a shared cell face tags only the cell above it.  Each tagged
+    leaf stores the clipped area of every fracture it holds.
     """
-    if any(key[0] != 0 for key in mesh.leaves):
+    if mesh.level.any():
         raise MeshError("tag_fracture_cells expects the unrefined initial grid")
-    cache = _PolyCache(network, m_vertices)
+    polys = _Polygons(network, m_vertices)
     edge = mesh.cell_edge(0)
-    dims = mesh.grid_dims(0)
-    hits: dict[tuple, tuple[list, list]] = {}
-    for fid in range(len(cache.verts)):
-        lo_idx = np.floor((cache.lo[fid] - mesh.domain.lo) / edge).astype(int)
-        hi_idx = np.floor((cache.hi[fid] - mesh.domain.lo) / edge).astype(int)
-        lo_idx = np.maximum(lo_idx, 0)
-        hi_idx = np.minimum(hi_idx, np.array(dims) - 1)
-        for i in range(lo_idx[0], hi_idx[0] + 1):
-            for j in range(lo_idx[1], hi_idx[1] + 1):
-                for k in range(lo_idx[2], hi_idx[2] + 1):
-                    key = (0, i, j, k)
-                    lo, hi = mesh.cell_bounds(key)
-                    area = cache.area_in(fid, lo, hi, lo + 0.5 * edge, edge)
-                    if area > AREA_EPS:
-                        ids, areas = hits.setdefault(key, ([], []))
-                        ids.append(fid)
-                        areas.append(area)
-    for key, (ids, areas) in hits.items():
-        mesh.leaves[key] = _Leaf(tuple(ids), tuple(areas))
-    mesh._cache = cache
+    dims = np.array(mesh.grid_dims(0))
+    # candidates: the level-0 cells within each polygon's index box, widened
+    # by a hair so that rounding cannot drop a cell the polygon lies on
+    lo_idx = np.maximum(np.floor((polys.lo - mesh.domain.lo) / edge - 1e-9).astype(int), 0)
+    hi_idx = np.minimum(np.floor((polys.hi - mesh.domain.lo) / edge + 1e-9).astype(int), dims - 1)
+    boxes = [
+        np.ravel_multi_index(np.ix_(*(np.arange(a, b + 1) for a, b in zip(lo, hi))),
+                             mesh.n0).ravel()
+        for lo, hi in zip(lo_idx, hi_idx)
+    ]
+    cell = np.concatenate([np.zeros(0, dtype=int), *boxes])
+    fid = np.repeat(np.arange(len(boxes)), [len(box) for box in boxes])
+    area = mesh._measure(fid, mesh.level[cell], mesh.ijk[cell], polys)
+    hit = area > AREA_EPS
+    mesh._set_leaves(mesh.level, mesh.ijk, cell[hit], fid[hit], area[hit])
     mesh.m_vertices = m_vertices
     return mesh
 
@@ -323,34 +301,38 @@ def build_mesh(domain: Box, network, params: MeshParams, m_vertices: int = 32) -
     """Grid, tag, refine, balance, and build faces in one call."""
     mesh = build_initial_grid(domain, params.l)
     tag_fracture_cells(mesh, network, m_vertices)
-    refine(mesh, network, params.orl, params.balance_2to1, m_vertices)
+    refine(mesh, network, params.orl, params.balance_2to1)
     build_face_adjacency(mesh)
     return mesh
 
 
-def refine(mesh: OctreeMesh, network, orl: int, balance: bool = True,
-           m_vertices: int = 32) -> OctreeMesh:
+def refine(mesh: OctreeMesh, network, orl: int, balance: bool = True) -> OctreeMesh:
     """Apply orl fracture-neighborhood refinement passes, then balance.
 
     Each pass recomputes the fracture leaves and their face neighbors from
     the current mesh, so newly produced children participate in later
     passes.  Balancing only ever splits matrix cells (fracture leaves are
-    already at the finest level) and never un-tags anything.
+    already at the finest level) and never un-tags anything.  Children are
+    clipped from the mesh.m_vertices polygonization the mesh was tagged with.
     """
     if orl < 0:
         raise ValueError("orl must be >= 0")
-    cache = getattr(mesh, "_cache", None) or _PolyCache(network, m_vertices)
+    polys = _Polygons(network, mesh.m_vertices) if mesh.m_vertices else None
     for sweep in range(orl):
-        frac_keys = [k for k, leaf in mesh.leaves.items() if leaf.is_fracture]
-        to_split = set(frac_keys)
-        for key in frac_keys:
-            to_split.update(mesh.face_neighbor_keys(key))
-        for key in sorted(to_split):
-            mesh.split(key, cache)
-        logger.debug("refinement pass %d: %d leaves", sweep + 1, len(mesh.leaves))
-    if balance:
-        mesh.balance(cache)
-    return mesh.finalize()
+        split = mesh.is_fracture.copy()
+        low, high, _ = mesh.contacts()
+        split[high[mesh.is_fracture[low]]] = True
+        split[low[mesh.is_fracture[high]]] = True
+        mesh.split(np.flatnonzero(split), polys)
+        logger.debug("refinement pass %d: %d leaves", sweep + 1, mesh.num_cells)
+    while balance:
+        low, high, _ = mesh.contacts()
+        jump = mesh.level[high] - mesh.level[low]
+        coarse = np.union1d(low[jump >= 2], high[jump <= -2])
+        if not len(coarse):
+            break
+        mesh.split(coarse, polys)
+    return mesh
 
 
 _BOUNDARY_TAGS = {
@@ -365,54 +347,36 @@ def build_face_adjacency(mesh: OctreeMesh) -> FaceSet:
 
     Across a graded interface the coarse cell sees one face per finer
     neighbor, each with the finer cell's face area; distances are exact
-    center-to-plane distances.  Requires a 2:1-balanced mesh.
+    center-to-plane distances.  Requires a 2:1-balanced mesh.  Faces are
+    ordered by cell_a, then axis, then side (low before high), then cell_b.
     """
-    if not mesh._final:
-        mesh.finalize()
-    cell_a, cell_b, area, d_a, d_b, axes, btag = [], [], [], [], [], [], []
-
-    for ia, key in enumerate(mesh.keys):
-        level, i, j, k = key
-        dims = mesh.grid_dims(level)
-        edge = mesh.cell_edge(level)
-        for axis in range(3):
-            for side in (-1, 1):
-                idx = [i, j, k]
-                idx[axis] += side
-                if idx[axis] < 0 or idx[axis] >= dims[axis]:
-                    cell_a.append(ia)
-                    cell_b.append(-1)
-                    area.append(edge * edge)
-                    d_a.append(0.5 * edge)
-                    d_b.append(0.0)
-                    axes.append(axis)
-                    btag.append(_BOUNDARY_TAGS[(axis, side)])
-                    continue
-                if side < 0:
-                    continue  # interior contacts are built from the low side only
-                for nb in mesh._resolve_neighbors(level, tuple(idx), axis, side):
-                    ib = mesh.key_index[nb]
-                    if abs(nb[0] - level) > 1:
-                        raise MeshError(
-                            f"face between levels {level} and {nb[0]} violates 2:1 balance"
-                        )
-                    fine_edge = min(edge, mesh.cell_edge(nb[0]))
-                    cell_a.append(ia)
-                    cell_b.append(ib)
-                    area.append(fine_edge * fine_edge)
-                    d_a.append(0.5 * edge)
-                    d_b.append(0.5 * mesh.cell_edge(nb[0]))
-                    axes.append(axis)
-                    btag.append(OctreeMesh.BTAG_INTERIOR)
-
+    low, high, axis = mesh.contacts()
+    if np.any(np.abs(mesh.level[low] - mesh.level[high]) > 1):
+        raise MeshError("a face joins cells more than one level apart: mesh is not 2:1 balanced")
+    edge = mesh.edge
+    cells, axes, sides, btags = [], [], [], []
+    for (ax, side), tag in _BOUNDARY_TAGS.items():
+        last = mesh.n0[ax] * 2**mesh.level - 1
+        at = np.flatnonzero(mesh.ijk[:, ax] == (0 if side < 0 else last))
+        cells.append(at)
+        axes.append(np.full(len(at), ax))
+        sides.append(np.full(len(at), side))
+        btags.append(np.full(len(at), tag))
+    bnd = np.concatenate(cells)
+    fine = np.minimum(edge[low], edge[high])
+    cell_a = np.concatenate((bnd, low))
+    cell_b = np.concatenate((np.full(len(bnd), -1), high))
+    side = np.concatenate(sides + [np.ones(len(low), dtype=int)])
+    axes = np.concatenate(axes + [axis])
+    order = np.lexsort((cell_b, side, axes, cell_a))
     faces = FaceSet(
-        cell_a=np.asarray(cell_a, dtype=int),
-        cell_b=np.asarray(cell_b, dtype=int),
-        area=np.asarray(area, dtype=float),
-        d_a=np.asarray(d_a, dtype=float),
-        d_b=np.asarray(d_b, dtype=float),
-        axis=np.asarray(axes, dtype=int),
-        btag=np.asarray(btag, dtype=int),
+        cell_a=cell_a[order],
+        cell_b=cell_b[order],
+        area=np.concatenate((edge[bnd] * edge[bnd], fine * fine))[order],
+        d_a=(0.5 * edge[cell_a])[order],
+        d_b=np.concatenate((np.zeros(len(bnd)), 0.5 * edge[high]))[order],
+        axis=axes[order],
+        btag=np.concatenate(btags + [np.full(len(low), OctreeMesh.BTAG_INTERIOR)])[order],
     )
     mesh._faces = faces
     return faces
@@ -458,36 +422,3 @@ def write_vtk(mesh: OctreeMesh, path, cell_data: dict | None = None,
                 fh.writelines(f"{int(v)}\n" for v in values)
             else:
                 fh.writelines(f"{v:.17g}\n" for v in values)
-
-
-def write_cell_csv(mesh: OctreeMesh, path, props=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = "id,level,cx,cy,cz,edge,is_fracture,n_fractures"
-        if props is not None:
-            header += ",permeability,porosity,fracture_porosity"
-        fh.write(header + "\n")
-        for idx in range(mesh.num_cells):
-            row = (
-                f"{idx},{mesh.level[idx]},{mesh.center[idx][0]:.17g},"
-                f"{mesh.center[idx][1]:.17g},{mesh.center[idx][2]:.17g},"
-                f"{mesh.edge[idx]:.17g},{int(mesh.is_fracture[idx])},"
-                f"{len(mesh.fracture_ids[idx])}"
-            )
-            if props is not None:
-                row += (
-                    f",{props.permeability[idx]:.17g},{props.porosity[idx]:.17g},"
-                    f"{props.fracture_porosity[idx]:.17g}"
-                )
-            fh.write(row + "\n")
-
-
-def write_face_csv(mesh: OctreeMesh, path) -> None:
-    faces = mesh.faces
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cell_a,cell_b,axis,area,d_a,d_b,btag\n")
-        for n in range(len(faces)):
-            fh.write(
-                f"{faces.cell_a[n]},{faces.cell_b[n]},{faces.axis[n]},"
-                f"{faces.area[n]:.17g},{faces.d_a[n]:.17g},{faces.d_b[n]:.17g},"
-                f"{faces.btag[n]}\n"
-            )

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import clip_polygon_to_box, discs_intersect
 from .network import FractureNetwork
@@ -25,34 +27,6 @@ SOURCE = -1  # inflow plane x = -L/2
 SINK = -2    # outflow plane x = +L/2
 
 _FACE_TOUCH_EPS = 1e-9
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
 
 
 @dataclass
@@ -142,33 +116,37 @@ def build_intersection_graph(
     return IntersectionGraph(n, edges, source_ids, sink_ids)
 
 
-def _components(graph: IntersectionGraph) -> UnionFind:
+def _labels(n_nodes: int, a, b) -> np.ndarray:
+    """Connected-component label of every node of the undirected graph with edges a-b."""
+    adjacency = coo_matrix((np.ones(len(a)), (a, b)), shape=(n_nodes, n_nodes))
+    return connected_components(adjacency, directed=False)[1]
+
+
+def _components(graph: IntersectionGraph) -> np.ndarray:
     # nodes 0..n-1 fractures, n = SOURCE, n+1 = SINK
-    uf = UnionFind(graph.n_fractures + 2)
-    src, snk = graph.n_fractures, graph.n_fractures + 1
-    for i, j in graph.edges:
-        uf.union(i, j)
-    for i in graph.source_ids:
-        uf.union(i, src)
-    for i in graph.sink_ids:
-        uf.union(i, snk)
-    return uf
+    n = graph.n_fractures
+    edges = np.array(graph.edges, dtype=int).reshape(-1, 2)
+    source = np.asarray(graph.source_ids, dtype=int)
+    sink = np.asarray(graph.sink_ids, dtype=int)
+    return _labels(
+        n + 2,
+        np.concatenate((edges[:, 0], source, sink)),
+        np.concatenate((edges[:, 1], np.full(len(source), n), np.full(len(sink), n + 1))),
+    )
 
 
 def dfn_percolates(graph: IntersectionGraph) -> bool:
     """True when a fracture path joins the inflow and outflow planes."""
-    uf = _components(graph)
-    return uf.connected(graph.n_fractures, graph.n_fractures + 1)
+    labels = _components(graph)
+    return bool(labels[-2] == labels[-1])
 
 
 def percolating_cluster(graph: IntersectionGraph) -> list[int]:
-    """Ids of the fractures connecting both boundary planes (empty if none do)."""
-    uf = _components(graph)
-    src, snk = graph.n_fractures, graph.n_fractures + 1
-    if not uf.connected(src, snk):
+    """Ids of the fractures connecting both boundary planes, ascending (empty if none do)."""
+    labels = _components(graph)
+    if labels[-2] != labels[-1]:
         return []
-    root = uf.find(src)
-    return [i for i in range(graph.n_fractures) if uf.find(i) == root]
+    return np.flatnonzero(labels[:-2] == labels[-2]).tolist()
 
 
 def remove_isolated(network: FractureNetwork, graph: IntersectionGraph) -> FractureNetwork:
@@ -254,20 +232,15 @@ def mesh_percolates(mesh, props=None) -> bool:
         return False
     faces = mesh.faces
     n = mesh.num_cells
-    uf = UnionFind(n + 2)
-    src, snk = n, n + 1
-
     interior = faces.cell_b >= 0
     fa = faces.cell_a[interior]
     fb = faces.cell_b[interior]
     both = is_frac[fa] & is_frac[fb]
-    for a, b in zip(fa[both], fb[both]):
-        uf.union(int(a), int(b))
-
-    inlet = (faces.btag == mesh.BTAG_XMIN) & is_frac[faces.cell_a]
-    outlet = (faces.btag == mesh.BTAG_XMAX) & is_frac[faces.cell_a]
-    for a in faces.cell_a[inlet]:
-        uf.union(int(a), src)
-    for a in faces.cell_a[outlet]:
-        uf.union(int(a), snk)
-    return uf.connected(src, snk)
+    inlet = faces.cell_a[(faces.btag == mesh.BTAG_XMIN) & is_frac[faces.cell_a]]
+    outlet = faces.cell_a[(faces.btag == mesh.BTAG_XMAX) & is_frac[faces.cell_a]]
+    labels = _labels(
+        n + 2,
+        np.concatenate((fa[both], inlet, outlet)),
+        np.concatenate((fb[both], np.full(len(inlet), n), np.full(len(outlet), n + 1))),
+    )
+    return bool(labels[n] == labels[n + 1])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -44,7 +43,7 @@ def spectral_radius(K):
 
 @dataclass
 class PropertyField:
-    """Upscaled per-cell arrays aligned with the mesh's finalized cell order."""
+    """Upscaled per-cell arrays aligned with the mesh's (level, i, j, k) cell order."""
 
     permeability: np.ndarray
     porosity: np.ndarray
@@ -93,10 +92,7 @@ def upscale_mesh(
             f"mesh areas come from {mesh.m_vertices}-gon discs, not m_vertices={m_vertices}"
         )
     n = mesh.num_cells
-    # one entry per (cell, fracture) pair, cells ascending
-    cell = np.repeat(np.arange(n), [len(ids) for ids in mesh.fracture_ids])
-    fid = np.fromiter(chain.from_iterable(mesh.fracture_ids), dtype=int, count=len(cell))
-    area = np.fromiter(chain.from_iterable(mesh.fracture_areas), dtype=float, count=len(cell))
+    cell, fid, area = mesh.pair_cell, mesh.pair_fid, mesh.pair_area
     fractures = network.fractures
     aperture = np.array([f.aperture for f in fractures], dtype=float)[fid]
     # squared one fracture at a time, as scalars; the array power can round differently

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from fracscale.geometry import (
     Box,
@@ -16,6 +19,11 @@ from conftest import make_disc
 
 def inscribed_area(m, r=1.0):
     return 0.5 * m * np.sin(2.0 * np.pi / m) * r * r
+
+
+vectors = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+normals = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda n: np.linalg.norm(n) > 0.1)
+discs = st.builds(lambda c, n, r: make_disc(0, c, n, r), vectors, normals, st.floats(0.1, 3.0))
 
 
 def square_polygon(side=1.0, z=0.0):
@@ -59,6 +67,15 @@ class TestDiscToPolygon:
 
 
 class TestClipPolygonToBox:
+    @pytest.mark.parametrize("tilt", [1e-13, 1e-12, 2e-12, 1e-11, 1e-9])
+    def test_nearly_in_plane_polygon_split_once(self, tilt):
+        # a polygon within a hair of the shared face z = 0 is cut on it, not
+        # kept whole on both sides
+        poly = disc_to_polygon(make_disc(0, (0.1, 0, 0), (tilt, 0.3 * tilt, 1), 1.0), 32)
+        below = polygon_area(clip_polygon_to_box(poly, Box((-5, -5, -5), (5, 5, 0))))
+        above = polygon_area(clip_polygon_to_box(poly, Box((-5, -5, 0), (5, 5, 5))))
+        assert below + above == pytest.approx(polygon_area(poly), rel=1e-12)
+
     def test_polygon_inside_box_unchanged(self):
         poly = square_polygon(1.0)
         out = clip_polygon_to_box(poly, Box.cube(10.0))
@@ -95,6 +112,31 @@ class TestClipPolygonToBox:
                     total += polygon_area(clip_polygon_to_box(poly, Box(lo, lo + 1.0)))
         assert total == pytest.approx(whole, rel=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(discs, vectors, st.floats(0.2, 4.0))
+    def test_clipping_never_adds_area(self, disc, center, edge):
+        poly = disc_to_polygon(disc, 32)
+        clipped = polygon_area(clip_polygon_to_box(poly, Box.cube(edge, center)))
+        assert clipped <= polygon_area(poly) * (1.0 + 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(discs.filter(lambda d: np.abs(d.normal).max() <= 0.999), vectors,
+           st.floats(0.2, 4.0))
+    def test_octant_areas_sum_to_box_area(self, disc, center, edge):
+        # axis-aligned planes are excluded: the clipper's boxes are closed, so
+        # a polygon lying in an octant face counts in both octants (the octree
+        # gives such a polygon to the upper cell only)
+        box = Box.cube(edge, center)
+        poly = disc_to_polygon(disc, 32)
+        whole = polygon_area(clip_polygon_to_box(poly, box))
+        mid = box.center
+        total = 0.0
+        for upper in np.indices((2, 2, 2)).reshape(3, -1).T.astype(bool):
+            octant = Box(np.where(upper, mid, box.lo), np.where(upper, box.hi, mid))
+            total += polygon_area(clip_polygon_to_box(poly, octant))
+        # rounding leaves slivers with areas near 1e-12
+        assert total == pytest.approx(whole, rel=1e-9, abs=1e-12)
+
 
 class TestPolygonArea:
     def test_empty_polygon(self):
@@ -110,6 +152,20 @@ class TestPolygonArea:
 
 
 class TestDiscsIntersect:
+    def test_nearly_parallel_planes_do_not_divide_by_zero(self):
+        # 1 - cos^2 rounds to 0 here although |n1 x n2|^2 = 1e-18 is not
+        a = make_disc(0, (0, 0, 0), (0, 0, 1), 1.0)
+        b = make_disc(1, (0, 0, 0), (0, 1e-9, 1), 1.0)
+        assert discs_intersect(a, b)
+        assert discs_intersect(b, a)
+
+    def test_tangent_disc_verdict_continuous_in_eps(self):
+        # b touches a's plane in one point of a: zero overlap
+        a = make_disc(0, (0, 0, 0), (0, 0, 1), 1.0)
+        b = make_disc(1, (0, 0, 1), (1, 0, 0), 1.0)
+        assert not discs_intersect(a, b, 1e-9)
+        assert discs_intersect(a, b, -1e-9)
+
     def test_separated_discs(self):
         a = make_disc(0, (0, 0, 0), (1, 0, 0), 1.0)
         b = make_disc(1, (0, 0, 3), (0, 1, 0), 1.0)
@@ -140,6 +196,23 @@ class TestDiscsIntersect:
             a = make_disc(0, c1, n1, rng.uniform(0.2, 2.0))
             b = make_disc(1, c2, n2, rng.uniform(0.2, 2.0))
             assert discs_intersect(a, b) == discs_intersect(b, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(discs, discs, st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: np.linalg.norm(q) > 0.1), st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+    def test_symmetric_and_rigid_motion_invariant(self, a, b, q, shift):
+        eps = 1e-9
+        # skip pairs whose chord overlap lies within 1e-6 of eps
+        assume(discs_intersect(a, b, eps - 1e-6) == discs_intersect(a, b, eps + 1e-6))
+        rotation = Rotation.from_quat(q).as_matrix()
+
+        def moved(f):
+            return make_disc(f.id, rotation @ f.center + np.asarray(shift),
+                             rotation @ f.normal, f.radius, f.aperture)
+
+        verdict = discs_intersect(a, b, eps)
+        assert discs_intersect(b, a, eps) == verdict
+        assert discs_intersect(moved(a), moved(b), eps) == verdict
 
 
 class TestPolygonIntersectsBox:

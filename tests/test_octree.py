@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,6 @@ from fracscale.octree import (
     equivalent_hex_count,
     refine,
     tag_fracture_cells,
-    write_cell_csv,
-    write_face_csv,
     write_vtk,
 )
 from fracscale.upscale import upscale_mesh
@@ -51,13 +51,31 @@ class TestTagging:
         net = make_network([make_disc(0, (2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
         mesh = build_initial_grid(Box.cube(50.0), 5.0)
         tag_fracture_cells(mesh, net)
-        assert sum(leaf.is_fracture for leaf in mesh.leaves.values()) == 1
+        assert mesh.is_fracture.sum() == 1
+        assert len(mesh.pair_cell) == 1
 
     def test_disc_spanning_face_tags_both_cells(self):
         net = make_network([make_disc(0, (0.0, 2.5, 2.2), (0, 0, 1), 1.0)], 50.0)
         mesh = build_initial_grid(Box.cube(50.0), 5.0)
         tag_fracture_cells(mesh, net)
-        assert sum(leaf.is_fracture for leaf in mesh.leaves.values()) == 2
+        assert mesh.is_fracture.sum() == 2
+        assert list(mesh.pair_fid) == [0, 0]
+
+    @pytest.mark.parametrize("z", [0.0, -6.567614197116788e-53, 2.5, -1e-13])
+    @pytest.mark.parametrize("orl", [0, 1, 2])
+    def test_disc_in_cell_face_stored_once(self, z, orl):
+        # z = 0 is a level-0 face, z = 2.5 a level-1 face; the other two lie
+        # within rounding of z = 0
+        net = make_network([make_disc(0, (0.0, 0.0, z), (0, 0, 1), 1.0)], 20.0)
+        mesh = cube_mesh(20.0, 5.0, net, orl=orl)
+        poly = disc_to_polygon(net.fractures[0], 32)
+        assert mesh.pair_area.sum() == pytest.approx(polygon_area(poly), rel=1e-12)
+
+    def test_disc_in_domain_top_face_is_kept(self):
+        net = make_network([make_disc(0, (0.0, 0.0, 10.0), (0, 0, 1), 1.0)], 20.0)
+        mesh = cube_mesh(20.0, 5.0, net, orl=1)
+        poly = disc_to_polygon(net.fractures[0], 32)
+        assert mesh.pair_area.sum() == pytest.approx(polygon_area(poly), rel=1e-12)
 
     def test_tagging_requires_initial_grid(self):
         net = make_network([make_disc(0, (2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
@@ -100,19 +118,13 @@ class TestRefine:
         net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 4.0)], 20.0)
         mesh = cube_mesh(20.0, 5.0, net, orl=2)
         # project every leaf onto the finest index lattice and count coverage
-        finest = mesh.max_level
-        covered = set()
-        for key in mesh.keys:
-            level, i, j, k = key
+        finest = mesh.level.max()
+        coverage = np.zeros(mesh.grid_dims(finest), dtype=int)
+        for level, (i, j, k) in zip(mesh.level, mesh.ijk):
             scale = 2 ** (finest - level)
-            for di in range(scale):
-                for dj in range(scale):
-                    for dk in range(scale):
-                        idx = (i * scale + di, j * scale + dj, k * scale + dk)
-                        assert idx not in covered
-                        covered.add(idx)
-        nx, ny, nz = mesh.grid_dims(finest)
-        assert len(covered) == nx * ny * nz
+            coverage[i * scale:(i + 1) * scale, j * scale:(j + 1) * scale,
+                     k * scale:(k + 1) * scale] += 1
+        assert np.all(coverage == 1)
 
     def test_fracture_polygons_covered_by_fracture_leaves(self):
         net = make_network([make_disc(0, (0.1, -0.2, 0.3), (1, 2, 3), 4.0)], 20.0)
@@ -121,7 +133,7 @@ class TestRefine:
             poly = disc_to_polygon(net.fractures[0], 32)
             domain_area = polygon_area(clip_polygon_to_box(poly, mesh.domain))
             tagged_area = sum(
-                polygon_area(clip_polygon_to_box(poly, mesh.cell_box(mesh.keys[i])))
+                polygon_area(clip_polygon_to_box(poly, mesh.cell_box(i)))
                 for i in np.nonzero(mesh.is_fracture)[0]
             )
             assert tagged_area == pytest.approx(domain_area, rel=1e-9)
@@ -179,8 +191,7 @@ class TestFaceAdjacency:
 
     def test_coarse_cell_against_four_children(self):
         mesh_obj = build_initial_grid(Box(np.zeros(3), np.array([10.0, 5.0, 5.0])), 5.0)
-        mesh_obj.split((0, 1, 0, 0))
-        mesh_obj.finalize()
+        mesh_obj.split([1])  # the leaf (level 0, i 1, j 0, k 0)
         faces = build_face_adjacency(mesh_obj)
         interior = faces.cell_b >= 0
         assert interior.sum() == 4 + 12  # coarse-fine interface + sibling contacts
@@ -213,11 +224,10 @@ class TestFaceAdjacency:
 
     def test_graded_interface_areas_sum_to_coarse_face(self):
         mesh_obj = build_initial_grid(Box(np.zeros(3), np.array([10.0, 5.0, 5.0])), 5.0)
-        mesh_obj.split((0, 1, 0, 0))
-        mesh_obj.finalize()
+        mesh_obj.split([1])
         faces = build_face_adjacency(mesh_obj)
         interior = faces.cell_b >= 0
-        coarse_id = mesh_obj.key_index[(0, 0, 0, 0)]
+        coarse_id = int(np.flatnonzero(mesh_obj.level == 0)[0])
         graded = interior & ((faces.cell_a == coarse_id) | (faces.cell_b == coarse_id))
         assert faces.area[graded].sum() == pytest.approx(25.0, rel=1e-12)
 
@@ -249,13 +259,65 @@ class TestExport:
         assert sum(1 for line in text if line == "12") == mesh.num_cells
         assert "SCALARS permeability double 1" in text
 
-    def test_csv_dumps(self, tmp_path):
-        net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 2.0)], 10.0)
-        mesh = cube_mesh(10.0, 5.0, net, orl=1)
-        props = upscale_mesh(mesh, net, 1e-16, 0.01)
-        cells = tmp_path / "cells.csv"
-        write_cell_csv(mesh, cells, props)
-        assert len(cells.read_text().splitlines()) == mesh.num_cells + 1
-        fcsv = tmp_path / "faces.csv"
-        write_face_csv(mesh, fcsv)
-        assert len(fcsv.read_text().splitlines()) == len(mesh.faces) + 1
+
+# (leaves, pairs, faces) counts and sha256 digests of the leaf (level, i, j, k),
+# pair (cell, id, area) and seven FaceSet arrays, cast to little-endian int64 /
+# float64, of cube_mesh(20, 5, network, orl) for the generated network
+# (n_fractures, seed); recorded from the dict-of-leaves octree the flat arrays
+# replaced, which they reproduce bit for bit
+OCTREE_DIGESTS = {
+    (30, 4, 0): (64, 62, 240,
+        "d000abf1945cb4f41864aeaa50df310eabf4bc7bfd0b3cdaad15186e7f8d9aed",
+        "1b373e579a3cdc394cab243c12ba34cfbf911b41c5782b9acbb36191e9c36435",
+        "84533b6b753388e643cd6a39dc31c75c190d4415e4726bac1428dc14a7b7391b"),
+    (30, 4, 1): (512, 146, 1728,
+        "9785828851c85aef0c27a1ee94ffcdab2438c8122cae618d1198ca16545e7d1f",
+        "27906d670537fd02496fb39043e47797cbfab613e397bac1b361f939f4ee5e52",
+        "39bacd88973f4a5c58f3781aae9b6d01effece7602984cc0c0d15955425202ee"),
+    (30, 4, 2): (2766, 417, 9399,
+        "684de10ff180cc0fdbb8360218bcc677ffd21025a1859f476a2a24eed2a4a9bc",
+        "ac9e17af0591fe3fc4ed13c6efde4cfd69dec8304df9ebac0aba1775af393d44",
+        "6708a7c7037173f9a40507bd001d4990a3f9d189302e68a97c9c5dcaf3292a20"),
+    (30, 4, 3): (10193, 1337, 34572,
+        "1c6f2cbe426c93d79dc1d759972f300939824254fd737419966881622a5fd288",
+        "d5f6b374518a73e4ec032f8d67e77fbfc24a011c0a781e639309258429024fc4",
+        "62095a877bb51c69473860702d9da445a8f1cb67aa32bf0a2918e23a276c0ab7"),
+    (25, 9, 0): (64, 75, 240,
+        "d000abf1945cb4f41864aeaa50df310eabf4bc7bfd0b3cdaad15186e7f8d9aed",
+        "8f9e3e630b238d2f1e73291f384eb65bc419670a6f0fa28bf303313ba6328561",
+        "84533b6b753388e643cd6a39dc31c75c190d4415e4726bac1428dc14a7b7391b"),
+    (25, 9, 1): (491, 160, 1665,
+        "e07f2b9212be9a367c293cacb4657d7550689b6cd98aba3d72f46a39f036ec0c",
+        "e9e6ffb00122e90e078aebff6034da3334b1074adb378d88b917c38c7402c924",
+        "0b1a37d190e3820219309a2ed89b77a4ab485e4814cb1f27e9e3214c5ce10a69"),
+    (25, 9, 2): (2920, 430, 9687,
+        "ec4664e861c5084bab87f5d1f5aaeb226807c40f5eff1b25cd4f0cd6d7617070",
+        "6cad2e4eefeeed4ab2babbd4dbda4f07748f9d7471fba37e78a9f1247ba7df4c",
+        "87d10c7e7c0b091fa92223bb528165844597d9141d69df1850b264f64d3430b7"),
+    (25, 9, 3): (10928, 1372, 36513,
+        "26a132f1b22ddb18192e67ce02b83195f561434e5261c241c7e395275c0786c4",
+        "825a665254f78607a4608de18a62de3babb2818158cd8dc2d2a81fdf419a5c26",
+        "d93dc188409ec295b93b29ac00a30b7ba62af8fbf4a40247079cd38893a14ef2"),
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        h.update(np.ascontiguousarray(a, dtype="<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestRegression:
+    @pytest.mark.parametrize("n,seed,orl", sorted(OCTREE_DIGESTS))
+    def test_arrays_match_recorded_digests(self, n, seed, orl):
+        net = generate_network(GenerationParams(L=20.0, n_fractures=n, seed=seed))
+        mesh = cube_mesh(20.0, 5.0, net, orl=orl)
+        f = mesh.faces
+        n_leaves, n_pairs, n_faces, *digests = OCTREE_DIGESTS[n, seed, orl]
+        assert (mesh.num_cells, len(mesh.pair_cell), len(f)) == (n_leaves, n_pairs, n_faces)
+        assert [
+            _digest(mesh.level, mesh.ijk),
+            _digest(mesh.pair_cell, mesh.pair_fid, mesh.pair_area),
+            _digest(f.cell_a, f.cell_b, f.area, f.d_a, f.d_b, f.axis, f.btag),
+        ] == digests

@@ -129,6 +129,22 @@ class TestPipeline:
         body = (tmp_path / btc_files[0]["path"]).read_text().splitlines()
         assert len(body) == 13
 
+    def test_transport_rerun_same_directory_identical(self, tmp_path):
+        config = tiny_config(
+            tmp_path, transport_enabled=True,
+            tracers=("conservative", "decaying", "sorbing"),
+            t_end_yr=1.0, n_outputs=12, dt0_yr=1e-4,
+        )
+
+        def outputs():
+            run_pipeline(config, upto="transport")
+            paths = [tmp_path / "manifest.json", *sorted(tmp_path.rglob("btc_*.csv"))]
+            return {path.relative_to(tmp_path): path.read_bytes() for path in paths}
+
+        first = outputs()
+        assert len(first) == 1 + 3
+        assert outputs() == first
+
     def test_invalid_stage_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_pipeline(tiny_config(tmp_path), upto="simulate")

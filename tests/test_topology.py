@@ -156,8 +156,8 @@ class TestFalseConnections:
         # oracle: enumerate cells both discs reach with positive area
         polys = net.polygons()
         shared = 0
-        for key in mesh.keys:
-            box = mesh.cell_box(key)
+        for idx in range(mesh.num_cells):
+            box = mesh.cell_box(idx)
             if all(polygon_intersects_box(p, box) for p in polys):
                 shared += 1
         assert shared >= 1
@@ -240,7 +240,7 @@ class TestMeshPercolation:
         net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 10.0)], 10.0)
         mesh = cube_mesh(10.0, 2.5, net, orl=1)
         verdict = mesh_percolates(mesh)
-        # relabel by reversing the finalized order
+        # relabel by reversing the cell order
         order = np.arange(mesh.num_cells)[::-1]
         inverse = np.argsort(order)
 

@@ -38,7 +38,7 @@ def reference_upscale(mesh, network, k_m, phi_m, *, m_vertices=32,
     k, phi = np.full(n, float(k_m)), np.full(n, float(phi_m))
     phi_F, tag = np.zeros(n), np.zeros(n, dtype=bool)
     for idx in range(n):
-        cell = mesh.cell_box(mesh.keys[idx])
+        cell = mesh.cell_box(idx)
         v_c = cell.volume
         v_F, K = 0.0, np.zeros((3, 3))
         for fid in mesh.fracture_ids[idx]:
@@ -102,7 +102,7 @@ class TestCellFractureData:
         mesh, net = one_cell([disc], edge=2.5)
         props = upscale_mesh(mesh, net, 1e-16, 0.01)
         poly_area = polygon_area(disc_to_polygon(disc, 32))
-        assert mesh.fracture_ids == [(0,)]
+        assert [list(ids) for ids in mesh.fracture_ids] == [[0]]
         assert mesh.fracture_areas[0][0] == pytest.approx(poly_area, rel=1e-12)
         volume = props.fracture_porosity[0] * mesh.volume[0]
         assert volume == pytest.approx(poly_area * 5e-4, rel=1e-12)
@@ -110,13 +110,13 @@ class TestCellFractureData:
 
     def test_no_fractures_gives_empty_list(self):
         mesh, _ = one_cell([], edge=2.5)
-        assert mesh.fracture_ids == [()]
-        assert mesh.fracture_areas == [()]
+        assert [list(ids) for ids in mesh.fracture_ids] == [[]]
+        assert [list(areas) for areas in mesh.fracture_areas] == [[]]
 
     def test_disc_spanning_two_cells_conserves_area(self):
         disc = make_disc(0, (2.5, 1.0, 1.2), (0, 0, 1), 0.8)
         mesh = box_mesh((5.0, 2.5, 2.5), 2.5, make_network([disc], 5.0))
-        assert mesh.fracture_ids == [(0,), (0,)]
+        assert [list(ids) for ids in mesh.fracture_ids] == [[0], [0]]
         total = sum(a for areas in mesh.fracture_areas for a in areas)
         assert total == pytest.approx(polygon_area(disc_to_polygon(disc, 32)), rel=1e-9)
 
