@@ -5,6 +5,8 @@ no-flow lateral boundaries.  Interior face transmissibility is the
 distance-weighted harmonic combination of the two cell permeabilities, so
 the system is symmetric positive definite and series composites come out
 exact.  Effective block permeability inverts Darcy's law on the inlet flux.
+The two-point stencil (face_conductance, face_operator) is also the one
+transport assembles its advection-diffusion operator from.
 """
 
 from __future__ import annotations
@@ -58,6 +60,48 @@ class TpfaSystem:
     face_pbc: np.ndarray     # boundary pressure per face (nan on interior)
 
 
+def face_conductance(faces, coeff, scale: float = 1.0) -> np.ndarray:
+    """Two-point conductance of every face for the cell coefficient coeff.
+
+    Interior faces take the distance-weighted harmonic combination
+    area / (scale (d_a / c_a + d_b / c_b)); boundary faces take the
+    half-cell value area c_a / (scale d_a).
+    """
+    interior = faces.cell_b >= 0
+    boundary = ~interior
+    a = faces.cell_a[interior]
+    b = faces.cell_b[interior]
+    out = np.empty(len(faces))
+    out[interior] = faces.area[interior] / (
+        scale * (faces.d_a[interior] / coeff[a] + faces.d_b[interior] / coeff[b])
+    )
+    out[boundary] = (
+        faces.area[boundary] * coeff[faces.cell_a[boundary]] / (scale * faces.d_a[boundary])
+    )
+    return out
+
+
+def face_operator(faces, n: int, w_ab, w_ba, w_out) -> sp.csr_matrix:
+    """Conservative two-point operator from per-face weights (arrays over all faces).
+
+    Interior face i moves w_ab[i] x[a] from cell_a to cell_b and w_ba[i] x[b]
+    back; boundary face j drains w_out[j] x[cell_a] out of the domain.  Only
+    the interior entries of w_ab and w_ba and the boundary entries of w_out
+    are read, and boundary faces with zero weight add no entry.
+    """
+    interior = faces.cell_b >= 0
+    a = faces.cell_a[interior]
+    b = faces.cell_b[interior]
+    ab = w_ab[interior]
+    ba = w_ba[interior]
+    drained = ~interior & (w_out != 0)
+    cells = faces.cell_a[drained]
+    rows = np.concatenate([a, b, a, b, cells])
+    cols = np.concatenate([a, b, b, a, cells])
+    vals = np.concatenate([ab, ba, -ba, -ab, w_out[drained]])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
 def assemble_tpfa(mesh, props, bc: FlowBC) -> TpfaSystem:
     """Two-point flux assembly over the mesh face list."""
     k = np.asarray(props.permeability, dtype=float)
@@ -68,36 +112,17 @@ def assemble_tpfa(mesh, props, bc: FlowBC) -> TpfaSystem:
     if np.any(faces.area <= 0) or np.any(faces.d_a <= 0):
         raise ValueError("degenerate face geometry")
 
-    trans = np.zeros(len(faces))
     pbc = np.full(len(faces), np.nan)
-
-    interior = faces.cell_b >= 0
-    a = faces.cell_a[interior]
-    b = faces.cell_b[interior]
-    trans[interior] = faces.area[interior] / (
-        bc.mu * (faces.d_a[interior] / k[a] + faces.d_b[interior] / k[b])
-    )
-
-    for tag, pressure in ((mesh.BTAG_XMIN, bc.p_in), (mesh.BTAG_XMAX, bc.p_out)):
-        sel = faces.btag == tag
-        cells = faces.cell_a[sel]
-        trans[sel] = faces.area[sel] * k[cells] / (bc.mu * faces.d_a[sel])
-        pbc[sel] = pressure
-
-    rows = np.concatenate([a, b, a, b])
-    cols = np.concatenate([a, b, b, a])
-    ti = trans[interior]
-    vals = np.concatenate([ti, ti, -ti, -ti])
-
+    pbc[faces.btag == mesh.BTAG_XMIN] = bc.p_in
+    pbc[faces.btag == mesh.BTAG_XMAX] = bc.p_out
     dirichlet = ~np.isnan(pbc)
-    dc = faces.cell_a[dirichlet]
-    rows = np.concatenate([rows, dc])
-    cols = np.concatenate([cols, dc])
-    vals = np.concatenate([vals, trans[dirichlet]])
 
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    trans = face_conductance(faces, k, bc.mu)
+    trans[(faces.cell_b < 0) & ~dirichlet] = 0.0   # no-flow faces
+    # on the boundary trans is now nonzero exactly on the Dirichlet faces
+    matrix = face_operator(faces, n, trans, trans, trans)
     rhs = np.zeros(n)
-    np.add.at(rhs, dc, trans[dirichlet] * pbc[dirichlet])
+    np.add.at(rhs, faces.cell_a[dirichlet], trans[dirichlet] * pbc[dirichlet])
     return TpfaSystem(matrix, rhs, trans, pbc)
 
 
@@ -163,17 +188,13 @@ class FlowField:
 
 
 def face_fluxes(mesh, system: TpfaSystem, pressure: np.ndarray) -> np.ndarray:
+    """T (p_a - p_outside) on every face: the neighbour's pressure on interior
+    faces, the boundary pressure on Dirichlet faces, and 0 on no-flow faces."""
     faces = mesh.faces
-    flux = np.zeros(len(faces))
-    interior = faces.cell_b >= 0
-    flux[interior] = system.face_trans[interior] * (
-        pressure[faces.cell_a[interior]] - pressure[faces.cell_b[interior]]
+    outside = np.where(faces.cell_b >= 0, pressure[faces.cell_b], system.face_pbc)
+    return np.where(
+        np.isnan(outside), 0.0, system.face_trans * (pressure[faces.cell_a] - outside)
     )
-    dirichlet = ~np.isnan(system.face_pbc)
-    flux[dirichlet] = system.face_trans[dirichlet] * (
-        pressure[faces.cell_a[dirichlet]] - system.face_pbc[dirichlet]
-    )
-    return flux
 
 
 def wiener_bounds(props, volumes) -> tuple[float, float]:

@@ -68,9 +68,6 @@ class PlanarPolygon:
     def is_empty(self) -> bool:
         return len(self.vertices) < 3
 
-    def aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
 
 def disc_to_polygon(fracture, m_vertices: int = 32) -> PlanarPolygon:
     """Inscribe a regular m-gon in the fracture disc (wound CCW about the normal)."""

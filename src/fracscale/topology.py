@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .geometry import clip_polygon_to_box, discs_intersect
 from .network import FractureNetwork
@@ -38,17 +38,6 @@ class IntersectionGraph:
     source_ids: list[int]                 # fractures touching the inflow plane
     sink_ids: list[int]                   # fractures touching the outflow plane
 
-    @property
-    def edge_set(self) -> set[tuple[int, int]]:
-        if not hasattr(self, "_edge_set"):
-            self._edge_set = set(self.edges)
-        return self._edge_set
-
-    def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        return (min(i, j), max(i, j)) in self.edge_set
-
     def subset(self, keep_ids) -> "IntersectionGraph":
         """Graph of network.subset(keep_ids): kept fractures re-indexed in id order.
 
@@ -67,7 +56,7 @@ class IntersectionGraph:
 def build_intersection_graph(
     network: FractureNetwork, *, eps: float = 1e-9, m_vertices: int = 32
 ) -> IntersectionGraph:
-    """All intersecting disc pairs, pruned by a uniform spatial hash.
+    """All intersecting disc pairs, pruned by a KD-tree on the disc centers.
 
     Boundary edges attach a fracture to SOURCE/SINK when its polygon,
     clipped to the domain, reaches the respective x face.
@@ -76,31 +65,20 @@ def build_intersection_graph(
     n = len(fracs)
     domain = network.domain
 
-    # spatial hash on disc bounding boxes; bucket edge = max possible radius
+    # candidates: center distance within the largest possible radius sum,
+    # then within this pair's radius sum; ascending (i, j) order
     edges: list[tuple[int, int]] = []
-    if n:
-        cell = max(f.radius for f in fracs)
-        buckets: dict[tuple[int, int, int], list[int]] = {}
-        for idx, f in enumerate(fracs):
-            lo = np.floor((f.center - f.radius) / cell).astype(int)
-            hi = np.floor((f.center + f.radius) / cell).astype(int)
-            for ix in range(lo[0], hi[0] + 1):
-                for iy in range(lo[1], hi[1] + 1):
-                    for iz in range(lo[2], hi[2] + 1):
-                        buckets.setdefault((ix, iy, iz), []).append(idx)
-
-        candidates: set[tuple[int, int]] = set()
-        for members in buckets.values():
-            for i, j in combinations(members, 2):
-                candidates.add((i, j) if i < j else (j, i))
-
-        for i, j in sorted(candidates):
-            fi, fj = fracs[i], fracs[j]
-            gap = np.linalg.norm(fi.center - fj.center)
-            if gap > fi.radius + fj.radius:
-                continue
-            if discs_intersect(fi, fj, eps):
-                edges.append((i, j))
+    if n > 1:
+        centers = np.array([f.center for f in fracs])
+        radii = np.array([f.radius for f in fracs])
+        pairs = cKDTree(centers).query_pairs(2.0 * radii.max(), output_type="ndarray")
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        a, b = pairs[:, 0], pairs[:, 1]
+        gap = np.linalg.norm(centers[a] - centers[b], axis=1)
+        edges = [
+            (int(i), int(j)) for i, j in pairs[gap <= radii[a] + radii[b]]
+            if discs_intersect(fracs[i], fracs[j], eps)
+        ]
 
     source_ids, sink_ids = [], []
     for idx, poly in enumerate(network.polygons(m_vertices)):
@@ -177,12 +155,6 @@ class FalseConnectionReport:
     def vc_over_n(self) -> float:
         return 100.0 * self.total_cells / self.equivalent_cells if self.equivalent_cells else 0.0
 
-    def csv_row(self, p_prime: float) -> str:
-        return (
-            f"{p_prime},{self.num_false_pairs},{self.cells_with_false},"
-            f"{self.total_cells},{self.fc_over_vc:.2f},{self.vc_over_n:.2f}"
-        )
-
 
 def count_false_connections(
     cell_fracture_map,
@@ -190,44 +162,49 @@ def count_false_connections(
     *,
     total_cells: int,
     equivalent_cells: int,
-    pair_per_cell: bool = False,
 ) -> FalseConnectionReport:
     """Count co-located non-intersecting fracture pairs on the finest fracture cells.
 
-    cell_fracture_map is an iterable of per-cell fracture id sequences.  A
-    pair sharing several cells counts once network-wide by default;
-    pair_per_cell=True counts every (pair, cell) incidence instead.
+    cell_fracture_map is an iterable of per-cell fracture id sequences
+    (duplicates and order within a cell are ignored).  A pair sharing
+    several cells counts once network-wide.
     """
-    false_pairs: set[tuple[int, int]] = set()
-    incidences = 0
-    cells_with_false = 0
-    n_fracture_cells = 0
-    for ids in cell_fracture_map:
-        n_fracture_cells += 1
-        found = False
-        for i, j in combinations(sorted(set(ids)), 2):
-            if not graph.has_edge(i, j):
-                false_pairs.add((i, j))
-                incidences += 1
-                found = True
-        if found:
-            cells_with_false += 1
+    seqs = [np.asarray(cell_ids, dtype=np.int64).ravel() for cell_ids in cell_fracture_map]
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *seqs])
+    cell = np.repeat(np.arange(len(seqs)), [len(q) for q in seqs])
+    # unique (cell, id) pairs, cell-major with ids ascending
+    order = np.lexsort((ids, cell))
+    cell, ids = cell[order], ids[order]
+    keep = np.ones(len(ids), dtype=bool)
+    keep[1:] = (cell[1:] != cell[:-1]) | (ids[1:] != ids[:-1])
+    cell, ids = cell[keep], ids[keep]
+    # every element pairs with the later elements of its cell
+    end = np.searchsorted(cell, cell, side="right")
+    partners = end - np.arange(len(ids)) - 1
+    first = np.repeat(np.arange(len(ids)), partners)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(partners) - partners, partners)
+    second = first + offset + 1
+
+    # pair key i * n + j, with n large enough that keys cannot collide
+    n = max(graph.n_fractures, int(ids.max(initial=-1)) + 1)
+    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    false = ~np.isin(ids[first] * n + ids[second], edges[:, 0] * n + edges[:, 1])
     return FalseConnectionReport(
-        num_false_pairs=incidences if pair_per_cell else len(false_pairs),
-        cells_with_false=cells_with_false,
-        total_fracture_cells=n_fracture_cells,
+        num_false_pairs=len(np.unique(ids[first[false]] * n + ids[second[false]])),
+        cells_with_false=len(np.unique(cell[first[false]])),
+        total_fracture_cells=len(seqs),
         total_cells=total_cells,
         equivalent_cells=equivalent_cells,
     )
 
 
-def mesh_percolates(mesh, props=None) -> bool:
+def mesh_percolates(mesh) -> bool:
     """True when face-adjacent fracture cells join the inflow and outflow planes.
 
     Face adjacency only (consistent with two-point flux coupling); corner
     and edge contacts do not connect.
     """
-    is_frac = np.asarray(props.is_fracture if props is not None else mesh.is_fracture)
+    is_frac = np.asarray(mesh.is_fracture)
     if not is_frac.any():
         return False
     faces = mesh.faces

@@ -21,6 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .flow import face_conductance, face_operator
+
 logger = logging.getLogger(__name__)
 
 YEAR_SECONDS = 365.25 * 86400.0
@@ -35,10 +37,9 @@ def decay_constant(half_life_yr: float) -> float:
     return np.log(2.0) / (half_life_yr * YEAR_SECONDS)
 
 
-def retardation_factor(k_d: float, phi: float, s_l: float = 1.0,
-                       rho_w: float = 1000.0) -> float:
-    """R = 1 + K_D / (phi * s_l * rho_w)."""
-    if phi <= 0 or s_l <= 0 or rho_w <= 0:
+def retardation_factor(k_d: float, phi, s_l: float = 1.0, rho_w: float = 1000.0):
+    """R = 1 + K_D / (phi * s_l * rho_w); phi may be an array of cell porosities."""
+    if np.any(np.asarray(phi) <= 0) or s_l <= 0 or rho_w <= 0:
         raise ValueError("phi, s_l and rho_w must be positive")
     return 1.0 + k_d / (phi * s_l * rho_w)
 
@@ -100,7 +101,7 @@ class TransportOperator:
         faces = mesh.faces
 
         if params.k_d is not None:
-            r_cell = 1.0 + params.k_d / (phi * params.s_l * params.rho_w)
+            r_cell = retardation_factor(params.k_d, phi, params.s_l, params.rho_w)
         else:
             r_cell = np.full(n, params.retardation)
 
@@ -110,45 +111,22 @@ class TransportOperator:
         self.params = params
         self.mesh = mesh
 
-        rows, cols, vals = [], [], []
+        # upwind advection plus porosity-weighted diffusion on interior faces;
+        # boundary faces with outward flux advect out, with no diffusive exchange
+        q_out = np.maximum(flow.face_flux, 0.0)
+        q_in = np.maximum(-flow.face_flux, 0.0)
+        t_d = face_conductance(faces, params.diffusion * phi) if params.diffusion > 0 else 0.0
+        spatial = face_operator(faces, n, q_out + t_d, q_in + t_d, q_out)
 
-        interior = faces.cell_b >= 0
-        a = faces.cell_a[interior]
-        b = faces.cell_b[interior]
-        q = flow.face_flux[interior]
-        q_pos = np.maximum(q, 0.0)
-        q_neg = np.maximum(-q, 0.0)
-        rows.extend([a, a, b, b])
-        cols.extend([a, b, b, a])
-        vals.extend([q_pos, -q_neg, q_neg, -q_pos])
-
-        if params.diffusion > 0:
-            phi_d = params.diffusion * phi
-            t_d = faces.area[interior] / (
-                faces.d_a[interior] / phi_d[a] + faces.d_b[interior] / phi_d[b]
-            )
-            rows.extend([a, a, b, b])
-            cols.extend([a, b, b, a])
-            vals.extend([t_d, -t_d, t_d, -t_d])
-
-        # boundary faces with outward advective flux; no diffusive exchange
-        boundary = ~interior & (flow.face_flux > 0)
+        boundary = (faces.cell_b < 0) & (flow.face_flux > 0)
         bc_cells = faces.cell_a[boundary]
         bc_flux = flow.face_flux[boundary]
-        rows.append(bc_cells)
-        cols.append(bc_cells)
-        vals.append(bc_flux)
-
         self.outflow_weight = np.zeros(n)
         self.other_exit_weight = np.zeros(n)
         is_outlet = faces.btag[boundary] == mesh.BTAG_XMAX
         np.add.at(self.outflow_weight, bc_cells[is_outlet], bc_flux[is_outlet])
         np.add.at(self.other_exit_weight, bc_cells[~is_outlet], bc_flux[~is_outlet])
 
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        spatial = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
         self.system_const = (spatial + sp.diags(self.decay_diag)).tocsc()
 
         self._lu = None

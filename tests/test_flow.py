@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from fracscale.flow import (
     solve_steady_flow,
     wiener_bounds,
 )
+from fracscale.network import GenerationParams, generate_network
+from fracscale.upscale import upscale_mesh
 
 from conftest import box_mesh, cube_mesh, uniform_props
 
@@ -186,3 +190,54 @@ class TestErrorFactor:
     def test_requires_positive_reference(self):
         with pytest.raises(ValueError):
             keff_error_factor(1e-14, 0.0)
+
+
+# (cells, matrix nnz) and sha256 digests of the CSR matrix (indptr, indices,
+# data) and of (rhs, face_trans), cast to little-endian int64 / float64, of
+# assemble_tpfa on cube_mesh(20, 5, network, orl) for the generated network
+# (n_fractures, seed), upscaled with k_m = 1e-16 m^2 and phi_m = 0.01, at
+# FlowBC(1000, 0); recorded from the hand-written COO assembly that the shared
+# face operator replaced, which it reproduces bit for bit
+FLOW_DIGESTS = {
+    (30, 4, 0): (64, 352,
+        "93a6d300a2170ca109135f9eeb0a507bf62f6c7bd5de30e5dab67b962f4bf133",
+        "0e203104f2f3d5325079e542266903a62f05f97edaafe50a6835a8ce6c346a23"),
+    (30, 4, 1): (512, 3200,
+        "5cecc8652021e75881ec06e608e97e7023cc0cea50ff96bb21176e2546c62c7e",
+        "6222eba5dc9a8e632fe7c407cc1ec679df397784323f8b3e96183e8a1c7f3c44"),
+    (30, 4, 2): (2766, 19200,
+        "39143b7a6757d12bd509e9e93fd1e4c1f941abd5467b4bf56f1de749f490d0d8",
+        "4f8e033274d62b3e3d8f2cc420b98b53df74ced9fa043b5ef913fff3bf2ddd79"),
+    (25, 9, 0): (64, 352,
+        "9063c67f699533576a4c000afa6ba110f986fda95c945705591726af8a257c16",
+        "39bd2b1a38dfe0b40810e102cc90bf0e084b6155ed81fa7b0e1bae6d8fa68d57"),
+    (25, 9, 1): (491, 3095,
+        "1ae7901fd7f26d54686bf0928a6a27cce1fccaa89b0914218b8ab3c7bc14c264",
+        "0bec341783e8af4c8d9df09bae92d43cc35f82ab4a4ce8106647d1c97331765d"),
+    (25, 9, 2): (2920, 20242,
+        "09cdee7a37de084237e817c1ae5c79ae05278afe957844da03adbaefb3710405",
+        "e1495e56b6efa856d1fdbc760f903d4bf7cf8aee9f4fd3246b3abc018a856e79"),
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        h.update(np.ascontiguousarray(a, dtype="<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestRegression:
+    @pytest.mark.parametrize("n,seed,orl", sorted(FLOW_DIGESTS))
+    def test_assembly_matches_recorded_digests(self, n, seed, orl):
+        net = generate_network(GenerationParams(L=20.0, n_fractures=n, seed=seed))
+        mesh = cube_mesh(20.0, 5.0, net, orl=orl)
+        props = upscale_mesh(mesh, net, 1e-16, 0.01)
+        system = assemble_tpfa(mesh, props, FlowBC(1000.0, 0.0))
+        A = system.matrix
+        n_cells, nnz, *digests = FLOW_DIGESTS[n, seed, orl]
+        assert (A.shape[0], A.nnz) == (n_cells, nnz)
+        assert [
+            _digest(A.indptr, A.indices, A.data),
+            _digest(system.rhs, system.face_trans),
+        ] == digests

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from fracscale import transport
 from fracscale.flow import FlowBC, solve_steady_flow
+from fracscale.network import GenerationParams, generate_network
 from fracscale.transport import (
     YEAR_SECONDS,
+    TRACER_KINDS,
     BreakthroughCurve,
     TracerParams,
     decay_constant,
@@ -17,7 +21,9 @@ from fracscale.transport import (
     write_btc_csv,
 )
 
-from conftest import box_mesh, uniform_props
+from fracscale.upscale import upscale_mesh
+
+from conftest import box_mesh, cube_mesh, uniform_props
 
 
 def channel(nx=100, l=0.25, k=1e-12, phi=0.01, delta_p=1000.0):
@@ -206,6 +212,105 @@ class TestRunTransport:
         state = prepare_transport(mesh, props, flow, params)
         # phi = 0.01 everywhere, so R(phi) = 4000 in every cell
         assert state.in_domain_mass() == pytest.approx(4000.0, rel=1e-12)
+
+
+def reference_system_const(mesh, props, flow, params):
+    """Spatial operator plus decay diagonal, assembled block by block: upwind
+    advection, then face-harmonic diffusion, then outflow boundary faces."""
+    phi = np.asarray(props.porosity, dtype=float)
+    n = mesh.num_cells
+    faces = mesh.faces
+    interior = faces.cell_b >= 0
+    a = faces.cell_a[interior]
+    b = faces.cell_b[interior]
+    q = flow.face_flux[interior]
+    q_pos = np.maximum(q, 0.0)
+    q_neg = np.maximum(-q, 0.0)
+    rows, cols = [a, a, b, b], [a, b, b, a]
+    vals = [q_pos, -q_neg, q_neg, -q_pos]
+    if params.diffusion > 0:
+        phi_d = params.diffusion * phi
+        t_d = faces.area[interior] / (
+            faces.d_a[interior] / phi_d[a] + faces.d_b[interior] / phi_d[b]
+        )
+        rows += [a, a, b, b]
+        cols += [a, b, b, a]
+        vals += [t_d, -t_d, t_d, -t_d]
+    boundary = ~interior & (flow.face_flux > 0)
+    rows.append(faces.cell_a[boundary])
+    cols.append(faces.cell_a[boundary])
+    vals.append(flow.face_flux[boundary])
+    spatial = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    decay = params.decay * phi * np.asarray(mesh.volume, dtype=float)
+    return (spatial + sp.diags(decay)).tocsc()
+
+
+def desk_tracer(kind):
+    return TracerParams(
+        kind=kind, diffusion=1e-9,
+        decay=decay_constant(100.0) if kind == "decaying" else 0.0,
+        retardation=4000.0 if kind == "sorbing" else 1.0,
+    )
+
+
+@pytest.fixture(scope="module")
+def generated_flows():
+    """Upscaled generated network (30 fractures, L = 20 m, seed 4) and its flow, orl 1 and 2."""
+    net = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=4))
+    out = {}
+    for orl in (1, 2):
+        mesh = cube_mesh(20.0, 5.0, net, orl=orl)
+        props = upscale_mesh(mesh, net, 1e-16, 0.01)
+        out[orl] = (mesh, props, solve_steady_flow(mesh, props, FlowBC(1000.0, 0.0)))
+    return out
+
+
+# the shared face operator sums advection and diffusion per face before
+# assembly instead of adding them as separate entries, which moves matrix
+# entries and breakthrough values by rounding only (~2e-16 measured)
+REFERENCE_RTOL = 1e-13
+
+
+def _rel_diff(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.maximum(np.abs(want), np.finfo(float).tiny)
+    return float(np.max(np.abs(got - want) / scale, initial=0.0))
+
+
+class TestReferenceAssembly:
+    @pytest.mark.parametrize("orl", [1, 2])
+    @pytest.mark.parametrize("kind", TRACER_KINDS)
+    def test_system_matches_per_block_assembly(self, generated_flows, orl, kind):
+        mesh, props, flow = generated_flows[orl]
+        params = desk_tracer(kind)
+        got = prepare_transport(mesh, props, flow, params).operator.system_const
+        want = reference_system_const(mesh, props, flow, params)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert _rel_diff(got.data, want.data) <= REFERENCE_RTOL
+
+    @pytest.mark.parametrize("kind", TRACER_KINDS)
+    def test_breakthrough_matches_per_block_assembly(self, generated_flows, kind, monkeypatch):
+        mesh, props, flow = generated_flows[1]
+        params = desk_tracer(kind)
+
+        def run():
+            return run_transport(mesh, props, flow, params, 1e8, n_outputs=48, growth=1.5)
+
+        got = run()
+
+        class ReferenceOperator(transport.TransportOperator):
+            def __init__(self, mesh, props, flow, params):
+                super().__init__(mesh, props, flow, params)
+                self.system_const = reference_system_const(mesh, props, flow, params)
+
+        monkeypatch.setattr(transport, "TransportOperator", ReferenceOperator)
+        want = run()
+        assert got.peak_index() == want.peak_index()
+        for name in ("mass_rate_mol_per_yr", "cumulative_mol", "in_domain_mol", "decayed_mol"):
+            assert _rel_diff(getattr(got, name), getattr(want, name)) <= REFERENCE_RTOL, name
 
 
 class TestBreakthroughAnalysis:
