@@ -36,7 +36,14 @@ from .topology import (
     percolating_cluster,
     remove_isolated,
 )
-from .transport import TracerParams, decay_constant, normalize_btc, run_transport, write_btc_csv
+from .transport import (
+    SOLVER_COUNTS,
+    TracerParams,
+    decay_constant,
+    normalize_btc,
+    run_transport,
+    write_btc_csv,
+)
 from .upscale import upscale_mesh
 
 logger = logging.getLogger(__name__)
@@ -179,6 +186,7 @@ class _Manifest:
             "topology_rows": [],
             "upscale_rows": [],
             "flow_rows": [],
+            "transport_rows": [],
             "failures": [],
         }
 
@@ -381,6 +389,12 @@ def _run_mode(config, manifest, root, depth, key, network, graph):
                         dt0_yr=config.dt0_yr, growth=config.dt_growth,
                     )
                     btc_group[(orl, k_m, kind)] = btc
+                    manifest.data["transport_rows"].append({
+                        **tkey,
+                        "peak_time_yr": btc.peak_time_yr(),
+                        **{name: btc.metadata[name] for name in SOLVER_COUNTS},
+                        "ledger_closure": btc.ledger_closure(),
+                    })
                 except Exception as err:  # noqa: BLE001
                     manifest.add_failure(tkey, "transport", err)
 

@@ -129,6 +129,27 @@ class TestPipeline:
         body = (tmp_path / btc_files[0]["path"]).read_text().splitlines()
         assert len(body) == 13
 
+    def test_transport_rows_carry_solver_counts(self, tmp_path):
+        config = tiny_config(
+            tmp_path, transport_enabled=True,
+            tracers=("conservative", "decaying", "sorbing"),
+            t_end_yr=1.0, n_outputs=12, dt0_yr=1e-4,
+        )
+        manifest = run_pipeline(config, upto="transport")
+        rows = manifest["transport_rows"]
+        assert [row["tracer"] for row in rows] == list(config.tracers)
+        key = {"seed": 3, "p_prime": 1.0, "isolated_mode": "retained", "orl": 1, "k_m": 1e-16}
+        for row in rows:
+            assert {name: row[name] for name in key} == key
+            assert set(row) - set(key) == {
+                "tracer", "peak_time_yr", "steps", "factorizations", "dominant_steps",
+                "max_sweeps", "ledger_closure",
+            }
+            assert row["steps"] >= config.n_outputs
+            assert row["factorizations"] <= row["steps"] - row["dominant_steps"]
+            assert 0.0 < row["peak_time_yr"] <= config.t_end_yr
+            assert row["ledger_closure"] < 1e-6
+
     def test_transport_rerun_same_directory_identical(self, tmp_path):
         config = tiny_config(
             tmp_path, transport_enabled=True,

@@ -60,3 +60,18 @@ def test_traced_flow_and_transport_count_their_factorizations(fs):
     assert m["transport.factorizations"] == 1
     assert m["transport.lu_fill_nnz"] > 0
     assert m["flow.assemble_s"] > 0 and m["transport.operator_s"] > 0
+
+
+def test_traced_dominant_transport_steps_do_not_factorize(fs):
+    mesh = box_mesh((2.0, 0.5, 0.5), 0.25)
+    props = uniform_props(mesh, 1e-12, 0.01)
+    field = fs.flow.solve_steady_flow(mesh, props, fs.flow.FlowBC(1000.0, 0.0), method="direct")
+    tracer = Tracer()
+    with installed(layers.patches(tracer, fs)):
+        fs.transport.run_transport(
+            mesh, props, field, fs.transport.TracerParams(), 1e-6,
+            output_times_yr=[5e-7, 1e-6], dt0_yr=2.5e-7, growth=1.0,
+        )
+    m = layers.metrics(tracer, None)
+    assert m["transport.steps"] == 4
+    assert m["transport.factorizations"] == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fracscale import transport
 from fracscale.flow import FlowBC, solve_steady_flow
@@ -311,6 +312,89 @@ class TestReferenceAssembly:
         assert got.peak_index() == want.peak_index()
         for name in ("mass_rate_mol_per_yr", "cumulative_mol", "in_domain_mol", "decayed_mol"):
             assert _rel_diff(getattr(got, name), getattr(want, name)) <= REFERENCE_RTOL, name
+
+
+def counted_splu(monkeypatch):
+    """Replace scipy's splu, as transport calls it, with a counting wrapper."""
+    calls = []
+    real = spla.splu
+
+    def splu(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transport.spla, "splu", splu)
+    return calls
+
+
+def lu_step(op, c, dt):
+    """One backward-Euler step by a direct sparse LU solve."""
+    matrix = (op.system_const + sp.diags(op.storage / dt)).tocsc()
+    return spla.splu(matrix).solve(op.storage / dt * c)
+
+
+def step_ratio(op, dt):
+    """max_i sum_j |O_ij| / d_i of the step matrix for dt."""
+    matrix = (op.system_const + sp.diags(op.storage / dt)).tocsr()
+    d = matrix.diagonal()
+    return float(np.max((np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(d)) / d))
+
+
+class TestJacobiSteps:
+    @pytest.mark.parametrize("dt_yr", [1e-8, 1e-7])
+    @pytest.mark.parametrize("orl", [1, 2])
+    @pytest.mark.parametrize("kind", TRACER_KINDS)
+    def test_dominant_step_matches_lu_without_factorizing(
+        self, generated_flows, kind, orl, dt_yr, monkeypatch,
+    ):
+        mesh, props, flow = generated_flows[orl]
+        state = prepare_transport(mesh, props, flow, desk_tracer(kind))
+        op, dt = state.operator, dt_yr * YEAR_SECONDS
+        assert step_ratio(op, dt) <= transport.JACOBI_RHO_MAX
+        want = lu_step(op, state.concentration, dt)
+        calls = counted_splu(monkeypatch)
+        got = op.solve_step(state.concentration, dt)
+        assert calls == []
+        assert (op.factorizations, op.dominant_steps) == (0, 1)
+        assert got.min() >= 0.0
+        assert _rel_diff(got, want) <= REFERENCE_RTOL
+
+    def test_weakly_dominant_step_factorizes_once_per_dt(self, generated_flows, monkeypatch):
+        mesh, props, flow = generated_flows[2]
+        state = prepare_transport(mesh, props, flow, desk_tracer("conservative"))
+        op, dt = state.operator, YEAR_SECONDS
+        assert step_ratio(op, dt) > transport.JACOBI_RHO_MAX
+        c1 = lu_step(op, state.concentration, dt)
+        c2 = lu_step(op, c1, dt)
+        calls = counted_splu(monkeypatch)
+        got1 = op.solve_step(state.concentration, dt)
+        got2 = op.solve_step(got1, dt)
+        assert len(calls) == 1
+        assert (op.factorizations, op.dominant_steps) == (1, 0)
+        assert np.array_equal(got1, c1) and np.array_equal(got2, c2)
+
+    def test_sweep_cap_falls_back_to_lu(self, generated_flows, monkeypatch):
+        mesh, props, flow = generated_flows[2]
+        state = prepare_transport(mesh, props, flow, desk_tracer("conservative"))
+        op, dt = state.operator, 1e-8 * YEAR_SECONDS
+        want = lu_step(op, state.concentration, dt)
+        monkeypatch.setattr(transport, "JACOBI_MAX_SWEEPS", 1)
+        calls = counted_splu(monkeypatch)
+        got = op.solve_step(state.concentration, dt)
+        assert len(calls) == 1
+        assert (op.factorizations, op.dominant_steps) == (1, 0)
+        assert np.array_equal(got, want)
+
+    def test_run_records_solver_counts(self, generated_flows):
+        mesh, props, flow = generated_flows[1]
+        btc = run_transport(
+            mesh, props, flow, desk_tracer("conservative"), 1e8, n_outputs=48, growth=1.5,
+        )
+        meta = btc.metadata
+        assert meta["steps"] > meta["dominant_steps"] > 0
+        assert 0 < meta["factorizations"] <= meta["steps"] - meta["dominant_steps"]
+        assert 0 < meta["max_sweeps"] <= transport.JACOBI_MAX_SWEEPS
+        assert btc.ledger_closure() < 1e-6
 
 
 class TestBreakthroughAnalysis:
