@@ -1,7 +1,7 @@
 """fracscale: stochastic fracture networks upscaled to octree continuum meshes,
 with steady Darcy flow and tracer transport on the result."""
 
-from .flow import FlowBC, FlowField, effective_permeability, keff_error_factor, solve_steady_flow
+from .flow import FlowBC, FlowField, effective_permeability, solve_steady_flow
 from .geometry import Box, PlanarPolygon, clip_polygon_to_box, disc_to_polygon, discs_intersect, polygon_area
 from .network import (
     Fracture,

@@ -210,13 +210,6 @@ def effective_permeability(q: float, L: float, delta_p: float, mu: float) -> flo
     return mu * q * L / delta_p
 
 
-def keff_error_factor(k_i: float, k_ref: float) -> float:
-    """Relative error magnitude of an estimate against a reference value."""
-    if k_ref <= 0:
-        raise ValueError("reference permeability must be positive")
-    return abs((k_i - k_ref) / k_ref)
-
-
 def solve_steady_flow(
     mesh, props, bc: FlowBC, tol: float = 1e-10, method: str = "auto"
 ) -> FlowField:

@@ -393,6 +393,7 @@ def _run_mode(config, manifest, root, depth, key, network, graph):
                         **tkey,
                         "peak_time_yr": btc.peak_time_yr(),
                         **{name: btc.metadata[name] for name in SOLVER_COUNTS},
+                        "min_concentration": btc.metadata["min_concentration"],
                         "ledger_closure": btc.ledger_closure(),
                     })
                 except Exception as err:  # noqa: BLE001

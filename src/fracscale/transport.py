@@ -16,10 +16,15 @@ M-matrix (positive diagonal d, off-diagonal part O <= 0, columns dominated
 by their diagonals).  When rho = max_i sum_j |O_ij| / d_i <= 1/2, as for
 the small steps a pulse starts with, the step is solved by Jacobi sweeps
 x <- (b - O x) / d from x = b / d, which contract by rho in the max norm,
-keep x >= 0, and stop once no entry moves by more than one ulp.  Otherwise
-(or if the sweeps hit their cap) a sparse LU is factorized and reused while
-dt repeats.  An LU of a strongly dominant matrix is the slowest kind: its
-fill decays geometrically into subnormal floats.
+keep x >= 0, and stop once no entry moves by more than one ulp.  Every
+other step (and a dominant step whose sweeps hit their cap) is solved by
+restarted GMRES, warm-started from the previous concentration, in
+potential order: cells sorted by descending steady pressure, so that every
+upwind neighbour comes before its downstream cell and the advective part
+of A is lower triangular (Natvig & Lie 2008; Kwok & Tchelepi 2007).  The
+preconditioner is one forward Gauss-Seidel sweep, the lower triangle of
+the permuted A factorized without fill and rebuilt only when dt changes.
+If GMRES hits its cap, the step falls back to one direct sparse LU.
 """
 
 from __future__ import annotations
@@ -43,11 +48,21 @@ TRACER_KINDS = ("conservative", "decaying", "sorbing")
 # with d the step matrix's diagonal and O its off-diagonal part; the ratio
 # is the sweeps' contraction factor in the max norm
 JACOBI_RHO_MAX = 0.5
-# sweeps before a step gives up and falls back to the sparse LU
+# sweeps before a dominant step gives up and goes to GMRES
 JACOBI_MAX_SWEEPS = 500
+# GMRES stops once ||b - A x|| <= GMRES_RTOL ||b||; it restarts every
+# GMRES_RESTART iterations and hands the step to a direct LU after
+# GMRES_MAX_CYCLES restart cycles
+GMRES_RTOL = 1e-14
+GMRES_RESTART = 50
+GMRES_MAX_CYCLES = 20
 # deterministic solver counts a TransportOperator keeps and run_transport
-# copies into BreakthroughCurve.metadata
-SOLVER_COUNTS = ("steps", "factorizations", "dominant_steps", "max_sweeps")
+# copies into BreakthroughCurve.metadata: steps, Gauss-Seidel factors (one
+# per distinct dt of the non-dominant steps), Jacobi-solved steps, the most
+# sweeps one of them took, GMRES iterations, and direct LUs after the cap
+SOLVER_COUNTS = (
+    "steps", "factorizations", "dominant_steps", "max_sweeps", "krylov_iterations", "fallbacks",
+)
 
 
 def decay_constant(half_life_yr: float) -> float:
@@ -105,6 +120,7 @@ class TransportState:
     outflow: float = 0.0             # advected through x = +L/2
     other_exit: float = 0.0          # advected through any other boundary
     decayed: float = 0.0
+    min_concentration: float = 0.0   # lowest concentration of the run so far
     operator: "TransportOperator" = None
 
     def in_domain_mass(self) -> float:
@@ -158,20 +174,29 @@ class TransportOperator:
         self._diag = self.system_const.diagonal()
         self._offdiag_rowsum = np.asarray(abs(self._offdiag).sum(axis=1)).ravel()
 
-        self._lu = None
-        self._lu_dt = None
+        # potential order: by descending steady pressure every upwind
+        # neighbour precedes its downstream cell, so the advective part of
+        # the permuted matrix is lower triangular
+        self._order = np.argsort(-flow.pressure, kind="stable")
+        self._system_perm = self.system_const[self._order][:, self._order].tocsr()
+        self._storage_perm = self.storage[self._order]
+        self._gs_dt = None
+        self._gs = None
         # solver counts, read into BreakthroughCurve.metadata by run_transport
         self.steps = 0
         self.factorizations = 0
         self.dominant_steps = 0
         self.max_sweeps = 0
+        self.krylov_iterations = 0
+        self.fallbacks = 0
 
     def solve_step(self, c: np.ndarray, dt: float) -> np.ndarray:
         """Solve (system_const + storage/dt) x = storage/dt c.
 
         Jacobi sweeps when the step matrix is diagonally dominant by at least
-        a factor 2 in every row (JACOBI_RHO_MAX); the sparse LU, factorized
-        once per distinct dt, otherwise or when the sweeps hit their cap.
+        a factor 2 in every row (JACOBI_RHO_MAX); otherwise, or when the
+        sweeps hit their cap, GMRES in potential order from x = c, and a
+        direct sparse LU if GMRES hits its cap.
         """
         self.steps += 1
         rhs = self.storage / dt * c
@@ -182,12 +207,38 @@ class TransportOperator:
                 self.dominant_steps += 1
                 self.max_sweeps = max(self.max_sweeps, sweeps)
                 return x
-        if self._lu is None or self._lu_dt != dt:
-            matrix = self.system_const + sp.diags(self.storage / dt)
-            self._lu = spla.splu(matrix.tocsc())
-            self._lu_dt = dt
+        return self._krylov(c, rhs, dt)
+
+    def _krylov(self, c: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
+        """GMRES on the permuted step, preconditioned by forward Gauss-Seidel;
+        one direct LU of the unpermuted step if it hits GMRES_MAX_CYCLES."""
+        matrix = self._system_perm + sp.diags(self._storage_perm / dt)
+        if self._gs_dt != dt:
+            # a triangular factor in natural order with diagonal pivots has no fill
+            lower = spla.splu(
+                sp.tril(matrix).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            self._gs = spla.LinearOperator(matrix.shape, matvec=lower.solve, dtype=float)
+            self._gs_dt = dt
             self.factorizations += 1
-        return self._lu.solve(rhs)
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        x_perm, info = spla.gmres(
+            matrix, rhs[self._order], x0=c[self._order], rtol=GMRES_RTOL, atol=0.0,
+            restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES, M=self._gs,
+            callback=count, callback_type="pr_norm",
+        )
+        self.krylov_iterations += iterations
+        if info != 0:
+            self.fallbacks += 1
+            logger.warning("GMRES hit its cap at dt = %.3g s; solving the step directly", dt)
+            return spla.splu((self.system_const + sp.diags(self.storage / dt)).tocsc()).solve(rhs)
+        x = np.empty_like(x_perm)
+        x[self._order] = x_perm
+        return x
 
     def _jacobi(self, rhs: np.ndarray, d: np.ndarray):
         """(x, sweeps) once no entry moves by more than one ulp; (None, sweeps)
@@ -221,7 +272,7 @@ def prepare_transport(mesh, props, flow, params: TracerParams) -> TransportState
     """Build the operator and the initial pulse state."""
     op = TransportOperator(mesh, props, flow, params)
     c0 = initialize_pulse(mesh, props, params.injected_mass)
-    return TransportState(concentration=c0, operator=op)
+    return TransportState(concentration=c0, min_concentration=float(c0.min()), operator=op)
 
 
 def step_transport(state: TransportState, dt: float) -> TransportState:
@@ -230,9 +281,10 @@ def step_transport(state: TransportState, dt: float) -> TransportState:
         raise ValueError("dt must be positive")
     op = state.operator
     c_new = op.solve_step(state.concentration, dt)
-    worst = c_new.min()
+    worst = float(c_new.min())
     if worst < -1e-12 * max(state.concentration.max(), 1e-300):
         logger.warning("negative concentration %.3e after step", worst)
+    state.min_concentration = min(state.min_concentration, worst)
     state.concentration = c_new
     state.time += dt
     state.outflow += dt * float(op.outflow_weight @ c_new)
@@ -296,6 +348,7 @@ def run_transport(
 
     state = prepare_transport(mesh, props, flow, params)
     initial_total = state.in_domain_mass()
+    initial_max = state.concentration.max()
 
     times, rates, cumulative, in_domain, decayed = [], [], [], [], []
     dt = dt0_yr * YEAR_SECONDS
@@ -321,6 +374,7 @@ def run_transport(
         tracer_kind=params.kind,
         metadata={
             "other_exit_mol": state.other_exit,
+            "min_concentration": float(state.min_concentration / initial_max),
             **{name: getattr(state.operator, name) for name in SOLVER_COUNTS},
         },
     )

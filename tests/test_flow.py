@@ -8,7 +8,6 @@ from fracscale.flow import (
     assemble_tpfa,
     effective_permeability,
     face_fluxes,
-    keff_error_factor,
     solve_pressure,
     solve_steady_flow,
     wiener_bounds,
@@ -179,17 +178,6 @@ class TestConservation:
         lateral = np.isin(mesh.faces.btag, [mesh.BTAG_YMIN, mesh.BTAG_YMAX,
                                             mesh.BTAG_ZMIN, mesh.BTAG_ZMAX])
         assert np.all(flux[lateral] == 0.0)
-
-
-class TestErrorFactor:
-    def test_reference_cases(self):
-        assert keff_error_factor(1e-14, 1e-14) == 0.0
-        assert keff_error_factor(2e-14, 1e-14) == pytest.approx(1.0)
-        assert keff_error_factor(81.0 * 1e-14, 1e-14) == pytest.approx(80.0)
-
-    def test_requires_positive_reference(self):
-        with pytest.raises(ValueError):
-            keff_error_factor(1e-14, 0.0)
 
 
 # (cells, matrix nnz) and sha256 digests of the CSR matrix (indptr, indices,

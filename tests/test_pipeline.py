@@ -143,10 +143,14 @@ class TestPipeline:
             assert {name: row[name] for name in key} == key
             assert set(row) - set(key) == {
                 "tracer", "peak_time_yr", "steps", "factorizations", "dominant_steps",
-                "max_sweeps", "ledger_closure",
+                "max_sweeps", "krylov_iterations", "fallbacks", "min_concentration",
+                "ledger_closure",
             }
             assert row["steps"] >= config.n_outputs
             assert row["factorizations"] <= row["steps"] - row["dominant_steps"]
+            assert row["krylov_iterations"] >= row["factorizations"]
+            assert row["fallbacks"] == 0
+            assert -1e-12 <= row["min_concentration"] <= 0.0
             assert 0.0 < row["peak_time_yr"] <= config.t_end_yr
             assert row["ledger_closure"] < 1e-6
 

@@ -214,6 +214,20 @@ class TestRunTransport:
         # phi = 0.01 everywhere, so R(phi) = 4000 in every cell
         assert state.in_domain_mass() == pytest.approx(4000.0, rel=1e-12)
 
+    def test_min_concentration_is_lowest_over_the_run(self, monkeypatch):
+        mesh, props, flow = channel(20)
+
+        def solve_step(op, c, dt):
+            op.steps += 1
+            return -0.5 * c
+
+        # the field flips sign and halves every step, so its lowest value is
+        # half the initial maximum, reached after the first step only
+        monkeypatch.setattr(transport.TransportOperator, "solve_step", solve_step)
+        btc = run_transport(mesh, props, flow, TracerParams(), 1.0, n_outputs=4, dt0_yr=0.1)
+        assert btc.metadata["steps"] > 2
+        assert btc.metadata["min_concentration"] == -0.5
+
 
 def reference_system_const(mesh, props, flow, params):
     """Spatial operator plus decay diagonal, assembled block by block: upwind
@@ -333,6 +347,21 @@ def lu_step(op, c, dt):
     return spla.splu(matrix).solve(op.storage / dt * c)
 
 
+def peak_scaled_diff(got, want):
+    """Largest entry-wise difference, relative to the largest entry of want."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# GMRES stops once ||b - A x|| <= 1e-14 ||b||, so a step's error is bounded
+# relative to its largest entry, not per entry: tiny entries far downstream
+# of the pulse carry absolute errors of that size (<= 2.9e-15 measured at
+# orl 2, dt = 1 yr)
+KRYLOV_STEP_TOL = 1e-13
+# a whole run against the LU-only path, per entry above 1e-12 of each
+# array's largest value (<= 2.2e-14 measured on the orl-1 fixture)
+KRYLOV_RUN_RTOL = 1e-12
+
+
 def step_ratio(op, dt):
     """max_i sum_j |O_ij| / d_i of the step matrix for dt."""
     matrix = (op.system_const + sp.diags(op.storage / dt)).tocsr()
@@ -369,11 +398,15 @@ class TestJacobiSteps:
         calls = counted_splu(monkeypatch)
         got1 = op.solve_step(state.concentration, dt)
         got2 = op.solve_step(got1, dt)
+        # one Gauss-Seidel factor for the repeated dt, and no LU of the full matrix
         assert len(calls) == 1
-        assert (op.factorizations, op.dominant_steps) == (1, 0)
-        assert np.array_equal(got1, c1) and np.array_equal(got2, c2)
+        assert all(sp.triu(args[0], 1).nnz == 0 for args in calls)
+        assert (op.factorizations, op.dominant_steps, op.fallbacks) == (1, 0, 0)
+        assert op.krylov_iterations > 0
+        assert peak_scaled_diff(got1, c1) <= KRYLOV_STEP_TOL
+        assert peak_scaled_diff(got2, c2) <= KRYLOV_STEP_TOL
 
-    def test_sweep_cap_falls_back_to_lu(self, generated_flows, monkeypatch):
+    def test_sweep_cap_falls_back_to_gmres(self, generated_flows, monkeypatch):
         mesh, props, flow = generated_flows[2]
         state = prepare_transport(mesh, props, flow, desk_tracer("conservative"))
         op, dt = state.operator, 1e-8 * YEAR_SECONDS
@@ -381,8 +414,24 @@ class TestJacobiSteps:
         monkeypatch.setattr(transport, "JACOBI_MAX_SWEEPS", 1)
         calls = counted_splu(monkeypatch)
         got = op.solve_step(state.concentration, dt)
-        assert len(calls) == 1
-        assert (op.factorizations, op.dominant_steps) == (1, 0)
+        assert len(calls) == 1 and sp.triu(calls[0][0], 1).nnz == 0
+        assert (op.factorizations, op.dominant_steps, op.fallbacks) == (1, 0, 0)
+        assert op.krylov_iterations > 0
+        assert peak_scaled_diff(got, want) <= KRYLOV_STEP_TOL
+
+    def test_gmres_cap_falls_back_to_direct(self, generated_flows, monkeypatch):
+        mesh, props, flow = generated_flows[2]
+        state = prepare_transport(mesh, props, flow, desk_tracer("conservative"))
+        # one restart cycle is too few at the largest steps a pulse takes
+        op, dt = state.operator, 1e8 * YEAR_SECONDS
+        want = lu_step(op, state.concentration, dt)
+        monkeypatch.setattr(transport, "GMRES_MAX_CYCLES", 1)
+        calls = counted_splu(monkeypatch)
+        got = op.solve_step(state.concentration, dt)
+        assert len(calls) == 2
+        assert sp.triu(calls[0][0], 1).nnz == 0 and sp.triu(calls[1][0], 1).nnz > 0
+        assert (op.factorizations, op.fallbacks) == (1, 1)
+        assert op.krylov_iterations == transport.GMRES_RESTART
         assert np.array_equal(got, want)
 
     def test_run_records_solver_counts(self, generated_flows):
@@ -392,9 +441,37 @@ class TestJacobiSteps:
         )
         meta = btc.metadata
         assert meta["steps"] > meta["dominant_steps"] > 0
+        # one Gauss-Seidel factor per distinct dt of the non-dominant steps
         assert 0 < meta["factorizations"] <= meta["steps"] - meta["dominant_steps"]
+        assert meta["krylov_iterations"] >= meta["factorizations"]
+        assert meta["fallbacks"] == 0
         assert 0 < meta["max_sweeps"] <= transport.JACOBI_MAX_SWEEPS
+        assert -1e-12 <= meta["min_concentration"] <= 0.0
         assert btc.ledger_closure() < 1e-6
+
+    @pytest.mark.parametrize("kind", TRACER_KINDS)
+    def test_run_matches_lu_path(self, generated_flows, kind, monkeypatch):
+        mesh, props, flow = generated_flows[1]
+        params = desk_tracer(kind)
+
+        def run():
+            return run_transport(mesh, props, flow, params, 1e8, n_outputs=48, growth=1.5)
+
+        got = run()
+
+        def solve_step_lu(op, c, dt):
+            op.steps += 1
+            return lu_step(op, c, dt)
+
+        monkeypatch.setattr(transport.TransportOperator, "solve_step", solve_step_lu)
+        want = run()
+        assert want.metadata["krylov_iterations"] == 0 < got.metadata["krylov_iterations"]
+        assert got.peak_index() == want.peak_index()
+        for name in ("mass_rate_mol_per_yr", "cumulative_mol", "in_domain_mol", "decayed_mol"):
+            g, w = getattr(got, name), getattr(want, name)
+            above = np.abs(w) > 1e-12 * np.abs(w).max(initial=0.0)
+            assert _rel_diff(g[above], w[above]) <= KRYLOV_RUN_RTOL, name
+        assert got.ledger_closure() < 1e-6
 
 
 class TestBreakthroughAnalysis:
