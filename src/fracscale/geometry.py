@@ -155,11 +155,6 @@ def polygon_area(poly: PlanarPolygon) -> float:
     return vertex_area(poly.vertices)
 
 
-def polygon_intersects_box(poly: PlanarPolygon, box: Box) -> bool:
-    """Positive-area intersection test (touching a corner or edge does not count)."""
-    return polygon_area(clip_polygon_to_box(poly, box)) > AREA_EPS
-
-
 def discs_intersect(f1, f2, eps: float = 1e-9) -> bool:
     """Exact disc-disc intersection.
 

@@ -11,20 +11,15 @@ Boundary handling: outflow faces advect mass out at the upwind cell
 concentration with no diffusive return; inflow faces carry tracer-free
 water and zero diffusive gradient; lateral faces are reflective.
 
-Solving a step: the step matrix A = system_const + diag(storage/dt) is an
-M-matrix (positive diagonal d, off-diagonal part O <= 0, columns dominated
-by their diagonals).  When rho = max_i sum_j |O_ij| / d_i <= 1/2, as for
-the small steps a pulse starts with, the step is solved by Jacobi sweeps
-x <- (b - O x) / d from x = b / d, which contract by rho in the max norm,
-keep x >= 0, and stop once no entry moves by more than one ulp.  Every
-other step (and a dominant step whose sweeps hit their cap) is solved by
-restarted GMRES, warm-started from the previous concentration, in
-potential order: cells sorted by descending steady pressure, so that every
-upwind neighbour comes before its downstream cell and the advective part
-of A is lower triangular (Natvig & Lie 2008; Kwok & Tchelepi 2007).  The
-preconditioner is one forward Gauss-Seidel sweep, the lower triangle of
-the permuted A factorized without fill and rebuilt only when dt changes.
-If GMRES hits its cap, the step falls back to one direct sparse LU.
+Solving a step: every step matrix A = system_const + diag(storage/dt) is
+solved by restarted GMRES in potential order: cells sorted by descending
+steady pressure, so that every upwind neighbour comes before its downstream
+cell and the advective part of A is lower triangular (Natvig & Lie 2008;
+Kwok & Tchelepi 2007).  The preconditioner is one forward Gauss-Seidel
+sweep, the lower triangle of the permuted A factorized without fill and
+rebuilt only when dt changes, and GMRES starts from that sweep applied to
+the right-hand side.  If GMRES hits its cap, the step falls back to one
+direct sparse LU.
 """
 
 from __future__ import annotations
@@ -44,12 +39,6 @@ YEAR_SECONDS = 365.25 * 86400.0
 
 TRACER_KINDS = ("conservative", "decaying", "sorbing")
 
-# A step is solved by Jacobi sweeps when max_i sum_j |O_ij| / d_i <= this,
-# with d the step matrix's diagonal and O its off-diagonal part; the ratio
-# is the sweeps' contraction factor in the max norm
-JACOBI_RHO_MAX = 0.5
-# sweeps before a dominant step gives up and goes to GMRES
-JACOBI_MAX_SWEEPS = 500
 # GMRES stops once ||b - A x|| <= GMRES_RTOL ||b||; it restarts every
 # GMRES_RESTART iterations and hands the step to a direct LU after
 # GMRES_MAX_CYCLES restart cycles
@@ -58,11 +47,8 @@ GMRES_RESTART = 50
 GMRES_MAX_CYCLES = 20
 # deterministic solver counts a TransportOperator keeps and run_transport
 # copies into BreakthroughCurve.metadata: steps, Gauss-Seidel factors (one
-# per distinct dt of the non-dominant steps), Jacobi-solved steps, the most
-# sweeps one of them took, GMRES iterations, and direct LUs after the cap
-SOLVER_COUNTS = (
-    "steps", "factorizations", "dominant_steps", "max_sweeps", "krylov_iterations", "fallbacks",
-)
+# per distinct dt), GMRES iterations, and direct LUs after the cap
+SOLVER_COUNTS = ("steps", "factorizations", "krylov_iterations", "fallbacks")
 
 
 def decay_constant(half_life_yr: float) -> float:
@@ -165,15 +151,6 @@ class TransportOperator:
 
         self.system_const = (spatial + sp.diags(self.decay_diag)).tocsc()
 
-        # Jacobi splitting of system_const: its diagonal, the off-diagonal
-        # part (entries <= 0) and that part's absolute row sums
-        coo = self.system_const.tocoo()
-        off = coo.row != coo.col
-        self._offdiag = sp.csr_matrix(
-            (coo.data[off], (coo.row[off], coo.col[off])), shape=coo.shape)
-        self._diag = self.system_const.diagonal()
-        self._offdiag_rowsum = np.asarray(abs(self._offdiag).sum(axis=1)).ravel()
-
         # potential order: by descending steady pressure every upwind
         # neighbour precedes its downstream cell, so the advective part of
         # the permuted matrix is lower triangular
@@ -185,33 +162,19 @@ class TransportOperator:
         # solver counts, read into BreakthroughCurve.metadata by run_transport
         self.steps = 0
         self.factorizations = 0
-        self.dominant_steps = 0
-        self.max_sweeps = 0
         self.krylov_iterations = 0
         self.fallbacks = 0
 
     def solve_step(self, c: np.ndarray, dt: float) -> np.ndarray:
         """Solve (system_const + storage/dt) x = storage/dt c.
 
-        Jacobi sweeps when the step matrix is diagonally dominant by at least
-        a factor 2 in every row (JACOBI_RHO_MAX); otherwise, or when the
-        sweeps hit their cap, GMRES in potential order from x = c, and a
-        direct sparse LU if GMRES hits its cap.
+        GMRES on the step permuted into potential order, preconditioned by
+        forward Gauss-Seidel (the no-fill factor of the lower triangle, kept
+        while dt is unchanged) and started from one Gauss-Seidel sweep; one
+        direct LU of the unpermuted step if GMRES hits GMRES_MAX_CYCLES.
         """
         self.steps += 1
         rhs = self.storage / dt * c
-        d = self._diag + self.storage / dt
-        if np.max(self._offdiag_rowsum / d) <= JACOBI_RHO_MAX:
-            x, sweeps = self._jacobi(rhs, d)
-            if x is not None:
-                self.dominant_steps += 1
-                self.max_sweeps = max(self.max_sweeps, sweeps)
-                return x
-        return self._krylov(c, rhs, dt)
-
-    def _krylov(self, c: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
-        """GMRES on the permuted step, preconditioned by forward Gauss-Seidel;
-        one direct LU of the unpermuted step if it hits GMRES_MAX_CYCLES."""
         matrix = self._system_perm + sp.diags(self._storage_perm / dt)
         if self._gs_dt != dt:
             # a triangular factor in natural order with diagonal pivots has no fill
@@ -226,8 +189,13 @@ class TransportOperator:
             nonlocal iterations
             iterations += 1
 
+        # start from one Gauss-Seidel sweep (from zero), not from c: on the
+        # small, strongly dominant steps that sweep is accurate entry by
+        # entry, whereas from c the norm-wise stop leaves relative errors
+        # above 1e-12 in entries near 1e-12 of the peak
+        b = rhs[self._order]
         x_perm, info = spla.gmres(
-            matrix, rhs[self._order], x0=c[self._order], rtol=GMRES_RTOL, atol=0.0,
+            matrix, b, x0=self._gs.matvec(b), rtol=GMRES_RTOL, atol=0.0,
             restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES, M=self._gs,
             callback=count, callback_type="pr_norm",
         )
@@ -239,17 +207,6 @@ class TransportOperator:
         x = np.empty_like(x_perm)
         x[self._order] = x_perm
         return x
-
-    def _jacobi(self, rhs: np.ndarray, d: np.ndarray):
-        """(x, sweeps) once no entry moves by more than one ulp; (None, sweeps)
-        if JACOBI_MAX_SWEEPS sweeps do not get there."""
-        x = rhs / d
-        for sweep in range(1, JACOBI_MAX_SWEEPS + 1):
-            x_new = (rhs - self._offdiag @ x) / d
-            if np.all(np.abs(x_new - x) <= np.spacing(np.abs(x_new))):
-                return x_new, sweep
-            x = x_new
-        return None, JACOBI_MAX_SWEEPS
 
 
 def initialize_pulse(mesh, props, injected_mass: float) -> np.ndarray:
@@ -281,10 +238,7 @@ def step_transport(state: TransportState, dt: float) -> TransportState:
         raise ValueError("dt must be positive")
     op = state.operator
     c_new = op.solve_step(state.concentration, dt)
-    worst = float(c_new.min())
-    if worst < -1e-12 * max(state.concentration.max(), 1e-300):
-        logger.warning("negative concentration %.3e after step", worst)
-    state.min_concentration = min(state.min_concentration, worst)
+    state.min_concentration = min(state.min_concentration, float(c_new.min()))
     state.concentration = c_new
     state.time += dt
     state.outflow += dt * float(op.outflow_weight @ c_new)
@@ -363,6 +317,12 @@ def run_transport(
         in_domain.append(state.in_domain_mass())
         decayed.append(state.decayed)
 
+    min_concentration = float(state.min_concentration / initial_max)
+    if min_concentration < -1e-12:
+        logger.warning(
+            "%s transport went negative: lowest concentration %.3e of the initial maximum",
+            params.kind, min_concentration,
+        )
     btc = BreakthroughCurve(
         times_yr=np.asarray(times),
         mass_rate_mol_per_yr=np.asarray(rates),
@@ -374,7 +334,7 @@ def run_transport(
         tracer_kind=params.kind,
         metadata={
             "other_exit_mol": state.other_exit,
-            "min_concentration": float(state.min_concentration / initial_max),
+            "min_concentration": min_concentration,
             **{name: getattr(state.operator, name) for name in SOLVER_COUNTS},
         },
     )

@@ -11,7 +11,6 @@ from fracscale.geometry import (
     disc_to_polygon,
     discs_intersect,
     polygon_area,
-    polygon_intersects_box,
 )
 
 from conftest import make_disc
@@ -213,31 +212,6 @@ class TestDiscsIntersect:
         verdict = discs_intersect(a, b, eps)
         assert discs_intersect(b, a, eps) == verdict
         assert discs_intersect(moved(a), moved(b), eps) == verdict
-
-
-class TestPolygonIntersectsBox:
-    def test_inside(self):
-        assert polygon_intersects_box(square_polygon(1.0), Box.cube(10.0))
-
-    def test_plane_disjoint(self):
-        assert not polygon_intersects_box(square_polygon(1.0, z=7.0), Box.cube(10.0))
-
-    def test_corner_point_contact_does_not_count(self):
-        # square touching the box only at the corner (1,1,*): zero-area contact
-        h = 0.5
-        verts = np.array([[1, 1, 0], [2, 1, 0], [2, 2, 0], [1, 2, 0]], dtype=float)
-        poly = PlanarPolygon(verts, np.array([0.0, 0.0, 1.0]))
-        box = Box(np.array([0.0, 0.0, -h]), np.array([1.0, 1.0, h]))
-        assert not polygon_intersects_box(poly, box)
-
-    def test_consistent_with_clip(self):
-        rng = np.random.default_rng(11)
-        box = Box.cube(3.0)
-        for _ in range(100):
-            f = make_disc(0, rng.normal(scale=2.0, size=3), rng.normal(size=3), rng.uniform(0.3, 2.0))
-            poly = disc_to_polygon(f, 24)
-            clipped_area = polygon_area(clip_polygon_to_box(poly, box))
-            assert polygon_intersects_box(poly, box) == (clipped_area > 1e-12)
 
 
 class TestBox:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -215,18 +217,28 @@ class TestRunTransport:
         assert state.in_domain_mass() == pytest.approx(4000.0, rel=1e-12)
 
     def test_min_concentration_is_lowest_over_the_run(self, monkeypatch):
-        mesh, props, flow = channel(20)
-
-        def solve_step(op, c, dt):
-            op.steps += 1
-            return -0.5 * c
-
-        # the field flips sign and halves every step, so its lowest value is
-        # half the initial maximum, reached after the first step only
-        monkeypatch.setattr(transport.TransportOperator, "solve_step", solve_step)
-        btc = run_transport(mesh, props, flow, TracerParams(), 1.0, n_outputs=4, dt0_yr=0.1)
+        btc = run_sign_flipping(monkeypatch)
         assert btc.metadata["steps"] > 2
         assert btc.metadata["min_concentration"] == -0.5
+
+    def test_negative_run_warns_once(self, monkeypatch, caplog):
+        with caplog.at_level(logging.WARNING, logger=transport.__name__):
+            run_sign_flipping(monkeypatch)
+        assert len(caplog.records) == 1
+        assert "-5.000e-01" in caplog.records[0].getMessage()
+
+
+def run_sign_flipping(monkeypatch):
+    """A channel run whose field flips sign and halves every step, so its
+    lowest value is half the initial maximum, reached after the first step."""
+    mesh, props, flow = channel(20)
+
+    def solve_step(op, c, dt):
+        op.steps += 1
+        return -0.5 * c
+
+    monkeypatch.setattr(transport.TransportOperator, "solve_step", solve_step)
+    return run_transport(mesh, props, flow, TracerParams(), 1.0, n_outputs=4, dt0_yr=0.1)
 
 
 def reference_system_const(mesh, props, flow, params):
@@ -354,45 +366,38 @@ def peak_scaled_diff(got, want):
 
 # GMRES stops once ||b - A x|| <= 1e-14 ||b||, so a step's error is bounded
 # relative to its largest entry, not per entry: tiny entries far downstream
-# of the pulse carry absolute errors of that size (<= 2.9e-15 measured at
-# orl 2, dt = 1 yr)
+# of the pulse carry absolute errors of that size (<= 3.5e-14 measured at
+# orl 2, dt = 1 yr; <= 3.6e-16 on the first steps of a pulse)
 KRYLOV_STEP_TOL = 1e-13
 # a whole run against the LU-only path, per entry above 1e-12 of each
-# array's largest value (<= 2.2e-14 measured on the orl-1 fixture)
+# array's largest value (<= 4.7e-14 measured on the orl-1 fixture)
 KRYLOV_RUN_RTOL = 1e-12
 
 
-def step_ratio(op, dt):
-    """max_i sum_j |O_ij| / d_i of the step matrix for dt."""
-    matrix = (op.system_const + sp.diags(op.storage / dt)).tocsr()
-    d = matrix.diagonal()
-    return float(np.max((np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(d)) / d))
-
-
-class TestJacobiSteps:
+class TestStepSolver:
     @pytest.mark.parametrize("dt_yr", [1e-8, 1e-7])
     @pytest.mark.parametrize("orl", [1, 2])
     @pytest.mark.parametrize("kind", TRACER_KINDS)
-    def test_dominant_step_matches_lu_without_factorizing(
+    def test_first_step_matches_lu_with_one_triangular_factor(
         self, generated_flows, kind, orl, dt_yr, monkeypatch,
     ):
+        # the small steps a pulse starts with, whose matrices are strongly
+        # diagonally dominant
         mesh, props, flow = generated_flows[orl]
         state = prepare_transport(mesh, props, flow, desk_tracer(kind))
         op, dt = state.operator, dt_yr * YEAR_SECONDS
-        assert step_ratio(op, dt) <= transport.JACOBI_RHO_MAX
         want = lu_step(op, state.concentration, dt)
         calls = counted_splu(monkeypatch)
         got = op.solve_step(state.concentration, dt)
-        assert calls == []
-        assert (op.factorizations, op.dominant_steps) == (0, 1)
-        assert got.min() >= 0.0
-        assert _rel_diff(got, want) <= REFERENCE_RTOL
+        assert len(calls) == 1 and sp.triu(calls[0][0], 1).nnz == 0
+        assert (op.factorizations, op.fallbacks) == (1, 0)
+        assert got.min() >= -KRYLOV_STEP_TOL * got.max()
+        assert peak_scaled_diff(got, want) <= KRYLOV_STEP_TOL
 
     def test_weakly_dominant_step_factorizes_once_per_dt(self, generated_flows, monkeypatch):
         mesh, props, flow = generated_flows[2]
         state = prepare_transport(mesh, props, flow, desk_tracer("conservative"))
         op, dt = state.operator, YEAR_SECONDS
-        assert step_ratio(op, dt) > transport.JACOBI_RHO_MAX
         c1 = lu_step(op, state.concentration, dt)
         c2 = lu_step(op, c1, dt)
         calls = counted_splu(monkeypatch)
@@ -401,23 +406,10 @@ class TestJacobiSteps:
         # one Gauss-Seidel factor for the repeated dt, and no LU of the full matrix
         assert len(calls) == 1
         assert all(sp.triu(args[0], 1).nnz == 0 for args in calls)
-        assert (op.factorizations, op.dominant_steps, op.fallbacks) == (1, 0, 0)
+        assert (op.factorizations, op.fallbacks) == (1, 0)
         assert op.krylov_iterations > 0
         assert peak_scaled_diff(got1, c1) <= KRYLOV_STEP_TOL
         assert peak_scaled_diff(got2, c2) <= KRYLOV_STEP_TOL
-
-    def test_sweep_cap_falls_back_to_gmres(self, generated_flows, monkeypatch):
-        mesh, props, flow = generated_flows[2]
-        state = prepare_transport(mesh, props, flow, desk_tracer("conservative"))
-        op, dt = state.operator, 1e-8 * YEAR_SECONDS
-        want = lu_step(op, state.concentration, dt)
-        monkeypatch.setattr(transport, "JACOBI_MAX_SWEEPS", 1)
-        calls = counted_splu(monkeypatch)
-        got = op.solve_step(state.concentration, dt)
-        assert len(calls) == 1 and sp.triu(calls[0][0], 1).nnz == 0
-        assert (op.factorizations, op.dominant_steps, op.fallbacks) == (1, 0, 0)
-        assert op.krylov_iterations > 0
-        assert peak_scaled_diff(got, want) <= KRYLOV_STEP_TOL
 
     def test_gmres_cap_falls_back_to_direct(self, generated_flows, monkeypatch):
         mesh, props, flow = generated_flows[2]
@@ -440,14 +432,38 @@ class TestJacobiSteps:
             mesh, props, flow, desk_tracer("conservative"), 1e8, n_outputs=48, growth=1.5,
         )
         meta = btc.metadata
-        assert meta["steps"] > meta["dominant_steps"] > 0
-        # one Gauss-Seidel factor per distinct dt of the non-dominant steps
-        assert 0 < meta["factorizations"] <= meta["steps"] - meta["dominant_steps"]
+        assert transport.SOLVER_COUNTS == ("steps", "factorizations", "krylov_iterations", "fallbacks")
+        assert set(meta) == {"other_exit_mol", "min_concentration", *transport.SOLVER_COUNTS}
+        # one Gauss-Seidel factor per distinct dt
+        assert 0 < meta["factorizations"] <= meta["steps"]
         assert meta["krylov_iterations"] >= meta["factorizations"]
         assert meta["fallbacks"] == 0
-        assert 0 < meta["max_sweeps"] <= transport.JACOBI_MAX_SWEEPS
         assert -1e-12 <= meta["min_concentration"] <= 0.0
         assert btc.ledger_closure() < 1e-6
+
+    def test_decaying_run_logs_no_warning(self, generated_flows, monkeypatch, caplog):
+        # on the desk schedule the tracer decays through about 1e6 half-lives.
+        # At orl 3 a step went negative by ~1e-11 of the previous field's
+        # maximum once that was ~1e-143 of the pulse; add the same round-off
+        # here, which is far below the pulse and so no reason to warn
+        mesh, props, flow = generated_flows[1]
+        pulse = initialize_pulse(mesh, props, 1.0).max()
+        solve = transport.TransportOperator.solve_step
+
+        def solve_step(op, c, dt):
+            x = solve(op, c, dt)
+            if x.max() < 1e-100 * pulse:
+                x[np.argmin(x)] = -1e-11 * c.max()
+            return x
+
+        monkeypatch.setattr(transport.TransportOperator, "solve_step", solve_step)
+        with caplog.at_level(logging.WARNING, logger=transport.__name__):
+            btc = run_transport(
+                mesh, props, flow, desk_tracer("decaying"), 1e8, n_outputs=192, growth=1.2,
+            )
+        assert btc.in_domain_mol[-1] < 1e-200 * btc.in_domain_mol[0]
+        assert -1e-12 <= btc.metadata["min_concentration"] < 0.0
+        assert caplog.records == []
 
     @pytest.mark.parametrize("kind", TRACER_KINDS)
     def test_run_matches_lu_path(self, generated_flows, kind, monkeypatch):
