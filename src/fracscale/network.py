@@ -32,17 +32,11 @@ class GenerationError(RuntimeError):
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Seedable, splittable, counter-based stream (Philox).
+    """Seedable counter-based stream (Philox).
 
-    Every stochastic operation in this module takes one of these explicitly;
-    substreams for independent tasks come from ``spawn``.
+    Every stochastic operation in this module takes one of these explicitly.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split n independent substreams off an existing generator."""
-    return [np.random.Generator(np.random.Philox(s)) for s in rng.bit_generator.seed_seq.spawn(n)]
 
 
 @dataclass(frozen=True)
@@ -293,26 +287,17 @@ def critical_fracture_count(
     return int(np.ceil(1.0 / per - 1e-12))
 
 
-def fracture_intensity(
-    network: FractureNetwork,
-    domain: Box | None = None,
-    *,
-    double_sided_area: bool = False,
-    m_vertices: int = 32,
-) -> float:
+def fracture_intensity(network: FractureNetwork, *, m_vertices: int = 32) -> float:
     """P32: total in-domain fracture surface area per unit volume [1/m].
 
-    Single-sided clipped areas by default; double_sided_area counts both
-    faces of each disc.
+    Single-sided: each disc counts its clipped area once.
     """
-    domain = network.domain if domain is None else domain
+    domain = network.domain
     if domain.volume <= 0:
         raise ValueError("domain volume must be positive")
     total = 0.0
     for f in network.fractures:
         total += polygon_area(clip_polygon_to_box(disc_to_polygon(f, m_vertices), domain))
-    if double_sided_area:
-        total *= 2.0
     return total / domain.volume
 
 

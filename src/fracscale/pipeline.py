@@ -118,6 +118,8 @@ class RunConfig:
         for kind in self.tracers:
             if kind not in ("conservative", "decaying", "sorbing"):
                 raise ValueError(f"unknown tracer kind {kind!r}")
+        if self.flow_method not in ("auto", "direct"):
+            raise ValueError(f"unknown flow method {self.flow_method!r}")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)

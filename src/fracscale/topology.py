@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -198,26 +198,29 @@ def count_false_connections(
     )
 
 
-def mesh_percolates(mesh) -> bool:
-    """True when face-adjacent fracture cells join the inflow and outflow planes.
+def fracture_clusters(faces, is_fracture) -> csr_matrix:
+    """Cells x clusters indicators of the face-connected fracture-cell clusters.
 
     Face adjacency only (consistent with two-point flux coupling); corner
     and edge contacts do not connect.
     """
-    is_frac = np.asarray(mesh.is_fracture)
-    if not is_frac.any():
-        return False
-    faces = mesh.faces
-    n = mesh.num_cells
+    is_frac = np.asarray(is_fracture, dtype=bool)
+    n = len(is_frac)
     interior = faces.cell_b >= 0
     fa = faces.cell_a[interior]
     fb = faces.cell_b[interior]
     both = is_frac[fa] & is_frac[fb]
-    inlet = faces.cell_a[(faces.btag == mesh.BTAG_XMIN) & is_frac[faces.cell_a]]
-    outlet = faces.cell_a[(faces.btag == mesh.BTAG_XMAX) & is_frac[faces.cell_a]]
-    labels = _labels(
-        n + 2,
-        np.concatenate((fa[both], inlet, outlet)),
-        np.concatenate((fb[both], np.full(len(inlet), n), np.full(len(outlet), n + 1))),
-    )
-    return bool(labels[n] == labels[n + 1])
+    cells = np.flatnonzero(is_frac)
+    cluster = np.unique(_labels(n, fa[both], fb[both])[cells], return_inverse=True)[1]
+    return csr_matrix(
+        (np.ones(len(cells)), (cells, cluster)), shape=(n, cluster.max(initial=-1) + 1))
+
+
+def mesh_percolates(mesh) -> bool:
+    """True when one face-connected cluster of fracture cells touches both
+    the inflow and the outflow plane."""
+    faces = mesh.faces
+    clusters = fracture_clusters(faces, mesh.is_fracture)
+    inlet, outlet = (clusters[faces.cell_a[faces.btag == tag]].indices
+                     for tag in (mesh.BTAG_XMIN, mesh.BTAG_XMAX))
+    return bool(np.intersect1d(inlet, outlet).size)

@@ -18,8 +18,9 @@ cell and the advective part of A is lower triangular (Natvig & Lie 2008;
 Kwok & Tchelepi 2007).  The preconditioner is one forward Gauss-Seidel
 sweep, the lower triangle of the permuted A factorized without fill and
 rebuilt only when dt changes, and GMRES starts from that sweep applied to
-the right-hand side.  If GMRES hits its cap, the step falls back to one
-direct sparse LU.
+the right-hand side.  The GMRES runs through flow.krylov_solve, the
+iterative solve flow shares, so a step that hits the cap falls back to one
+direct sparse LU of the permuted step, as a capped pressure solve does.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .flow import face_conductance, face_operator
+from .flow import face_conductance, face_operator, krylov_solve
 
 logger = logging.getLogger(__name__)
 
@@ -171,10 +172,9 @@ class TransportOperator:
         GMRES on the step permuted into potential order, preconditioned by
         forward Gauss-Seidel (the no-fill factor of the lower triangle, kept
         while dt is unchanged) and started from one Gauss-Seidel sweep; one
-        direct LU of the unpermuted step if GMRES hits GMRES_MAX_CYCLES.
+        direct LU of the permuted step if GMRES hits GMRES_MAX_CYCLES.
         """
         self.steps += 1
-        rhs = self.storage / dt * c
         matrix = self._system_perm + sp.diags(self._storage_perm / dt)
         if self._gs_dt != dt:
             # a triangular factor in natural order with diagonal pivots has no fill
@@ -183,27 +183,17 @@ class TransportOperator:
             self._gs = spla.LinearOperator(matrix.shape, matvec=lower.solve, dtype=float)
             self._gs_dt = dt
             self.factorizations += 1
-        iterations = 0
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
         # start from one Gauss-Seidel sweep (from zero), not from c: on the
         # small, strongly dominant steps that sweep is accurate entry by
         # entry, whereas from c the norm-wise stop leaves relative errors
         # above 1e-12 in entries near 1e-12 of the peak
-        b = rhs[self._order]
-        x_perm, info = spla.gmres(
-            matrix, b, x0=self._gs.matvec(b), rtol=GMRES_RTOL, atol=0.0,
-            restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES, M=self._gs,
-            callback=count, callback_type="pr_norm",
+        b = (self.storage / dt * c)[self._order]
+        x_perm, iterations, fell_back = krylov_solve(
+            matrix, b, self._gs, rtol=GMRES_RTOL, maxiter=GMRES_MAX_CYCLES,
+            x0=self._gs.matvec(b), restart=GMRES_RESTART,
         )
         self.krylov_iterations += iterations
-        if info != 0:
-            self.fallbacks += 1
-            logger.warning("GMRES hit its cap at dt = %.3g s; solving the step directly", dt)
-            return spla.splu((self.system_const + sp.diags(self.storage / dt)).tocsc()).solve(rhs)
+        self.fallbacks += fell_back
         x = np.empty_like(x_perm)
         x[self._order] = x_perm
         return x

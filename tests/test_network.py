@@ -73,17 +73,6 @@ class TestSampleRadius:
         assert ks < 0.01
 
 
-class TestRngStreams:
-    def test_spawned_substreams_are_independent_and_reproducible(self):
-        from fracscale.network import spawn
-
-        a1, b1 = spawn(make_rng(3), 2)
-        a2, b2 = spawn(make_rng(3), 2)
-        assert a1.random() == a2.random()
-        assert b1.random() == b2.random()
-        assert a1.random() != b1.random()
-
-
 class TestSampleOrientation:
     def test_concentration_limit_returns_mean_direction(self):
         rng = make_rng(9)
@@ -220,12 +209,6 @@ class TestFractureIntensity:
         whole = fracture_intensity(make_network(discs, 50.0))
         parts = sum(fracture_intensity(make_network([d], 50.0)) for d in discs)
         assert whole == pytest.approx(parts, rel=1e-12)
-
-    def test_double_sided_flag(self):
-        net = make_network([make_disc(0, (0, 0, 0.3), (0, 0, 1), 1.0)], 50.0)
-        assert fracture_intensity(net, double_sided_area=True) == pytest.approx(
-            2.0 * fracture_intensity(net), rel=1e-14
-        )
 
 
 class TestSerialization:

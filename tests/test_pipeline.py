@@ -52,6 +52,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             tiny_config("x", tracers=("magic",))
 
+    def test_flow_method_validated_up_front(self):
+        data = tiny_config("x").to_dict()
+        for method in ("auto", "direct"):
+            assert RunConfig.from_dict({**data, "flow_method": method}).flow_method == method
+        with pytest.raises(ValueError, match="flow method 'cg'"):
+            RunConfig.from_dict({**data, "flow_method": "cg"})
+
     def test_hash_tracks_content(self):
         a = tiny_config("x")
         b = tiny_config("x", seeds=(4,))
@@ -237,3 +244,11 @@ class TestCli:
 
     def test_bad_config_path_fails(self, tmp_path):
         assert cli_main(["generate", "--config", str(tmp_path / "missing.json")]) == 1
+
+    def test_unknown_flow_method_fails_before_running(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        data = {**tiny_config(tmp_path / "out").to_dict(), "flow_method": "cg"}
+        config_path.write_text(json.dumps(data))
+        assert cli_main(["flow", "--config", str(config_path)]) == 1
+        assert "unknown flow method 'cg'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -61,3 +61,13 @@ def test_traced_flow_and_transport_count_their_factorizations(fs):
     assert m["transport.lu_fill_nnz"] > 0
     assert m["flow.assemble_s"] > 0 and m["transport.operator_s"] > 0
 
+
+def test_traced_default_flow_solves_by_cg(fs):
+    mesh = box_mesh((2.0, 0.5, 0.5), 0.25)
+    props = uniform_props(mesh, 1e-12, 0.01)
+    tracer = Tracer()
+    with installed(layers.patches(tracer, fs)):
+        fs.flow.solve_steady_flow(mesh, props, fs.flow.FlowBC(1000.0, 0.0))
+    m = layers.metrics(tracer, None)
+    assert m["flow.direct_solves"] == 0
+    assert m["flow.cg_iterations"] > 0

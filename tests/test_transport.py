@@ -372,6 +372,9 @@ KRYLOV_STEP_TOL = 1e-13
 # a whole run against the LU-only path, per entry above 1e-12 of each
 # array's largest value (<= 4.7e-14 measured on the orl-1 fixture)
 KRYLOV_RUN_RTOL = 1e-12
+# the same at orl 2.  GMRES stops on a residual norm, which does not bound
+# small entries: the worst entry measured 2.5e-10 (decaying, cumulative mass)
+KRYLOV_RUN_RTOL_ORL2 = 1e-9
 
 
 class TestStepSolver:
@@ -424,7 +427,8 @@ class TestStepSolver:
         assert sp.triu(calls[0][0], 1).nnz == 0 and sp.triu(calls[1][0], 1).nnz > 0
         assert (op.factorizations, op.fallbacks) == (1, 1)
         assert op.krylov_iterations == transport.GMRES_RESTART
-        assert np.array_equal(got, want)
+        # the fallback factors the step in potential order, lu_step in natural order
+        assert peak_scaled_diff(got, want) <= KRYLOV_STEP_TOL
 
     def test_run_records_solver_counts(self, generated_flows):
         mesh, props, flow = generated_flows[1]
@@ -465,9 +469,10 @@ class TestStepSolver:
         assert -1e-12 <= btc.metadata["min_concentration"] < 0.0
         assert caplog.records == []
 
+    @pytest.mark.parametrize("orl,rtol", [(1, KRYLOV_RUN_RTOL), (2, KRYLOV_RUN_RTOL_ORL2)])
     @pytest.mark.parametrize("kind", TRACER_KINDS)
-    def test_run_matches_lu_path(self, generated_flows, kind, monkeypatch):
-        mesh, props, flow = generated_flows[1]
+    def test_run_matches_lu_path(self, generated_flows, kind, orl, rtol, monkeypatch):
+        mesh, props, flow = generated_flows[orl]
         params = desk_tracer(kind)
 
         def run():
@@ -486,7 +491,7 @@ class TestStepSolver:
         for name in ("mass_rate_mol_per_yr", "cumulative_mol", "in_domain_mol", "decayed_mol"):
             g, w = getattr(got, name), getattr(want, name)
             above = np.abs(w) > 1e-12 * np.abs(w).max(initial=0.0)
-            assert _rel_diff(g[above], w[above]) <= KRYLOV_RUN_RTOL, name
+            assert _rel_diff(g[above], w[above]) <= rtol, name
         assert got.ledger_closure() < 1e-6
 
 
