@@ -4,11 +4,16 @@ Fracture discs are polygonized once (regular m-gon inscribed in the circle)
 and every area-against-a-box question is answered by Sutherland-Hodgman
 clipping of that polygon.  Disc-disc connectivity uses the exact circular
 test instead, so network topology never depends on the polygonization.
+
+Each computation is one kernel over K stacked inputs: disc_vertices,
+clip_vertices (K zero-padded vertex loops against K boxes), vertex_area and
+discs_intersect_many.  Every row gets the arithmetic it would get alone, so
+a result does not depend on the batch it was computed in; disc_to_polygon,
+clip_polygon_to_box, polygon_area and discs_intersect are the K = 1 calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,92 +76,143 @@ class PlanarPolygon:
 
 def disc_to_polygon(fracture, m_vertices: int = 32) -> PlanarPolygon:
     """Inscribe a regular m-gon in the fracture disc (wound CCW about the normal)."""
+    n = np.asarray(fracture.normal, dtype=float)
+    verts = disc_vertices(np.asarray(fracture.center, dtype=float)[None], n[None],
+                          np.array([fracture.radius], dtype=float), m_vertices)
+    return PlanarPolygon(verts[0], n)
+
+
+def disc_vertices(centers, normals, radii, m_vertices: int = 32) -> np.ndarray:
+    """(K, m, 3) vertices of the regular m-gons inscribed in K discs."""
     if m_vertices < 8:
         raise ValueError("need at least 8 vertices to polygonize a disc")
-    n = np.asarray(fracture.normal, dtype=float)
-    e1, e2 = _tangent_basis(n)
-    theta = 2.0 * np.pi * np.arange(m_vertices) / m_vertices
-    verts = (
-        np.asarray(fracture.center, dtype=float)
-        + fracture.radius * np.outer(np.cos(theta), e1)
-        + fracture.radius * np.outer(np.sin(theta), e2)
-    )
-    return PlanarPolygon(verts, n)
-
-
-def _tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    normals = np.asarray(normals, dtype=float).reshape(-1, 3)
+    radii = np.asarray(radii, dtype=float).reshape(-1, 1, 1)
     # deterministic in-plane frame; cross(e1, e2) == normal
-    ref = np.array([0.0, 0.0, 1.0]) if abs(normal[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(ref, normal)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    return e1, e2
+    ref = np.where((np.abs(normals[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    e1 = np.cross(ref, normals)
+    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
+    e2 = np.cross(normals, e1)
+    theta = 2.0 * np.pi * np.arange(m_vertices) / m_vertices
+    return (
+        centers[:, None, :]
+        + radii * (np.cos(theta)[None, :, None] * e1[:, None, :])
+        + radii * (np.sin(theta)[None, :, None] * e2[:, None, :])
+    )
 
 
-def _clip_halfspace(verts: np.ndarray, axis: int, bound: float, keep_below: bool) -> np.ndarray:
-    """One Sutherland-Hodgman pass against x[axis] <= bound (or >= when keep_below=False).
+def _next_index(count: np.ndarray, width: int) -> np.ndarray:
+    """(K, width) index of each vertex's successor around its loop of count[k]
+    vertices; pad entries point at vertex 0."""
+    nxt = np.arange(1, width + 1)
+    return np.where(nxt < count[:, None], nxt, 0)
 
+
+def _clip_halfspace(verts, count, axis: int, bound, keep_below: bool):
+    """One Sutherland-Hodgman pass of K loops against x[axis] <= bound[k] (>= when
+    keep_below=False); a loop left with fewer than 3 vertices gets count 0.
+
+    Each vertex emits itself when inside, then its edge's crossing point when
+    the edge changes side, at the offset a cumulative sum over its loop gives.
     The side test is exact, with no slack: a slack keeps vertices just
     outside the plane while edges are still cut on it, which extrapolates
     the cut beyond the edge and, for a polygon nearly parallel to the plane,
     counts a strip of it in the boxes on both sides.
     """
-    d = bound - verts[:, axis] if keep_below else verts[:, axis] - bound
+    rows, width = verts.shape[:2]
+    x = verts[:, :, axis]
+    d = bound[:, None] - x if keep_below else x - bound[:, None]
     inside = d >= 0.0
-    if inside.all():
-        return verts
+    if inside.all():   # (a pad entry outside only costs the full pass)
+        return verts, count
+    real = np.arange(width) < count[:, None]
+    inside &= real
     if not inside.any():
-        return verts[:0]
-    nxt = np.roll(np.arange(len(verts)), -1)
-    cross = inside != inside[nxt]
-    denom = d - d[nxt]
-    t = np.where(cross, d / np.where(denom == 0.0, 1.0, denom), 0.0)
-    inter = verts + t[:, None] * (verts[nxt] - verts)
+        return verts[:, :0], np.zeros_like(count)
+    row = np.arange(rows)[:, None]
+    nxt = _next_index(count, width)
+    cross = (inside != inside[row, nxt]) & real
+    emitted = inside.astype(np.intp) + cross
+    new_count = emitted.sum(axis=1)
+    new_count[new_count < 3] = 0
+    kept = (new_count > 0)[:, None]
+    starts = np.cumsum(emitted, axis=1) - emitted
+    out = np.zeros((rows, new_count.max(), 3))
+    k, j = np.nonzero(inside & kept)
+    out[k, starts[k, j]] = verts[k, j]
+    k, j = np.nonzero(cross & kept)
+    jn = nxt[k, j]
+    denom = d[k, j] - d[k, jn]
+    t = d[k, j] / np.where(denom == 0.0, 1.0, denom)
+    v = verts[k, j]
+    out[k, starts[k, j] + inside[k, j]] = v + t[:, None] * (verts[k, jn] - v)
+    return out, new_count
 
-    counts = inside.astype(int) + cross.astype(int)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    out = np.empty((counts.sum(), 3))
-    out[starts[inside]] = verts[inside]
-    out[(starts + inside)[cross]] = inter[cross]
-    return out
 
+def clip_vertices(verts, count, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Sutherland-Hodgman of K vertex loops against K boxes [lo[k], hi[k]].
 
-def clip_vertices(verts: np.ndarray, lo, hi) -> np.ndarray:
-    """Raw Sutherland-Hodgman of a vertex loop against [lo, hi] bounds."""
+    verts (K, M, 3) holds loop k in its first count[k] rows, zero-padded;
+    lo and hi are (K, 3), or (3,) for one box for every loop.  Returns the
+    clipped loops, zero-padded to the longest, and their vertex counts; a
+    loop with fewer than 3 vertices, before or after clipping, has count 0.
+    Every loop sees the arithmetic it would see alone, so a row's result
+    does not depend on the others.
+    """
+    verts = np.asarray(verts, dtype=float)
+    count = np.where(np.asarray(count) >= 3, count, 0)
+    lo = np.asarray(lo, dtype=float).reshape(-1, 3)
+    hi = np.asarray(hi, dtype=float).reshape(-1, 3)
     for axis in range(3):
-        verts = _clip_halfspace(verts, axis, lo[axis], keep_below=False)
-        if len(verts) < 3:
-            return verts[:0]
-        verts = _clip_halfspace(verts, axis, hi[axis], keep_below=True)
-        if len(verts) < 3:
-            return verts[:0]
-    return verts
+        for bound, keep_below in ((lo[:, axis], False), (hi[:, axis], True)):
+            if not count.any():
+                return verts[:, :0], count
+            verts, count = _clip_halfspace(verts, count, axis, bound, keep_below)
+    return verts, count
 
 
 def clip_polygon_to_box(poly: PlanarPolygon, box: Box) -> PlanarPolygon:
     """Clip against the box's six half-spaces; <3 surviving vertices counts as empty."""
-    if len(poly.vertices) < 3:
+    verts, count = clip_vertices(poly.vertices[None], [len(poly.vertices)], box.lo, box.hi)
+    if not count[0]:
         return PlanarPolygon.empty(poly.plane_normal)
-    verts = clip_vertices(poly.vertices, box.lo, box.hi)
-    if len(verts) < 3:
-        return PlanarPolygon.empty(poly.plane_normal)
-    return PlanarPolygon(verts, poly.plane_normal)
+    return PlanarPolygon(verts[0, :count[0]], poly.plane_normal)
 
 
-def vertex_area(verts: np.ndarray) -> float:
-    """Single-sided planar area (Newell's formula; exact for simple planar polygons)."""
-    if len(verts) < 3:
-        return 0.0
-    s = np.cross(verts, np.roll(verts, -1, axis=0)).sum(axis=0)
-    return 0.5 * float(np.linalg.norm(s))
+def vertex_area(verts, count) -> np.ndarray:
+    """Single-sided planar areas of K zero-padded vertex loops (Newell's formula;
+    exact for simple planar polygons); loops of fewer than 3 vertices have area 0.
+
+    The cross products of the pad rows are zeroed before the sum over each
+    loop, and the norm is a dot product per loop, so an area does not depend
+    on the padding or on the other loops.
+    """
+    verts = np.asarray(verts, dtype=float)
+    count = np.asarray(count)
+    rows, width = verts.shape[:2]
+    if not width:
+        return np.zeros(rows)
+    s = np.cross(verts, verts[np.arange(rows)[:, None], _next_index(count, width)])
+    s[np.arange(width)[None, :] >= count[:, None]] = 0.0
+    s = s.sum(axis=1)
+    return np.where(count >= 3, 0.5 * np.sqrt(np.vecdot(s, s)), 0.0)
 
 
 def polygon_area(poly: PlanarPolygon) -> float:
-    return vertex_area(poly.vertices)
+    return float(vertex_area(poly.vertices[None], np.array([len(poly.vertices)]))[0])
 
 
 def discs_intersect(f1, f2, eps: float = 1e-9) -> bool:
-    """Exact disc-disc intersection.
+    """Exact disc-disc intersection of two fractures: the one-pair case of
+    discs_intersect_many."""
+    return bool(discs_intersect_many(f1.center, f1.normal, f1.radius,
+                                     f2.center, f2.normal, f2.radius, eps)[0])
+
+
+def discs_intersect_many(c1, n1, r1, c2, n2, r2, eps: float = 1e-9) -> np.ndarray:
+    """Exact intersection of K disc pairs: (centers, unit normals, radii) of
+    the first and of the second discs, (K, 3), (K, 3), (K,) each.
 
     Intersect the two carrier planes; each disc cuts a chord interval out of
     that line, and the discs intersect iff the intervals overlap by more
@@ -166,29 +222,29 @@ def discs_intersect(f1, f2, eps: float = 1e-9) -> bool:
     non-intersecting: that configuration has probability zero under
     continuous orientations.
     """
-    n1 = np.asarray(f1.normal, dtype=float)
-    n2 = np.asarray(f2.normal, dtype=float)
+    c1, n1, c2, n2 = (np.asarray(a, dtype=float).reshape(-1, 3) for a in (c1, n1, c2, n2))
+    r1, r2 = (np.asarray(r, dtype=float).reshape(-1) for r in (r1, r2))
     # work relative to c1, so a common translation cannot cost precision
-    offset = np.asarray(f2.center, dtype=float) - np.asarray(f1.center, dtype=float)
+    offset = c2 - c1
 
     direction = np.cross(n1, n2)
-    norm2 = float(direction @ direction)
-    if norm2 < 1e-24:
-        return False
-    u = direction / np.sqrt(norm2)
+    norm2 = np.vecdot(direction, direction)
+    parallel = norm2 < 1e-24
+    norm2[parallel] = 1.0
+    u = direction / np.sqrt(norm2)[:, None]
 
     # point on the intersection line: p0 = s * (n2 - (n1 . n2) n1) satisfies
     # n1 . p0 = 0, and n2 . p0 = n2 . offset for s = n2 . offset / |n1 x n2|^2
     # (unit normals), which never rounds to 0 / 0 as 1 - (n1 . n2)^2 can
-    p0 = float(n2 @ offset) / norm2 * (n2 - float(n1 @ n2) * n1)
+    p0 = (np.vecdot(n2, offset) / norm2)[:, None] * (n2 - np.vecdot(n1, n2)[:, None] * n1)
 
-    intervals = []
-    for rel, r in ((-p0, f1.radius), (offset - p0, f2.radius)):   # center - p0
-        t = float(u @ rel)
-        h = rel - t * u
-        half = r * r - float(h @ h)
-        s = math.copysign(math.sqrt(abs(half)), half)
-        intervals.append((t - s, t + s))
+    ends = []
+    for rel, r in ((-p0, r1), (offset - p0, r2)):   # center - p0
+        t = np.vecdot(u, rel)
+        h = rel - t[:, None] * u
+        half = r * r - np.vecdot(h, h)
+        s = np.copysign(np.sqrt(np.abs(half)), half)
+        ends.append((t - s, t + s))
 
-    overlap = min(intervals[0][1], intervals[1][1]) - max(intervals[0][0], intervals[1][0])
-    return overlap > eps
+    overlap = np.minimum(ends[0][1], ends[1][1]) - np.maximum(ends[0][0], ends[1][0])
+    return (overlap > eps) & ~parallel

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad
 
-from .geometry import Box, clip_polygon_to_box, disc_to_polygon, polygon_area
+# clip_vertices is looked up on geometry at each call, where a traced run
+# (bench/layers.py) wraps and counts it
+from . import geometry
+from .geometry import Box, disc_vertices, vertex_area
 
 logger = logging.getLogger(__name__)
 
@@ -107,17 +110,35 @@ class Fracture:
 
 @dataclass
 class FractureNetwork:
-    """Fracture list plus the cubic flow domain it was generated for."""
+    """Fracture list plus the cubic flow domain it was generated for.
+
+    The fractures are not changed after construction: the disc polygons
+    are computed once per vertex count and kept.
+    """
 
     fractures: list[Fracture]
     domain: Box
     params: GenerationParams
+    _vertices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.fractures)
 
-    def polygons(self, m_vertices: int = 32) -> list:
-        return [disc_to_polygon(f, m_vertices) for f in self.fractures]
+    def polygon_vertices(self, m_vertices: int = 32) -> np.ndarray:
+        """(N, m, 3) vertices of every disc's inscribed m-gon, computed once per m."""
+        if m_vertices not in self._vertices:
+            fracs = self.fractures
+            verts = disc_vertices([f.center for f in fracs], [f.normal for f in fracs],
+                                  [f.radius for f in fracs], m_vertices)
+            verts.flags.writeable = False
+            self._vertices[m_vertices] = verts
+        return self._vertices[m_vertices]
+
+    def clipped_to_domain(self, m_vertices: int = 32) -> tuple[np.ndarray, np.ndarray]:
+        """Every disc polygon clipped to the domain in one call: clip_vertices' (verts, count)."""
+        verts = self.polygon_vertices(m_vertices)
+        return geometry.clip_vertices(verts, np.full(len(verts), m_vertices),
+                                      self.domain.lo, self.domain.hi)
 
     def subset(self, keep_ids) -> "FractureNetwork":
         """New network containing the given fractures, re-indexed contiguously."""
@@ -213,25 +234,29 @@ def generate_network(
                 f"placed {len(fractures)}/{params.n_fractures} fractures "
                 f"after {attempts} attempts"
             )
-        attempts += 1
-        center = gen.lo + rng.random(3) * span
-        radius = float(sample_radius(rng.random(), params))
-        normal = sample_orientation(rng, params.kappa, params.mean_dir)
-        cand = Fracture(
-            id=len(fractures),
-            center=center,
-            normal=normal,
-            radius=radius,
-            aperture=float(aperture_from_radius(radius)),
-        )
-        touches = not clip_polygon_to_box(disc_to_polygon(cand, m_vertices), domain).is_empty
-        if count_in_expanded_domain:
-            placed += 1
+        # every fracture still missing takes at least one more attempt, so
+        # that many candidates are drawn, in order, and tested in one batch
+        batch = min(params.n_fractures - placed, cap - attempts)
+        attempts += batch
+        draws = []
+        for _ in range(batch):
+            center = gen.lo + rng.random(3) * span
+            radius = float(sample_radius(rng.random(), params))
+            draws.append((center, sample_orientation(rng, params.kappa, params.mean_dir), radius))
+        centers, normals, radii = map(np.array, zip(*draws))
+        _, count = geometry.clip_vertices(disc_vertices(centers, normals, radii, m_vertices),
+                                          np.full(batch, m_vertices), domain.lo, domain.hi)
+        for (center, normal, radius), touches in zip(draws, count > 0):
             if touches:
-                fractures.append(cand)
-        elif touches:
-            placed += 1
-            fractures.append(cand)
+                fractures.append(Fracture(
+                    id=len(fractures),
+                    center=center,
+                    normal=normal,
+                    radius=radius,
+                    aperture=float(aperture_from_radius(radius)),
+                ))
+            if touches or count_in_expanded_domain:
+                placed += 1
 
     logger.info(
         "generated %d fractures (%d attempts, seed %d)", len(fractures), attempts, params.seed
@@ -295,10 +320,9 @@ def fracture_intensity(network: FractureNetwork, *, m_vertices: int = 32) -> flo
     domain = network.domain
     if domain.volume <= 0:
         raise ValueError("domain volume must be positive")
-    total = 0.0
-    for f in network.fractures:
-        total += polygon_area(clip_polygon_to_box(disc_to_polygon(f, m_vertices), domain))
-    return total / domain.volume
+    # summed in fracture order, one area at a time
+    total = np.cumsum(vertex_area(*network.clipped_to_domain(m_vertices)))
+    return float(total[-1] if len(total) else 0.0) / domain.volume
 
 
 # ---------------------------------------------------------------------------

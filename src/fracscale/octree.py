@@ -4,9 +4,12 @@ A uniform level-0 grid of edge l is refined near fractures: at each pass,
 every fracture-tagged leaf and each of its face neighbors splits into eight
 children of half edge, children re-tagged by clipping; after orl passes the
 finest fracture cells have edge l / 2^orl.  Each leaf keeps the in-cell
-area of every fracture it holds, so upscaling never clips again.  An
-optional 2:1 balancing sweep limits face-level jumps to one, which keeps
-two-point flux stencils sane.
+area of every fracture it holds, so upscaling never clips again.  The
+(cell, fracture) candidates that pass the bounding-box and plane rejects
+are clipped and measured CLIP_BLOCK at a time, one batched
+geometry.clip_vertices and vertex_area call per block.  An optional 2:1
+balancing sweep limits face-level jumps to one, which keeps two-point flux
+stencils sane.
 
 The leaves are flat arrays kept sorted in (level, i, j, k) order, with the
 (cell, fracture id, clipped area) pairs cell-major and ids ascending.  Every
@@ -29,6 +32,12 @@ from .geometry import AREA_EPS, Box, clip_vertices, vertex_area
 logger = logging.getLogger(__name__)
 
 _SQRT3_HALF = np.sqrt(3.0) / 2.0
+
+# (cell, fracture) candidates clipped per kernel call: large enough that
+# numpy dispatch per candidate is negligible, small enough to bound the
+# kernel's temporaries (8,192 ran no faster and peaked 13 MB higher on the
+# desk grid)
+CLIP_BLOCK = 4096
 
 # child index offsets (di, dj, dk) of the eight octants
 _OCTANTS = np.indices((2, 2, 2)).reshape(3, -1).T
@@ -69,12 +78,12 @@ def _exact_divisions(extent: float, l: float) -> int:
 
 
 class _Polygons:
-    """Per-fracture polygon vertices with vectorised AABB and plane quick-rejects."""
+    """Stacked fracture polygon vertices with vectorised AABB and plane quick-rejects."""
 
     def __init__(self, network, m_vertices: int):
-        self.verts = [poly.vertices for poly in network.polygons(m_vertices)]
-        self.lo = np.array([v.min(axis=0) for v in self.verts]).reshape(-1, 3)
-        self.hi = np.array([v.max(axis=0) for v in self.verts]).reshape(-1, 3)
+        self.verts = network.polygon_vertices(m_vertices)
+        self.lo = self.verts.min(axis=1)
+        self.hi = self.verts.max(axis=1)
         self.point = np.array([f.center for f in network.fractures], dtype=float).reshape(-1, 3)
         self.normal = np.array([f.normal for f in network.fractures], dtype=float).reshape(-1, 3)
 
@@ -84,7 +93,8 @@ class _Polygons:
         The boxes are half-open: a polygon lying at or above hi on some axis
         is left to the box above, unless top[n] marks that face as the
         domain's upper boundary.  So a polygon lying in a face shared by two
-        boxes is measured once, in the upper one.
+        boxes is measured once, in the upper one.  The candidates that pass
+        the quick-rejects are clipped and measured CLIP_BLOCK at a time.
         """
         above = np.where(top, self.lo[fid] > hi, self.lo[fid] >= hi)
         near = ~(above | (self.hi[fid] < lo)).any(axis=1)
@@ -94,8 +104,13 @@ class _Polygons:
         dist = d[:, 0] * n[:, 0] + d[:, 1] * n[:, 1] + d[:, 2] * n[:, 2]
         near &= np.abs(dist) <= edge * _SQRT3_HALF
         out = np.zeros(len(fid))
-        for m in np.flatnonzero(near):
-            out[m] = vertex_area(clip_vertices(self.verts[fid[m]], lo[m], hi[m]))
+        rows = np.flatnonzero(near)
+        m = self.verts.shape[1]
+        for start in range(0, len(rows), CLIP_BLOCK):
+            block = rows[start:start + CLIP_BLOCK]
+            verts, count = clip_vertices(self.verts[fid[block]], np.full(len(block), m),
+                                         lo[block], hi[block])
+            out[block] = vertex_area(verts, count)
         return out
 
 

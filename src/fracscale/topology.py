@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .geometry import clip_polygon_to_box, discs_intersect
+from .geometry import discs_intersect_many
 from .network import FractureNetwork
 
 logger = logging.getLogger(__name__)
@@ -70,26 +70,25 @@ def build_intersection_graph(
     edges: list[tuple[int, int]] = []
     if n > 1:
         centers = np.array([f.center for f in fracs])
+        normals = np.array([f.normal for f in fracs])
         radii = np.array([f.radius for f in fracs])
         pairs = cKDTree(centers).query_pairs(2.0 * radii.max(), output_type="ndarray")
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         a, b = pairs[:, 0], pairs[:, 1]
         gap = np.linalg.norm(centers[a] - centers[b], axis=1)
-        edges = [
-            (int(i), int(j)) for i, j in pairs[gap <= radii[a] + radii[b]]
-            if discs_intersect(fracs[i], fracs[j], eps)
-        ]
+        near = gap <= radii[a] + radii[b]
+        a, b = a[near], b[near]
+        hit = discs_intersect_many(centers[a], normals[a], radii[a],
+                                   centers[b], normals[b], radii[b], eps)
+        edges = list(zip(a[hit].tolist(), b[hit].tolist()))
 
-    source_ids, sink_ids = [], []
-    for idx, poly in enumerate(network.polygons(m_vertices)):
-        clipped = clip_polygon_to_box(poly, domain)
-        if clipped.is_empty:
-            continue
-        x = clipped.vertices[:, 0]
-        if x.min() <= domain.lo[0] + _FACE_TOUCH_EPS:
-            source_ids.append(idx)
-        if x.max() >= domain.hi[0] - _FACE_TOUCH_EPS:
-            sink_ids.append(idx)
+    verts, count = network.clipped_to_domain(m_vertices)
+    x = verts[..., 0]
+    real = np.arange(x.shape[1]) < count[:, None]
+    touch_lo = np.where(real, x, np.inf).min(axis=1, initial=np.inf)
+    touch_hi = np.where(real, x, -np.inf).max(axis=1, initial=-np.inf)
+    source_ids = np.flatnonzero(touch_lo <= domain.lo[0] + _FACE_TOUCH_EPS).tolist()
+    sink_ids = np.flatnonzero(touch_hi >= domain.hi[0] - _FACE_TOUCH_EPS).tolist()
 
     return IntersectionGraph(n, edges, source_ids, sink_ids)
 

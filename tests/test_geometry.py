@@ -8,9 +8,13 @@ from fracscale.geometry import (
     Box,
     PlanarPolygon,
     clip_polygon_to_box,
+    clip_vertices,
     disc_to_polygon,
+    disc_vertices,
     discs_intersect,
+    discs_intersect_many,
     polygon_area,
+    vertex_area,
 )
 
 from conftest import make_disc
@@ -135,6 +139,152 @@ class TestClipPolygonToBox:
             total += polygon_area(clip_polygon_to_box(poly, octant))
         # rounding leaves slivers with areas near 1e-12
         assert total == pytest.approx(whole, rel=1e-9, abs=1e-12)
+
+
+def reference_clip(loop, lo, hi):
+    """Per-loop Sutherland-Hodgman with the kernel's per-vertex arithmetic."""
+    for axis in range(3):
+        for bound, keep_below in ((lo[axis], False), (hi[axis], True)):
+            out = []
+            n = len(loop)
+            for i in range(n):
+                v, w = loop[i], loop[(i + 1) % n]
+                d = bound - v[axis] if keep_below else v[axis] - bound
+                dw = bound - w[axis] if keep_below else w[axis] - bound
+                if d >= 0.0:
+                    out.append(v)
+                if (d >= 0.0) != (dw >= 0.0):
+                    denom = d - dw
+                    t = d / (1.0 if denom == 0.0 else denom)
+                    out.append(v + t * (w - v))
+            loop = np.array(out).reshape(-1, 3)
+            if len(loop) < 3:
+                return loop[:0]
+    return loop
+
+
+def reference_area(loop):
+    """Newell's formula on one unpadded loop."""
+    if len(loop) < 3:
+        return 0.0
+    return 0.5 * float(np.linalg.norm(np.cross(loop, np.roll(loop, -1, axis=0)).sum(axis=0)))
+
+
+def _axis_normal(axis):
+    return np.eye(3)[axis]
+
+
+@st.composite
+def loop_and_box(draw):
+    """One convex loop and one box: general, lying in a face, wholly inside,
+    wholly outside, or touching the box along one edge only."""
+    lo = np.array(draw(vectors))
+    hi = lo + np.array(draw(st.tuples(*[st.floats(0.1, 3.0)] * 3)))
+    m = draw(st.integers(8, 24))
+    kind = draw(st.sampled_from(["general", "face", "inside", "outside", "edge"]))
+    if kind == "general":
+        disc = draw(discs)
+        return disc_vertices(disc.center, disc.normal, [disc.radius], m)[0], lo, hi
+    if kind == "face":
+        # in the plane of the box's lower or upper face on one axis
+        axis = draw(st.integers(0, 2))
+        center = np.array(draw(vectors))
+        center[axis] = (hi if draw(st.booleans()) else lo)[axis]
+        radius = draw(st.floats(0.1, 3.0))
+        return disc_vertices(center, _axis_normal(axis), [radius], m)[0], lo, hi
+    if kind == "inside":
+        disc = draw(discs)
+        radius = 0.45 * (hi - lo).min()
+        return disc_vertices(0.5 * (lo + hi), disc.normal, [radius], m)[0], lo, hi
+    if kind == "outside":
+        disc = draw(discs)
+        return disc_vertices(hi + disc.radius + 1.0, disc.normal, [disc.radius], m)[0], lo, hi
+    # a square in a plane z = const through the box, outside it in x except
+    # for its edge on the face x = hi
+    z = lo[2] + draw(st.floats(0.0, 1.0)) * (hi[2] - lo[2])
+    y0, y1 = lo[1], hi[1]
+    x0 = hi[0]
+    return np.array([[x0, y0, z], [x0 + 1.0, y0, z], [x0 + 1.0, y1, z], [x0, y1, z]]), lo, hi
+
+
+def _stack(loops, fill=0.0):
+    width = max(len(loop) for loop in loops)
+    verts = np.full((len(loops), width, 3), fill)
+    for k, loop in enumerate(loops):
+        verts[k, :len(loop)] = loop
+    return verts, np.array([len(loop) for loop in loops])
+
+
+class TestBatchedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(loop_and_box(), min_size=1, max_size=12))
+    def test_rows_equal_single_calls_bit_for_bit(self, rows):
+        loops, lo, hi = zip(*rows)
+        verts, count = _stack(loops)
+        got, got_count = clip_vertices(verts, count, np.array(lo), np.array(hi))
+        areas = vertex_area(got, got_count)
+        assert np.all(got[np.arange(got.shape[1]) >= got_count[:, None]] == 0.0)
+        for k, loop in enumerate(loops):
+            one, one_count = clip_vertices(loop[None], [len(loop)], lo[k], hi[k])
+            want = reference_clip(loop, lo[k], hi[k])
+            assert got_count[k] == one_count[0] == len(want)
+            assert np.array_equal(got[k, :got_count[k]], one[0, :one_count[0]])
+            assert np.array_equal(got[k, :got_count[k]], want)
+            assert areas[k] == vertex_area(one, one_count)[0] == reference_area(want)
+
+    def test_lying_in_box_faces(self):
+        # closed boxes: a loop in the top face is kept whole, one in no face
+        # of the box is dropped
+        loop = disc_vertices([0.5, 0.5, 1.0], [0, 0, 1], [0.3], 16)
+        verts, count = clip_vertices(np.repeat(loop, 2, axis=0), [16, 16],
+                                     [[0, 0, 0], [0, 0, 2]], [[1, 1, 1], [1, 1, 3]])
+        assert count.tolist() == [16, 0]
+        assert np.array_equal(verts[0], loop[0])
+
+    def test_edge_contact_has_no_area(self):
+        loop = np.array([[1.0, 0, 0.5], [2.0, 0, 0.5], [2.0, 1, 0.5], [1.0, 1, 0.5]])
+        verts, count = clip_vertices(loop[None], [4], np.zeros(3), np.ones(3))
+        assert vertex_area(verts, count)[0] == 0.0
+
+    def test_padding_does_not_change_a_row(self):
+        loops = [disc_vertices([0.2, 0.1, 0.3], [1, 2, 3], [0.9], m)[0] for m in (8, 32)]
+        box = np.array([[-0.5, -0.5, -0.5]] * 2), np.array([[0.5, 0.5, 0.5]] * 2)
+        zero = clip_vertices(*_stack(loops), *box)
+        junk = clip_vertices(*_stack(loops, fill=7.0), *box)
+        assert np.array_equal(zero[1], junk[1])
+        assert np.array_equal(zero[0], junk[0])
+        assert np.array_equal(vertex_area(*zero), vertex_area(*junk))
+        assert np.array_equal(vertex_area(*_stack(loops)), vertex_area(*_stack(loops, fill=7.0)))
+
+    def test_no_rows_and_short_loops(self):
+        verts, count = clip_vertices(np.zeros((0, 32, 3)), np.zeros(0, dtype=int),
+                                     np.zeros((0, 3)), np.ones((0, 3)))
+        assert verts.shape[0] == 0 and count.shape == (0,)
+        assert vertex_area(verts, count).shape == (0,)
+        two = np.array([[[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [0, 0, 0]]])
+        assert clip_vertices(two, [2], np.zeros(3), np.ones(3))[1].tolist() == [0]
+        assert vertex_area(two, [2]).tolist() == [0.0]
+
+
+class TestDiscsIntersectMany:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(discs, discs), min_size=1, max_size=20))
+    def test_rows_equal_single_pairs(self, pairs):
+        a, b = zip(*pairs)
+        got = discs_intersect_many(
+            [f.center for f in a], [f.normal for f in a], [f.radius for f in a],
+            [f.center for f in b], [f.normal for f in b], [f.radius for f in b])
+        assert got.dtype == bool
+        assert got.tolist() == [discs_intersect(f, g) for f, g in pairs]
+
+    def test_parallel_rows_do_not_poison_the_batch(self):
+        flat = make_disc(0, (0, 0, 0), (0, 0, 1), 1.0)
+        parallel = make_disc(1, (0, 0, 1e-3), (0, 0, 1), 1.0)
+        crossing = make_disc(2, (0, 0, 0), (1, 0, 0), 1.0)
+        got = discs_intersect_many(
+            [flat.center] * 2, [flat.normal] * 2, [1.0, 1.0],
+            [parallel.center, crossing.center], [parallel.normal, crossing.normal], [1.0, 1.0])
+        assert got.tolist() == [False, True]
 
 
 class TestPolygonArea:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracscale.geometry import clip_polygon_to_box, disc_to_polygon, polygon_area
 from fracscale.network import (
     Fracture,
     GenerationParams,
@@ -209,6 +210,32 @@ class TestFractureIntensity:
         whole = fracture_intensity(make_network(discs, 50.0))
         parts = sum(fracture_intensity(make_network([d], 50.0)) for d in discs)
         assert whole == pytest.approx(parts, rel=1e-12)
+
+
+class TestPolygonVertices:
+    def test_computed_once_per_vertex_count(self):
+        net = generate_network(GenerationParams(L=20.0, n_fractures=25, seed=9))
+        verts = net.polygon_vertices(32)
+        assert verts.shape == (25, 32, 3) and not verts.flags.writeable
+        assert net.polygon_vertices(32) is verts
+        assert net.polygon_vertices(16).shape == (25, 16, 3)
+        for f, row in zip(net.fractures, verts):
+            assert np.array_equal(row, disc_to_polygon(f, 32).vertices)
+
+    def test_empty_network(self):
+        net = make_network([], 50.0)
+        assert net.polygon_vertices(32).shape == (0, 32, 3)
+        verts, count = net.clipped_to_domain(32)
+        assert verts.shape[0] == 0 and count.shape == (0,)
+
+    def test_intensity_equals_sum_of_single_clips(self):
+        # one batched clip per network, summed in fracture order as one
+        # polygon at a time was
+        net = generate_network(GenerationParams(L=20.0, n_fractures=40, seed=3))
+        total = 0.0
+        for f in net.fractures:
+            total += polygon_area(clip_polygon_to_box(disc_to_polygon(f, 32), net.domain))
+        assert fracture_intensity(net) == total / net.domain.volume
 
 
 class TestSerialization:

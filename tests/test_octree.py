@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracscale.geometry import Box, clip_polygon_to_box, disc_to_polygon, polygon_area
+from fracscale.geometry import Box, clip_polygon_to_box, clip_vertices, disc_to_polygon, polygon_area
 from fracscale.network import GenerationParams, generate_network
+from fracscale import octree
 from fracscale.octree import (
     MeshError,
     MeshParams,
@@ -156,8 +157,8 @@ class TestRefine:
             stored = np.zeros(len(net))
             for ids, areas in zip(mesh.fracture_ids, mesh.fracture_areas):
                 stored[list(ids)] += areas
-            for fid, poly in enumerate(net.polygons(32)):
-                domain_area = polygon_area(clip_polygon_to_box(poly, mesh.domain))
+            for fid, f in enumerate(net.fractures):
+                domain_area = polygon_area(clip_polygon_to_box(disc_to_polygon(f, 32), mesh.domain))
                 # cells cut by a sliver of at most AREA_EPS store nothing
                 assert stored[fid] == pytest.approx(domain_area, rel=1e-9, abs=1e-9)
 
@@ -176,6 +177,63 @@ class TestRefine:
         refine(mesh, net, 3, balance=False)
         with pytest.raises(MeshError):
             build_face_adjacency(mesh)
+
+
+def _level_candidates(mesh, net, level):
+    """Every (cell at this level, fracture) pair as _Polygons.areas arguments."""
+    dims = mesh.grid_dims(level)
+    ijk = np.indices(dims).reshape(3, -1).T
+    cell = np.repeat(np.arange(len(ijk)), len(net))
+    fid = np.tile(np.arange(len(net)), len(ijk))
+    edge = np.full(len(cell), mesh.cell_edge(level))
+    lo = mesh.domain.lo + edge[:, None] * ijk[cell]
+    hi = mesh.domain.lo + edge[:, None] * (ijk[cell] + 1)
+    return fid, lo, hi, edge, ijk[cell] + 1 == np.array(dims)
+
+
+class TestPolygonAreas:
+    """_Polygons.areas clips the candidates that pass the quick-rejects in
+    blocks of CLIP_BLOCK, one kernel call per block."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def clip(verts, count, lo, hi):
+            calls.append(len(verts))
+            return clip_vertices(verts, count, lo, hi)
+
+        monkeypatch.setattr(octree, "clip_vertices", clip)
+        return calls
+
+    def test_blocks_do_not_change_areas(self, monkeypatch, counted):
+        # a generated network plus a disc lying in the domain's top face
+        net = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=4))
+        net = make_network(net.fractures + [make_disc(30, (1.0, 2.0, 10.0), (0, 0, 1), 3.0)], 20.0)
+        mesh = build_initial_grid(net.domain, 5.0)
+        args = _level_candidates(mesh, net, 1)
+        polys = octree._Polygons(net, 32)
+        whole = polys.areas(*args)
+        survivors = counted.pop()
+        assert counted == [] and survivors % 7 and survivors > 7
+        assert whole[args[0] == 30].sum() == pytest.approx(
+            polygon_area(disc_to_polygon(net.fractures[30], 32)), rel=1e-12)
+        for block in (7, 1):
+            monkeypatch.setattr(octree, "CLIP_BLOCK", block)
+            assert np.array_equal(polys.areas(*args), whole)
+            assert counted == [block] * (survivors // block) + [survivors % block] * (block > 1)
+            counted.clear()
+
+    def test_no_survivors_make_no_kernel_call(self, counted):
+        net = make_network([make_disc(0, (7.5, 7.5, 7.5), (0, 0, 1), 0.5)], 20.0)
+        mesh = build_initial_grid(net.domain, 5.0)
+        fid, lo, hi, edge, top = _level_candidates(mesh, net, 0)
+        far = np.all(hi <= 5.0, axis=1)
+        polys = octree._Polygons(net, 32)
+        assert np.array_equal(polys.areas(fid[far], lo[far], hi[far], edge[far], top[far]),
+                              np.zeros(far.sum()))
+        assert polys.areas(fid[:0], lo[:0], hi[:0], edge[:0], top[:0]).shape == (0,)
+        assert counted == []
 
 
 class TestFaceAdjacency:

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from fracscale.geometry import AREA_EPS, clip_polygon_to_box, polygon_area
-from fracscale.network import GenerationParams, generate_network
+from fracscale.geometry import AREA_EPS, Box, clip_polygon_to_box, disc_to_polygon, polygon_area
+from fracscale.network import FractureNetwork, GenerationParams, generate_network
 from fracscale.topology import (
     build_intersection_graph,
     count_false_connections,
@@ -71,6 +72,30 @@ class TestIntersectionGraph:
             if discs_intersect(net.fractures[i], net.fractures[j])
         }
         assert set(graph.edges) == brute
+
+    @pytest.mark.parametrize("corner", [False, True])
+    def test_boundary_ids_match_single_clips(self, corner):
+        # the batched domain clip attaches the same fractures as clipping
+        # each polygon alone, also in a domain with a face on x = 0, where a
+        # zero pad row would read as touching it
+        net = generate_network(GenerationParams(L=15.0, n_fractures=60, seed=7))
+        if corner:
+            shift = -net.domain.lo
+            net = FractureNetwork([replace(f, center=f.center + shift) for f in net.fractures],
+                                  Box(np.zeros(3), net.domain.hi + shift), net.params)
+        graph = build_intersection_graph(net)
+        source, sink = [], []
+        for idx, f in enumerate(net.fractures):
+            clipped = clip_polygon_to_box(disc_to_polygon(f, 32), net.domain)
+            if clipped.is_empty:
+                continue
+            x = clipped.vertices[:, 0]
+            if x.min() <= net.domain.lo[0] + 1e-9:
+                source.append(idx)
+            if x.max() >= net.domain.hi[0] - 1e-9:
+                sink.append(idx)
+        assert source and sink
+        assert (graph.source_ids, graph.sink_ids) == (source, sink)
 
     def test_percolation_frequency_increases_with_density(self):
         # desk-scale counts bracketing the threshold (critical count ~250 at L=25)
@@ -167,7 +192,7 @@ class TestFalseConnections:
         )
         assert report.num_false_pairs == 1
         # oracle: enumerate cells both discs reach with positive area
-        polys = net.polygons()
+        polys = [disc_to_polygon(f) for f in net.fractures]
         shared = 0
         for idx in range(mesh.num_cells):
             box = mesh.cell_box(idx)
