@@ -19,6 +19,7 @@ from .network import (
     save_network,
 )
 from .octree import (
+    AreaMemo,
     MeshParams,
     OctreeMesh,
     build_face_adjacency,

@@ -113,13 +113,16 @@ class FractureNetwork:
     """Fracture list plus the cubic flow domain it was generated for.
 
     The fractures are not changed after construction: the disc polygons
-    are computed once per vertex count and kept.
+    are computed once per vertex count and kept.  A network made by subset()
+    remembers the network it was cut from, so that geometry measured on the
+    one can be reused for the other (see origin()).
     """
 
     fractures: list[Fracture]
     domain: Box
     params: GenerationParams
     _vertices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _origin: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.fractures)
@@ -147,7 +150,15 @@ class FractureNetwork:
             replace(self.fractures[i], id=new_id)
             for new_id, i in enumerate(keep)
         ]
-        return FractureNetwork(fracs, self.domain, self.params)
+        out = FractureNetwork(fracs, self.domain, self.params)
+        root, ids = self.origin()
+        out._origin = (root, ids[np.array(keep, dtype=int)])
+        return out
+
+    def origin(self) -> tuple["FractureNetwork", np.ndarray]:
+        """(root, ids): the network the first subset() was taken of (this one if
+        none was) and the ids there of this network's fractures, ascending."""
+        return self._origin or (self, np.arange(len(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +196,21 @@ def sample_orientation(rng: np.random.Generator, kappa: float, mean_dir) -> np.n
     transform w = 1 + ln(u + (1-u) e^{-2 kappa}) / kappa; kappa = 0 is the
     exact uniform-sphere limit w = 2u - 1, not a division by zero.
     """
+    return _draw_orientation(rng, kappa, _orientation_frame(mean_dir))
+
+
+def _orientation_frame(mean_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, e1, e2): the mean direction and an orthonormal frame of its normal plane."""
     mu = np.asarray(mean_dir, dtype=float)
+    ref = np.array([1.0, 0.0, 0.0]) if abs(mu[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(mu, ref)
+    e1 /= np.linalg.norm(e1)
+    return mu, e1, np.cross(mu, e1)
+
+
+def _draw_orientation(rng: np.random.Generator, kappa: float, frame) -> np.ndarray:
+    """sample_orientation with the frame of mean_dir already computed."""
+    mu, e1, e2 = frame
     u = rng.random()
     if kappa < 1e-12:
         w = 2.0 * u - 1.0
@@ -194,11 +219,6 @@ def sample_orientation(rng: np.random.Generator, kappa: float, mean_dir) -> np.n
         w = min(1.0, max(-1.0, w))
     phi = 2.0 * np.pi * rng.random()
     s = np.sqrt(max(0.0, 1.0 - w * w))
-
-    ref = np.array([1.0, 0.0, 0.0]) if abs(mu[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(mu, ref)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(mu, e1)
     v = s * (np.cos(phi) * e1 + np.sin(phi) * e2) + w * mu
     return v / np.linalg.norm(v)
 
@@ -223,6 +243,7 @@ def generate_network(
     domain = params.domain
     gen = params.generation_domain
     span = gen.hi - gen.lo
+    frame = _orientation_frame(params.mean_dir)
 
     fractures: list[Fracture] = []
     attempts = 0
@@ -242,7 +263,7 @@ def generate_network(
         for _ in range(batch):
             center = gen.lo + rng.random(3) * span
             radius = float(sample_radius(rng.random(), params))
-            draws.append((center, sample_orientation(rng, params.kappa, params.mean_dir), radius))
+            draws.append((center, _draw_orientation(rng, params.kappa, frame), radius))
         centers, normals, radii = map(np.array, zip(*draws))
         _, count = geometry.clip_vertices(disc_vertices(centers, normals, radii, m_vertices),
                                           np.full(batch, m_vertices), domain.lo, domain.hi)

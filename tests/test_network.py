@@ -119,6 +119,27 @@ class TestGenerateNetwork:
             assert np.array_equal(fa.normal, fb.normal)
             assert fa.radius == fb.radius and fa.aperture == fb.aperture
 
+    @pytest.mark.parametrize("mean_dir", [(0.6, 0.0, 0.8), (1.0, 0.0, 0.0)])
+    def test_normals_equal_sample_orientation_draws(self, mean_dir):
+        # the first batch draws n candidates in order (center, radius, normal);
+        # the kept ones must carry the normal sample_orientation gives
+        params = GenerationParams(L=20.0, n_fractures=40, seed=12, kappa=2.0, mean_dir=mean_dir)
+        rng = make_rng(params.seed)
+        gen = params.generation_domain
+        drawn = []
+        for _ in range(params.n_fractures):
+            center = gen.lo + rng.random(3) * (gen.hi - gen.lo)
+            rng.random()
+            drawn.append((center, sample_orientation(rng, params.kappa, mean_dir)))
+        net = generate_network(params)
+        matched = 0
+        for f in net.fractures:
+            for center, normal in drawn:
+                if np.array_equal(f.center, center):
+                    assert np.array_equal(f.normal, normal)
+                    matched += 1
+        assert 0 < matched <= len(net)
+
     def test_every_fracture_touches_inner_domain(self):
         net = generate_network(GenerationParams(L=20.0, n_fractures=60, seed=5))
         assert len(net) == 60
@@ -236,6 +257,21 @@ class TestPolygonVertices:
         for f in net.fractures:
             total += polygon_area(clip_polygon_to_box(disc_to_polygon(f, 32), net.domain))
         assert fracture_intensity(net) == total / net.domain.volume
+
+
+class TestSubset:
+    def test_origin_maps_to_the_first_network(self):
+        net = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=6))
+        root, ids = net.origin()
+        assert root is net and np.array_equal(ids, np.arange(30))
+        sub = net.subset({27, 3, 11, 20, 5})
+        subsub = sub.subset([4, 1, 2])
+        for child, expected in ((sub, [3, 5, 11, 20, 27]), (subsub, [5, 11, 27])):
+            root, ids = child.origin()
+            assert root is net and ids.tolist() == expected
+            for f, i in zip(child.fractures, ids):
+                assert np.array_equal(f.center, net.fractures[i].center)
+        assert net.subset([]).origin()[1].shape == (0,)
 
 
 class TestSerialization:

@@ -9,15 +9,18 @@ from fracscale.geometry import Box, clip_polygon_to_box, clip_vertices, disc_to_
 from fracscale.network import GenerationParams, generate_network
 from fracscale import octree
 from fracscale.octree import (
+    AreaMemo,
     MeshError,
     MeshParams,
     build_face_adjacency,
     build_initial_grid,
+    build_mesh,
     equivalent_hex_count,
     refine,
     tag_fracture_cells,
     write_vtk,
 )
+from fracscale.topology import build_intersection_graph, remove_isolated
 from fracscale.upscale import upscale_mesh
 
 from conftest import box_mesh, cube_mesh, make_disc, make_network
@@ -234,6 +237,139 @@ class TestPolygonAreas:
                               np.zeros(far.sum()))
         assert polys.areas(fid[:0], lo[:0], hi[:0], edge[:0], top[:0]).shape == (0,)
         assert counted == []
+
+
+MESH_ARRAYS = ("level", "ijk", "pair_cell", "pair_fid", "pair_area")
+FACE_ARRAYS = ("cell_a", "cell_b", "area", "d_a", "d_b", "axis", "btag")
+
+
+def _assert_same_mesh(a, b):
+    for obj_a, obj_b, names in ((a, b, MESH_ARRAYS), (a.faces, b.faces, FACE_ARRAYS)):
+        for name in names:
+            x, y = getattr(obj_a, name), getattr(obj_b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@pytest.fixture(scope="module")
+def desk_modes():
+    """Desk-family networks (L = 25 m, p_c = 250) at seed 2 and their
+    memo-less meshes at orl 1-3 in both isolated modes.  At p' 0.5 the
+    network does not percolate, so its removed network is empty."""
+    out = {}
+    for n in (125, 250):
+        net = generate_network(GenerationParams(L=25.0, n_fractures=n, seed=2))
+        nets = {"retained": net, "removed": remove_isolated(net, build_intersection_graph(net))}
+        meshes = {(mode, orl): build_mesh(net.domain, nets[mode], MeshParams(orl=orl))
+                  for mode in nets for orl in (1, 2, 3)}
+        out[n] = nets, meshes
+    assert len(out[125][0]["removed"]) == 0 < len(out[250][0]["removed"]) < 250
+    return out
+
+
+class TestAreaMemo:
+    """One AreaMemo shared by every mesh of a network clips each candidate once
+    and changes no mesh."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """Edge of every box clipped through octree.clip_vertices, one per row."""
+        edges = []
+
+        def clip(verts, count, lo, hi):
+            edges.extend(np.broadcast_to(hi - lo, (len(verts), 3))[:, 0])
+            return clip_vertices(verts, count, lo, hi)
+
+        monkeypatch.setattr(octree, "clip_vertices", clip)
+        return edges
+
+    @pytest.mark.parametrize("n", [125, 250])
+    @pytest.mark.parametrize("orls", [(1, 2, 3), (3, 2, 1)])
+    @pytest.mark.parametrize("modes", [("retained", "removed"), ("removed", "retained")])
+    def test_shared_memo_builds_equal_separate_builds(self, desk_modes, n, orls, modes):
+        nets, meshes = desk_modes[n]
+        memo = AreaMemo()
+        for mode in modes:
+            for orl in orls:
+                mesh = build_mesh(nets[mode].domain, nets[mode], MeshParams(orl=orl), 32, memo=memo)
+                _assert_same_mesh(mesh, meshes[mode, orl])
+
+    def test_repeated_build_clips_nothing(self, desk_modes, rows):
+        net = desk_modes[250][0]["retained"]
+        memo = AreaMemo()
+        build_mesh(net.domain, net, MeshParams(orl=2), memo=memo)
+        assert len(rows) == len(memo) > 0
+        rows.clear()
+        build_mesh(net.domain, net, MeshParams(orl=2), memo=memo)
+        assert rows == []
+
+    def test_deepest_retained_build_leaves_nothing_to_clip(self, desk_modes, rows):
+        nets, _ = desk_modes[250]
+        memo = AreaMemo()
+        build_mesh(nets["retained"].domain, nets["retained"], MeshParams(orl=3), memo=memo)
+        rows.clear()
+        for mode in ("removed", "retained"):
+            for orl in (1, 2, 3):
+                build_mesh(nets[mode].domain, nets[mode], MeshParams(orl=orl), memo=memo)
+        assert rows == []
+
+    def test_deeper_build_clips_only_its_new_level(self, desk_modes, rows):
+        net = desk_modes[250][0]["retained"]
+        build_mesh(net.domain, net, MeshParams(orl=2))
+        level2 = sum(edge == 5.0 / 4 for edge in rows)
+        memo = AreaMemo()
+        build_mesh(net.domain, net, MeshParams(orl=1), memo=memo)
+        rows.clear()
+        build_mesh(net.domain, net, MeshParams(orl=2), memo=memo)
+        assert level2 > 0 and rows == [5.0 / 4] * level2
+
+    def test_removed_only_builds_clip_only_kept_fractures(self, desk_modes, monkeypatch):
+        nets, meshes = desk_modes[250]
+        removed = nets["removed"]
+        kept = set(removed.origin()[1].tolist())
+        clipped = []
+        store = AreaMemo.store
+
+        def spy(memo, keys, areas):
+            clipped.extend((keys % len(nets["retained"])).tolist())
+            store(memo, keys, areas)
+
+        monkeypatch.setattr(AreaMemo, "store", spy)
+        memo = AreaMemo()
+        mesh = build_mesh(removed.domain, removed, MeshParams(orl=2), memo=memo)
+        _assert_same_mesh(mesh, meshes["removed", 2])
+        assert clipped and set(clipped) <= kept
+
+    def test_memo_from_another_polygonisation_raises(self, desk_modes):
+        nets, _ = desk_modes[250]
+        net = nets["retained"]
+        memo = AreaMemo()
+        build_mesh(net.domain, nets["removed"], MeshParams(orl=1), memo=memo)
+        other = generate_network(GenerationParams(L=25.0, n_fractures=250, seed=2))
+        shifted = Box(net.domain.lo + 5.0, net.domain.hi + 5.0)
+        with pytest.raises(MeshError, match="16-gon"):
+            build_mesh(net.domain, net, MeshParams(orl=1), 16, memo=memo)
+        with pytest.raises(MeshError, match="edge"):
+            build_mesh(net.domain, net, MeshParams(l=2.5, orl=1), memo=memo)
+        with pytest.raises(MeshError, match="domain"):
+            build_mesh(shifted, net, MeshParams(orl=1), memo=memo)
+        with pytest.raises(MeshError, match="another network"):
+            build_mesh(other.domain, other, MeshParams(orl=1), memo=memo)
+        with pytest.raises(MeshError, match="another network"):
+            refine(tag_fracture_cells(build_initial_grid(net.domain, 5.0), net), other, 1, memo=memo)
+        # the memo is still bound to the network it was filled from
+        _assert_same_mesh(build_mesh(net.domain, net, MeshParams(orl=1), memo=memo),
+                          desk_modes[250][1]["retained", 1])
+
+
+    def test_keys_too_deep_for_int64_raise(self):
+        net = make_network([make_disc(0, (1.0, 1.0, 1.0), (0, 0, 1), 2.0)], 20.0)
+        memo = AreaMemo()
+        tag_fracture_cells(build_initial_grid(net.domain, 5.0), net, memo=memo)
+        rid, ijk = np.zeros(1, dtype=int), np.zeros((1, 3), dtype=int)
+        # 64 level-0 cells: the cells of levels 0-18 fit in int64, of 0-19 not
+        assert memo.keys(rid, np.array([18]), ijk, (4, 4, 4))[0] > 0
+        with pytest.raises(MeshError, match="too deep"):
+            memo.keys(rid, np.array([19]), ijk, (4, 4, 4))
 
 
 class TestFaceAdjacency:
