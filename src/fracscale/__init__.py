@@ -19,7 +19,6 @@ from .network import (
     save_network,
 )
 from .octree import (
-    AreaMemo,
     MeshParams,
     OctreeMesh,
     build_face_adjacency,

@@ -114,13 +114,16 @@ class FractureNetwork:
 
     The fractures are not changed after construction: the disc polygons
     are computed once per vertex count and kept.  A network made by subset()
-    remembers the network it was cut from, so that geometry measured on the
-    one can be reused for the other (see origin()).
+    remembers the network it was cut from (see origin()) and takes its
+    polygons from there, so geometry measured on the polygons of the one
+    holds for the other.  clipped_areas is where octree keeps the areas it
+    clipped from this network's polygons; only a root network's is filled.
     """
 
     fractures: list[Fracture]
     domain: Box
     params: GenerationParams
+    clipped_areas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _vertices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _origin: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -128,11 +131,16 @@ class FractureNetwork:
         return len(self.fractures)
 
     def polygon_vertices(self, m_vertices: int = 32) -> np.ndarray:
-        """(N, m, 3) vertices of every disc's inscribed m-gon, computed once per m."""
+        """(N, m, 3) vertices of every disc's inscribed m-gon, computed once per m
+        on the root network and taken from there by its subsets."""
         if m_vertices not in self._vertices:
-            fracs = self.fractures
-            verts = disc_vertices([f.center for f in fracs], [f.normal for f in fracs],
-                                  [f.radius for f in fracs], m_vertices)
+            root, ids = self.origin()
+            if root is not self:
+                verts = root.polygon_vertices(m_vertices)[ids]
+            else:
+                fracs = self.fractures
+                verts = disc_vertices([f.center for f in fracs], [f.normal for f in fracs],
+                                      [f.radius for f in fracs], m_vertices)
             verts.flags.writeable = False
             self._vertices[m_vertices] = verts
         return self._vertices[m_vertices]

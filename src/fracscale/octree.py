@@ -12,11 +12,11 @@ balancing sweep limits face-level jumps to one, which keeps two-point flux
 stencils sane.
 
 A clipped area is a pure function of (fracture, level, i, j, k) once the
-disc polygons, the domain and l are fixed.  An AreaMemo passed to
-build_mesh (or tag_fracture_cells and refine) keeps every area it measured
-under that key, so the meshes of one network at every orl, and of its
-subsets such as the one remove_isolated returns, clip each candidate once:
-a later build looks its candidates up and clips only the misses.
+disc polygons, the domain and l are fixed.  Every area measured is kept on
+the network the polygons came from (a subset's root, see
+FractureNetwork.origin), so the meshes of one network at every orl, and of
+its subsets such as the one remove_isolated returns, clip each candidate
+once: a later build looks its candidates up and clips only the misses.
 
 The leaves are flat arrays kept sorted in (level, i, j, k) order, with the
 (cell, fracture id, clipped area) pairs cell-major and ids ascending.  Every
@@ -84,95 +84,38 @@ def _exact_divisions(extent: float, l: float) -> int:
     return int(round(n))
 
 
-class AreaMemo:
-    """Clipped disc areas of one network, keyed by (fracture, level, i, j, k).
-
-    Share one memo between every mesh of a network: any orl, the network
-    itself or any subset() of it (ids map back through network.origin()).
-    It fills lazily, so the order of the builds does not matter, and a
-    build clips only the candidates no earlier build measured.  The first
-    build binds the memo to its root network, m_vertices, l and domain; a
-    build that differs in any of them raises MeshError, since its areas
-    would come from another polygonisation or lattice.
-    """
-
-    def __init__(self):
-        self._bound = None   # (root network, m_vertices, l, domain lo, domain hi)
-        self._keys = np.zeros(0, dtype=np.int64)   # sorted
-        self._areas = np.zeros(0)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def bind(self, mesh: "OctreeMesh", network, m_vertices: int) -> np.ndarray:
-        """Root ids of network's fractures, after checking the memo's geometry."""
-        root, ids = network.origin()
-        lo, hi = tuple(mesh.domain.lo), tuple(mesh.domain.hi)
-        if self._bound is None:
-            self._bound = (root, m_vertices, mesh.l, lo, hi)
-        bound_root, bound_m, bound_l, bound_lo, bound_hi = self._bound
-        if root is not bound_root:
-            raise MeshError("area memo was filled from another network")
-        if m_vertices != bound_m:
-            raise MeshError(f"area memo holds {bound_m}-gon areas, not {m_vertices}-gon")
-        if mesh.l != bound_l:
-            raise MeshError(f"area memo holds cells of edge {bound_l}, not {mesh.l}")
-        if (lo, hi) != (bound_lo, bound_hi):
-            raise MeshError("area memo was filled in another domain")
-        return ids
-
-    def keys(self, rid, level, ijk, n0) -> np.ndarray:
-        """One int64 per (root fracture id, lattice cell): the cells of all
-        levels numbered level by level, times the root fracture count."""
-        n_root = len(self._bound[0])
-        cells0 = int(np.prod(n0))
-        top = int(level.max(initial=0)) + 1
-        if cells0 * (8**top - 1) // 7 * n_root >= 2**63:
-            raise MeshError(f"level {top - 1} is too deep for int64 area keys")
-        dims = np.array(n0, dtype=np.int64) << level.astype(np.int64)[:, None]
-        cell = (ijk[:, 0] * dims[:, 1] + ijk[:, 1]) * dims[:, 2] + ijk[:, 2]
-        first = cells0 * ((1 << 3 * level.astype(np.int64)) - 1) // 7
-        return (first + cell) * n_root + rid
-
-    def recall(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """(found, areas): which keys the memo holds, and their areas."""
-        pos = np.searchsorted(self._keys, keys)
-        found = pos < len(self._keys)
-        found[found] = self._keys[pos[found]] == keys[found]
-        return found, self._areas[pos[found]]
-
-    def store(self, keys, areas) -> None:
-        keys = np.concatenate((self._keys, keys))
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._areas = np.concatenate((self._areas, areas))[order]
+def _area_keys(rid, n_root: int, level, ijk, n0) -> np.ndarray:
+    """One int64 per (root fracture id, lattice cell of any level): the cells
+    numbered level by level, times the root fracture count."""
+    cells0 = int(np.prod(n0))
+    top = int(level.max(initial=0)) + 1
+    if cells0 * (8**top - 1) // 7 * n_root >= 2**63:
+        raise MeshError(f"level {top - 1} is too deep for int64 area keys")
+    level = level.astype(np.int64)
+    dims = np.array(n0, dtype=np.int64) << level[:, None]
+    cell = (ijk[:, 0] * dims[:, 1] + ijk[:, 1]) * dims[:, 2] + ijk[:, 2]
+    return (cells0 * ((1 << 3 * level) - 1) // 7 + cell) * n_root + rid
 
 
 class _Polygons:
-    """Stacked fracture polygon vertices with vectorised AABB and plane quick-rejects.
+    """Stacked fracture polygon vertices with vectorised AABB and plane quick-rejects."""
 
-    With a memo, the polygons of network's fractures are measured through
-    it, under their root ids.
-    """
-
-    def __init__(self, network, m_vertices: int, memo: AreaMemo | None = None, mesh=None):
+    def __init__(self, network, m_vertices: int):
         self.verts = network.polygon_vertices(m_vertices)
         self.lo = self.verts.min(axis=1)
         self.hi = self.verts.max(axis=1)
         self.point = np.array([f.center for f in network.fractures], dtype=float).reshape(-1, 3)
         self.normal = np.array([f.normal for f in network.fractures], dtype=float).reshape(-1, 3)
-        self.memo = memo
-        self.root_ids = memo.bind(mesh, network, m_vertices) if memo is not None else None
+        self.root, self.root_ids = network.origin()
 
-    def areas(self, fid, lo, hi, edge, top, keys=None) -> np.ndarray:
+    def areas(self, fid, lo, hi, edge, top) -> np.ndarray:
         """Clipped area of polygon fid[n] in box [lo[n], hi[n]] of edge edge[n].
 
         The boxes are half-open: a polygon lying at or above hi on some axis
         is left to the box above, unless top[n] marks that face as the
         domain's upper boundary.  So a polygon lying in a face shared by two
         boxes is measured once, in the upper one.  The candidates that pass
-        the quick-rejects are looked up in the memo under keys[n] (with a
-        memo), and the rest are clipped and measured CLIP_BLOCK at a time.
+        the quick-rejects are clipped and measured CLIP_BLOCK at a time.
         """
         above = np.where(top, self.lo[fid] > hi, self.lo[fid] >= hi)
         near = ~(above | (self.hi[fid] < lo)).any(axis=1)
@@ -183,18 +126,12 @@ class _Polygons:
         near &= np.abs(dist) <= edge * _SQRT3_HALF
         out = np.zeros(len(fid))
         rows = np.flatnonzero(near)
-        if self.memo is not None:
-            found, known = self.memo.recall(keys[rows])
-            out[rows[found]] = known
-            rows = rows[~found]
         m = self.verts.shape[1]
         for start in range(0, len(rows), CLIP_BLOCK):
             block = rows[start:start + CLIP_BLOCK]
             verts, count = clip_vertices(self.verts[fid[block]], np.full(len(block), m),
                                          lo[block], hi[block])
             out[block] = vertex_area(verts, count)
-        if self.memo is not None and len(rows):
-            self.memo.store(keys[rows], out[rows])
         return out
 
 
@@ -292,16 +229,34 @@ class OctreeMesh:
     # -- construction ------------------------------------------------------
 
     def _measure(self, fid, level, ijk, polys: _Polygons) -> np.ndarray:
-        """Clipped area of fracture fid[n] in the lattice cell (level[n], ijk[n])."""
+        """Clipped area of fracture fid[n] in the lattice cell (level[n], ijk[n]).
+
+        Looked up in the clipped_areas of polys' root network, under the
+        root fracture id and the cell, when any earlier build measured it;
+        the rest are measured by polys.areas and added there.
+        """
         edge = self.l / 2.0 ** level
         # both bounds from the lattice index, so a face shared by two cells
         # is the same float in each
         lo = self.domain.lo + edge[:, None] * ijk.astype(float)
         hi = self.domain.lo + edge[:, None] * (ijk + 1).astype(float)
         top = ijk + 1 == np.array(self.n0) * 2 ** level[:, None]
-        keys = (polys.memo.keys(polys.root_ids[fid], level, ijk, self.n0)
-                if polys.memo is not None else None)
-        return polys.areas(fid, lo, hi, edge, top, keys)
+        keys = _area_keys(polys.root_ids[fid], len(polys.root), level, ijk, self.n0)
+        memo = polys.root.clipped_areas
+        at = (polys.verts.shape[1], self.l, tuple(self.domain.lo), tuple(self.domain.hi))
+        known, known_area = memo.get(at, (np.zeros(0, dtype=np.int64), np.zeros(0)))
+        pos = np.searchsorted(known, keys)
+        found = pos < len(known)
+        found[found] = known[pos[found]] == keys[found]
+        out = np.zeros(len(fid))
+        out[found] = known_area[pos[found]]
+        miss = np.flatnonzero(~found)
+        if len(miss):
+            out[miss] = polys.areas(fid[miss], lo[miss], hi[miss], edge[miss], top[miss])
+            keys = np.concatenate((known, keys[miss]))
+            order = np.argsort(keys, kind="stable")
+            memo[at] = keys[order], np.concatenate((known_area, out[miss]))[order]
+        return out
 
     def split(self, cells, polys: _Polygons | None = None) -> None:
         """Replace the given leaves by their 8 children, re-tagging and re-measuring by clipping."""
@@ -368,18 +323,16 @@ def build_initial_grid(domain: Box, l: float) -> OctreeMesh:
     return OctreeMesh(domain, l)
 
 
-def tag_fracture_cells(mesh: OctreeMesh, network, m_vertices: int = 32,
-                       memo: AreaMemo | None = None) -> OctreeMesh:
+def tag_fracture_cells(mesh: OctreeMesh, network, m_vertices: int = 32) -> OctreeMesh:
     """Mark level-0 cells with positive-area fracture intersections.
 
     Point or edge contacts (zero area) do not tag a cell; a fracture lying
     exactly in a shared cell face tags only the cell above it.  Each tagged
-    leaf stores the clipped area of every fracture it holds, looked up in
-    memo when it holds one.
+    leaf stores the clipped area of every fracture it holds.
     """
     if mesh.level.any():
         raise MeshError("tag_fracture_cells expects the unrefined initial grid")
-    polys = _Polygons(network, m_vertices, memo, mesh)
+    polys = _Polygons(network, m_vertices)
     edge = mesh.cell_edge(0)
     dims = np.array(mesh.grid_dims(0))
     # candidates: the level-0 cells within each polygon's index box, widened
@@ -400,23 +353,21 @@ def tag_fracture_cells(mesh: OctreeMesh, network, m_vertices: int = 32,
     return mesh
 
 
-def build_mesh(domain: Box, network, params: MeshParams, m_vertices: int = 32,
-               memo: AreaMemo | None = None) -> OctreeMesh:
+def build_mesh(domain: Box, network, params: MeshParams, m_vertices: int = 32) -> OctreeMesh:
     """Grid, tag, refine, balance, and build faces in one call.
 
-    Meshes of one network built with the same memo clip each
-    (fracture, cell) candidate once between them; each is identical to
-    the mesh built without a memo.
+    Meshes of one network (any orl, the network or a subset of it) clip
+    each (fracture, cell) candidate once between them; each is identical
+    to the mesh a fresh copy of the network would give.
     """
     mesh = build_initial_grid(domain, params.l)
-    tag_fracture_cells(mesh, network, m_vertices, memo)
-    refine(mesh, network, params.orl, params.balance_2to1, memo)
+    tag_fracture_cells(mesh, network, m_vertices)
+    refine(mesh, network, params.orl, params.balance_2to1)
     build_face_adjacency(mesh)
     return mesh
 
 
-def refine(mesh: OctreeMesh, network, orl: int, balance: bool = True,
-           memo: AreaMemo | None = None) -> OctreeMesh:
+def refine(mesh: OctreeMesh, network, orl: int, balance: bool = True) -> OctreeMesh:
     """Apply orl fracture-neighborhood refinement passes, then balance.
 
     Each pass recomputes the fracture leaves and their face neighbors from
@@ -424,12 +375,12 @@ def refine(mesh: OctreeMesh, network, orl: int, balance: bool = True,
     passes.  Balancing only ever splits matrix cells (fracture leaves are
     already at the finest level) and never un-tags anything.  Children are
     clipped from the mesh.m_vertices polygonization the mesh was tagged
-    with, or looked up in memo when an earlier build (any orl, the network
-    or a subset of it) already measured them.
+    with, or looked up in the network's clipped_areas when an earlier build
+    (any orl, the network or a subset of it) already measured them.
     """
     if orl < 0:
         raise ValueError("orl must be >= 0")
-    polys = _Polygons(network, mesh.m_vertices, memo, mesh) if mesh.m_vertices else None
+    polys = _Polygons(network, mesh.m_vertices) if mesh.m_vertices else None
     for sweep in range(orl):
         split = mesh.is_fracture.copy()
         low, high, _ = mesh.contacts()

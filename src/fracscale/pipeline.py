@@ -27,7 +27,7 @@ from .network import (
     generate_network,
     save_network,
 )
-from .octree import AreaMemo, MeshParams, build_mesh, equivalent_hex_count, write_vtk
+from .octree import MeshParams, build_mesh, equivalent_hex_count, write_vtk
 from .topology import (
     build_intersection_graph,
     count_false_connections,
@@ -248,15 +248,12 @@ def run_pipeline(config: RunConfig, upto: str = "transport") -> dict:
                 continue
             if depth < STAGES.index("mesh"):
                 continue
-            # every mesh of this network, at any orl and in either mode,
-            # clips each (fracture, cell) candidate once between them
-            memo = AreaMemo()
             for mode in config.isolated_modes:
                 if mode not in nets:
                     continue
                 _run_mode(
                     config, manifest, root, depth,
-                    dict(key, isolated_mode=mode), nets[mode], graphs[mode], memo,
+                    dict(key, isolated_mode=mode), nets[mode], graphs[mode],
                 )
 
     if depth >= STAGES.index("report"):
@@ -299,7 +296,7 @@ def _generate_stage(config, manifest, root, seed, p_prime, counts):
     return nets, graphs
 
 
-def _run_mode(config, manifest, root, depth, key, network, graph, memo):
+def _run_mode(config, manifest, root, depth, key, network, graph):
     run_dir = root / f"seed{key['seed']}_p{key['p_prime']:g}_{key['isolated_mode']}"
     run_dir.mkdir(exist_ok=True)
     dfn_perc = dfn_percolates(graph)
@@ -311,7 +308,7 @@ def _run_mode(config, manifest, root, depth, key, network, graph, memo):
             mesh = build_mesh(
                 network.domain, network,
                 MeshParams(l=config.l, orl=orl, balance_2to1=config.balance_2to1),
-                config.m_vertices, memo=memo,
+                config.m_vertices,
             )
             fc_report = count_false_connections(
                 (mesh.fracture_ids[i] for i in np.nonzero(mesh.is_fracture)[0]),

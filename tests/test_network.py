@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracscale import network as network_module
 from fracscale.geometry import clip_polygon_to_box, disc_to_polygon, polygon_area
 from fracscale.network import (
     Fracture,
@@ -272,6 +273,15 @@ class TestSubset:
             for f, i in zip(child.fractures, ids):
                 assert np.array_equal(f.center, net.fractures[i].center)
         assert net.subset([]).origin()[1].shape == (0,)
+
+    def test_polygons_are_the_roots(self, monkeypatch):
+        net = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=6))
+        net.polygon_vertices(16)
+        sub = net.subset([27, 3, 11]).subset([0, 2])
+        monkeypatch.setattr(network_module, "disc_vertices", None)
+        verts = sub.polygon_vertices(16)
+        assert np.array_equal(verts, net.polygon_vertices(16)[[3, 27]])
+        assert not verts.flags.writeable and net.subset([]).polygon_vertices(16).shape == (0, 16, 3)
 
 
 class TestSerialization:

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracscale.geometry import Box, clip_polygon_to_box, clip_vertices, disc_to_polygon, polygon_area
-from fracscale.network import GenerationParams, generate_network
+from fracscale.network import FractureNetwork, GenerationParams, generate_network
 from fracscale import octree
 from fracscale.octree import (
-    AreaMemo,
     MeshError,
     MeshParams,
     build_face_adjacency,
@@ -250,25 +249,50 @@ def _assert_same_mesh(a, b):
             assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
-@pytest.fixture(scope="module")
-def desk_modes():
-    """Desk-family networks (L = 25 m, p_c = 250) at seed 2 and their
-    memo-less meshes at orl 1-3 in both isolated modes.  At p' 0.5 the
-    network does not percolate, so its removed network is empty."""
-    out = {}
-    for n in (125, 250):
-        net = generate_network(GenerationParams(L=25.0, n_fractures=n, seed=2))
-        nets = {"retained": net, "removed": remove_isolated(net, build_intersection_graph(net))}
-        meshes = {(mode, orl): build_mesh(net.domain, nets[mode], MeshParams(orl=orl))
-                  for mode in nets for orl in (1, 2, 3)}
-        out[n] = nets, meshes
-    assert len(out[125][0]["removed"]) == 0 < len(out[250][0]["removed"]) < 250
+class _Forgetful(dict):
+    """clipped_areas that keeps nothing: every build clips every candidate."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _fresh(net, forgetful=False):
+    """A copy of net with nothing measured on it and no root but itself."""
+    out = FractureNetwork(list(net.fractures), net.domain, net.params)
+    if forgetful:
+        out.clipped_areas = _Forgetful()
     return out
 
 
-class TestAreaMemo:
-    """One AreaMemo shared by every mesh of a network clips each candidate once
-    and changes no mesh."""
+@pytest.fixture(scope="module")
+def desk_modes():
+    """Desk-family networks (L = 25 m, p_c = 250) at seed 2, the ids of the
+    fractures remove_isolated keeps, and the orl 1-3 meshes of both isolated
+    modes, each built on its own fresh network that keeps no areas.  At
+    p' 0.5 the network does not percolate, so its removed network is empty."""
+    out = {}
+    for n in (125, 250):
+        net = generate_network(GenerationParams(L=25.0, n_fractures=n, seed=2))
+        keep = remove_isolated(net, build_intersection_graph(net)).origin()[1]
+        meshes = {}
+        for orl in (1, 2, 3):
+            for mode, fresh in (("retained", _fresh(net, forgetful=True)),
+                                ("removed", _fresh(net.subset(keep), forgetful=True))):
+                meshes[mode, orl] = build_mesh(net.domain, fresh, MeshParams(orl=orl))
+        out[n] = net, keep, meshes
+    assert len(out[125][1]) == 0 < len(out[250][1]) < 250
+    return out
+
+
+def _modes(net, keep):
+    """Both isolated modes of a fresh copy of net: they share one root."""
+    fresh = _fresh(net)
+    return {"retained": fresh, "removed": fresh.subset(keep)}
+
+
+class TestClippedAreas:
+    """The meshes of a network and its subsets clip each candidate once
+    between them, and each equals the mesh of a fresh network."""
 
     @pytest.fixture
     def rows(self, monkeypatch):
@@ -285,91 +309,74 @@ class TestAreaMemo:
     @pytest.mark.parametrize("n", [125, 250])
     @pytest.mark.parametrize("orls", [(1, 2, 3), (3, 2, 1)])
     @pytest.mark.parametrize("modes", [("retained", "removed"), ("removed", "retained")])
-    def test_shared_memo_builds_equal_separate_builds(self, desk_modes, n, orls, modes):
-        nets, meshes = desk_modes[n]
-        memo = AreaMemo()
+    def test_shared_builds_equal_separate_builds(self, desk_modes, n, orls, modes):
+        net, keep, meshes = desk_modes[n]
+        nets = _modes(net, keep)
         for mode in modes:
             for orl in orls:
-                mesh = build_mesh(nets[mode].domain, nets[mode], MeshParams(orl=orl), 32, memo=memo)
+                mesh = build_mesh(net.domain, nets[mode], MeshParams(orl=orl))
                 _assert_same_mesh(mesh, meshes[mode, orl])
 
     def test_repeated_build_clips_nothing(self, desk_modes, rows):
-        net = desk_modes[250][0]["retained"]
-        memo = AreaMemo()
-        build_mesh(net.domain, net, MeshParams(orl=2), memo=memo)
-        assert len(rows) == len(memo) > 0
+        net = _fresh(desk_modes[250][0])
+        build_mesh(net.domain, net, MeshParams(orl=2))
+        assert len(rows) > 0
         rows.clear()
-        build_mesh(net.domain, net, MeshParams(orl=2), memo=memo)
+        build_mesh(net.domain, net, MeshParams(orl=2))
         assert rows == []
 
     def test_deepest_retained_build_leaves_nothing_to_clip(self, desk_modes, rows):
-        nets, _ = desk_modes[250]
-        memo = AreaMemo()
-        build_mesh(nets["retained"].domain, nets["retained"], MeshParams(orl=3), memo=memo)
+        nets = _modes(*desk_modes[250][:2])
+        build_mesh(nets["retained"].domain, nets["retained"], MeshParams(orl=3))
         rows.clear()
         for mode in ("removed", "retained"):
             for orl in (1, 2, 3):
-                build_mesh(nets[mode].domain, nets[mode], MeshParams(orl=orl), memo=memo)
+                build_mesh(nets[mode].domain, nets[mode], MeshParams(orl=orl))
         assert rows == []
 
     def test_deeper_build_clips_only_its_new_level(self, desk_modes, rows):
-        net = desk_modes[250][0]["retained"]
-        build_mesh(net.domain, net, MeshParams(orl=2))
+        net = desk_modes[250][0]
+        build_mesh(net.domain, _fresh(net, forgetful=True), MeshParams(orl=2))
         level2 = sum(edge == 5.0 / 4 for edge in rows)
-        memo = AreaMemo()
-        build_mesh(net.domain, net, MeshParams(orl=1), memo=memo)
+        net = _fresh(net)
+        build_mesh(net.domain, net, MeshParams(orl=1))
         rows.clear()
-        build_mesh(net.domain, net, MeshParams(orl=2), memo=memo)
+        build_mesh(net.domain, net, MeshParams(orl=2))
         assert level2 > 0 and rows == [5.0 / 4] * level2
 
-    def test_removed_only_builds_clip_only_kept_fractures(self, desk_modes, monkeypatch):
-        nets, meshes = desk_modes[250]
-        removed = nets["removed"]
-        kept = set(removed.origin()[1].tolist())
-        clipped = []
-        store = AreaMemo.store
+    def test_removed_only_builds_clip_only_kept_fractures(self, desk_modes):
+        net, keep, meshes = desk_modes[250]
+        removed = _modes(net, keep)["removed"]
+        _assert_same_mesh(build_mesh(net.domain, removed, MeshParams(orl=2)),
+                          meshes["removed", 2])
+        root = removed.origin()[0]
+        assert root is not removed and list(root.clipped_areas) == [
+            (32, 5.0, tuple(net.domain.lo), tuple(net.domain.hi))]
+        (keys, _), = root.clipped_areas.values()
+        assert set((keys % len(net)).tolist()) == set(keep.tolist())
 
-        def spy(memo, keys, areas):
-            clipped.extend((keys % len(nets["retained"])).tolist())
-            store(memo, keys, areas)
-
-        monkeypatch.setattr(AreaMemo, "store", spy)
-        memo = AreaMemo()
-        mesh = build_mesh(removed.domain, removed, MeshParams(orl=2), memo=memo)
-        _assert_same_mesh(mesh, meshes["removed", 2])
-        assert clipped and set(clipped) <= kept
-
-    def test_memo_from_another_polygonisation_raises(self, desk_modes):
-        nets, _ = desk_modes[250]
-        net = nets["retained"]
-        memo = AreaMemo()
-        build_mesh(net.domain, nets["removed"], MeshParams(orl=1), memo=memo)
-        other = generate_network(GenerationParams(L=25.0, n_fractures=250, seed=2))
+    def test_other_polygonisations_and_lattices_measure_afresh(self, desk_modes):
+        net, keep, meshes = desk_modes[250]
+        nets = _modes(net, keep)
+        build_mesh(net.domain, nets["retained"], MeshParams(orl=1))
         shifted = Box(net.domain.lo + 5.0, net.domain.hi + 5.0)
-        with pytest.raises(MeshError, match="16-gon"):
-            build_mesh(net.domain, net, MeshParams(orl=1), 16, memo=memo)
-        with pytest.raises(MeshError, match="edge"):
-            build_mesh(net.domain, net, MeshParams(l=2.5, orl=1), memo=memo)
-        with pytest.raises(MeshError, match="domain"):
-            build_mesh(shifted, net, MeshParams(orl=1), memo=memo)
-        with pytest.raises(MeshError, match="another network"):
-            build_mesh(other.domain, other, MeshParams(orl=1), memo=memo)
-        with pytest.raises(MeshError, match="another network"):
-            refine(tag_fracture_cells(build_initial_grid(net.domain, 5.0), net), other, 1, memo=memo)
-        # the memo is still bound to the network it was filled from
-        _assert_same_mesh(build_mesh(net.domain, net, MeshParams(orl=1), memo=memo),
-                          desk_modes[250][1]["retained", 1])
-
+        for domain, params, m in ((net.domain, MeshParams(orl=1), 16),
+                                  (net.domain, MeshParams(l=2.5, orl=1), 32),
+                                  (shifted, MeshParams(orl=1), 32)):
+            for sub in nets.values():
+                _assert_same_mesh(build_mesh(domain, sub, params, m),
+                                  build_mesh(domain, _fresh(sub, forgetful=True), params, m))
+        assert len(nets["retained"].clipped_areas) == 4
+        assert nets["removed"].clipped_areas == {}
+        _assert_same_mesh(build_mesh(net.domain, nets["removed"], MeshParams(orl=1)),
+                          meshes["removed", 1])
 
     def test_keys_too_deep_for_int64_raise(self):
-        net = make_network([make_disc(0, (1.0, 1.0, 1.0), (0, 0, 1), 2.0)], 20.0)
-        memo = AreaMemo()
-        tag_fracture_cells(build_initial_grid(net.domain, 5.0), net, memo=memo)
         rid, ijk = np.zeros(1, dtype=int), np.zeros((1, 3), dtype=int)
         # 64 level-0 cells: the cells of levels 0-18 fit in int64, of 0-19 not
-        assert memo.keys(rid, np.array([18]), ijk, (4, 4, 4))[0] > 0
+        assert octree._area_keys(rid, 1, np.array([18]), ijk, (4, 4, 4))[0] > 0
         with pytest.raises(MeshError, match="too deep"):
-            memo.keys(rid, np.array([19]), ijk, (4, 4, 4))
+            octree._area_keys(rid, 1, np.array([19]), ijk, (4, 4, 4))
 
 
 class TestFaceAdjacency:
