@@ -11,14 +11,19 @@ transport.  Pressure is solved by CG, preconditioned by Jacobi plus the
 coarse correction Z (Z^T A Z)^-1 Z^T, Z's columns indicating the clusters
 of fracture cells (Nicolaides 1987; Graham, Lechner & Scheichl 2007):
 without it each cluster's pressure level converges slowly at high contrast.
+Transport steps are solved by gmres, restarted GMRES (Saad & Schultz 1986)
+preconditioned on the right, orthogonalising by classical Gram-Schmidt
+applied twice, on the right-hand side scaled exactly by a power of two.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -84,8 +89,9 @@ def face_conductance(faces, coeff, scale: float = 1.0) -> np.ndarray:
     return out
 
 
-def face_operator(faces, n: int, w_ab, w_ba, w_out) -> sp.csr_matrix:
-    """Conservative two-point operator from per-face weights (arrays over all faces).
+def face_operator(faces, w_ab, w_ba, w_out) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conservative two-point operator from per-face weights (arrays over all faces),
+    as (rows, cols, values) triplets whose duplicates sum.
 
     Interior face i moves w_ab[i] x[a] from cell_a to cell_b and w_ba[i] x[b]
     back; boundary face j drains w_out[j] x[cell_a] out of the domain.  Only
@@ -102,28 +108,87 @@ def face_operator(faces, n: int, w_ab, w_ba, w_out) -> sp.csr_matrix:
     rows = np.concatenate([a, b, a, b, cells])
     cols = np.concatenate([a, b, b, a, cells])
     vals = np.concatenate([ab, ba, -ba, -ab, w_out[drained]])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return rows, cols, vals
+
+
+def gmres(A, b, M, *, rtol, maxiter, x0=None, restart):
+    """Restarted GMRES(restart) on A M^-1 u = b, x = M^-1 u (right preconditioning).
+
+    Arnoldi orthogonalises by classical Gram-Schmidt applied twice, each
+    pass one product with the basis (Giraud, Langou & Rozlozník 2005), and
+    Givens rotations keep the Hessenberg least-squares residual, which a
+    cycle stops on once it is <= rtol ||b||.  The true residual is checked
+    before each of at most maxiter cycles and after the last.  b and x0 are scaled by
+    the power of two at max|b|, exactly, so norms of tiny fields do not
+    underflow.  Returns (x, Arnoldi steps, converged).
+    """
+    bmax = np.abs(b).max()
+    if bmax == 0.0:
+        return np.zeros(len(b)), 0, True
+    exponent = np.frexp(bmax)[1]
+    b = np.ldexp(b, -exponent)
+    x = np.zeros(len(b)) if x0 is None else np.ldexp(x0, -exponent)
+    tol = rtol * np.linalg.norm(b)
+    m = min(restart, len(b))
+    basis = np.empty((m + 1, len(b)))
+    hess = np.zeros((m, m))  # upper triangular after the rotations
+    steps = 0
+    for cycle in range(maxiter + 1):
+        r = b - A @ x
+        beta = np.linalg.norm(r)
+        if beta <= tol or cycle == maxiter:
+            break
+        basis[0] = r / beta
+        g = [beta] + [0.0] * m
+        rotations = []
+        for j in range(m):
+            w = A @ (M @ basis[j])
+            v = basis[: j + 1]
+            h = v @ w
+            w -= h @ v
+            h2 = v @ w
+            w -= h2 @ v
+            h_next = np.linalg.norm(w)
+            steps += 1
+            column = (h + h2).tolist() + [h_next]
+            for i, (c, s) in enumerate(rotations):
+                top, bottom = column[i], column[i + 1]
+                column[i], column[i + 1] = c * top + s * bottom, c * bottom - s * top
+            rho = math.hypot(column[j], h_next)
+            c, s = column[j] / rho, h_next / rho
+            rotations.append((c, s))
+            column[j] = rho
+            hess[: j + 1, j] = column[: j + 1]
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            if abs(g[j + 1]) <= tol:  # also when h_next = 0: the Krylov space holds x
+                break
+            basis[j + 1] = w / h_next
+        k = j + 1
+        y = la.solve_triangular(hess[:k, :k], g[:k], check_finite=False)
+        x += M @ (y @ basis[:k])
+    return np.ldexp(x, exponent), steps, bool(beta <= tol)
 
 
 def krylov_solve(A, b, M, *, rtol, maxiter, x0=None, restart=None):
-    """Solve A x = b by preconditioned CG, or GMRES(restart) if restart is set.
+    """Solve A x = b by preconditioned CG, or by gmres(restart) if restart is set.
 
     Stops once ||b - A x|| <= rtol ||b||.  If the iteration hits maxiter (CG
     iterations, or GMRES restart cycles) it logs a warning and solves by one
     direct sparse LU instead.  Returns (x, iterations, fell_back).
     """
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    common = dict(x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=count)
     if restart is None:
-        x, info = spla.cg(A, b, **common)
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        x, info = spla.cg(A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=count)
+        converged = info == 0
     else:
-        x, info = spla.gmres(A, b, restart=restart, callback_type="pr_norm", **common)
-    if info == 0:
+        x, iterations, converged = gmres(
+            A, b, M, rtol=rtol, maxiter=maxiter, x0=x0, restart=restart)
+    if converged:
         return x, iterations, False
     name = "CG" if restart is None else "GMRES"
     logger.warning("%s hit its cap after %d iterations; solving directly", name, iterations)
@@ -148,7 +213,8 @@ def assemble_tpfa(mesh, props, bc: FlowBC) -> TpfaSystem:
     trans = face_conductance(faces, k, bc.mu)
     trans[(faces.cell_b < 0) & ~dirichlet] = 0.0   # no-flow faces
     # on the boundary trans is now nonzero exactly on the Dirichlet faces
-    matrix = face_operator(faces, n, trans, trans, trans)
+    rows, cols, vals = face_operator(faces, trans, trans, trans)
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     rhs = np.zeros(n)
     np.add.at(rhs, faces.cell_a[dirichlet], trans[dirichlet] * pbc[dirichlet])
     return TpfaSystem(matrix, rhs, trans, pbc, fracture_clusters(faces, props.is_fracture))
@@ -178,9 +244,10 @@ def solve_pressure(
     else:
         inv_diag = 1.0 / A.diagonal()
         Z = system.clusters
-        coarse_inv = np.linalg.inv((Z.T @ A @ Z).toarray())
+        Zt = Z.T
+        coarse_inv = np.linalg.inv((Zt @ A @ Z).toarray())
         precond = spla.LinearOperator(
-            (n, n), matvec=lambda x: inv_diag * x + Z @ (coarse_inv @ (Z.T @ x)))
+            (n, n), matvec=lambda x: inv_diag * x + Z @ (coarse_inv @ (Zt @ x)))
         p, iters, _ = krylov_solve(A, b, precond, rtol=tol, maxiter=int(50 * np.sqrt(n)) + 10)
 
     residual = float(np.linalg.norm(A @ p - b) / bnorm)

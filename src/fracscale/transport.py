@@ -15,11 +15,16 @@ Solving a step: every step matrix A = system_const + diag(storage/dt) is
 solved by restarted GMRES in potential order: cells sorted by descending
 steady pressure, so that every upwind neighbour comes before its downstream
 cell and the advective part of A is lower triangular (Natvig & Lie 2008;
-Kwok & Tchelepi 2007).  The preconditioner is one forward Gauss-Seidel
-sweep, the lower triangle of the permuted A factorized without fill and
-rebuilt only when dt changes, and GMRES starts from that sweep applied to
-the right-hand side.  The GMRES runs through flow.krylov_solve, the
-iterative solve flow shares, so a step that hits the cap falls back to one
+Kwok & Tchelepi 2007).  The permuted operator is assembled once, with every
+diagonal entry stored, so a step only adds storage/dt to a copy of its
+values.  The preconditioner is one forward Gauss-Seidel sweep, the lower
+triangle of the permuted A gathered from those values and factorized
+without fill, rebuilt only when dt changes; GMRES starts from that sweep
+applied to the right-hand side.  The GMRES is flow.gmres through
+flow.krylov_solve, the iterative solve flow shares: preconditioned on the
+right, orthogonalising by classical Gram-Schmidt applied twice, on the
+right-hand side scaled by a power of two, so fields decayed to ~1e-170
+solve as well as the pulse.  A step that hits the cap falls back to one
 direct sparse LU of the permuted step, as a capped pressure solve does.
 """
 
@@ -134,13 +139,6 @@ class TransportOperator:
         self.params = params
         self.mesh = mesh
 
-        # upwind advection plus porosity-weighted diffusion on interior faces;
-        # boundary faces with outward flux advect out, with no diffusive exchange
-        q_out = np.maximum(flow.face_flux, 0.0)
-        q_in = np.maximum(-flow.face_flux, 0.0)
-        t_d = face_conductance(faces, params.diffusion * phi) if params.diffusion > 0 else 0.0
-        spatial = face_operator(faces, n, q_out + t_d, q_in + t_d, q_out)
-
         boundary = (faces.cell_b < 0) & (flow.face_flux > 0)
         bc_cells = faces.cell_a[boundary]
         bc_flux = flow.face_flux[boundary]
@@ -150,13 +148,37 @@ class TransportOperator:
         np.add.at(self.outflow_weight, bc_cells[is_outlet], bc_flux[is_outlet])
         np.add.at(self.other_exit_weight, bc_cells[~is_outlet], bc_flux[~is_outlet])
 
-        self.system_const = (spatial + sp.diags(self.decay_diag)).tocsc()
-
         # potential order: by descending steady pressure every upwind
         # neighbour precedes its downstream cell, so the advective part of
         # the permuted matrix is lower triangular
         self._order = np.argsort(-flow.pressure, kind="stable")
-        self._system_perm = self.system_const[self._order][:, self._order].tocsr()
+        rank = np.empty(n, dtype=np.int32)  # scipy's index type, so nothing is converted
+        rank[self._order] = np.arange(n, dtype=np.int32)
+        # one assembly of the permuted operator from its off-diagonal entries
+        # and its diagonal, summed apart so nothing is summed in the sort:
+        # every diagonal entry is stored (an explicit zero in a cell without
+        # flux, diffusion or decay), and a step adds storage/dt in place
+        rows, cols, vals = self.spatial_entries(mesh, props, flow, params)
+        off = rows != cols
+        diagonal = np.bincount(rows[~off], vals[~off], minlength=n) + self.decay_diag
+        system = sp.coo_matrix(
+            (np.concatenate([vals[off], diagonal]),
+             (np.concatenate([rank[rows[off]], rank]), np.concatenate([rank[cols[off]], rank]))),
+            shape=(n, n),
+        ).tocsr()
+        self._data, self._indices, self._indptr = system.data, system.indices, system.indptr
+        row_of = np.repeat(np.arange(n, dtype=np.int32), np.diff(system.indptr))
+        self._diagonal = np.flatnonzero(system.indices == row_of)
+        # the lower triangle in CSC order: transpose the CSR positions of its
+        # entries, which run in each row up to the diagonal
+        in_lower = system.indices <= row_of
+        lower_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(self._diagonal - system.indptr[:-1] + 1, out=lower_indptr[1:])
+        lower = sp.csr_matrix(
+            (np.flatnonzero(in_lower), system.indices[in_lower], lower_indptr), shape=(n, n)
+        ).tocsc()
+        self._lower = lower.data
+        self._lower_indices, self._lower_indptr = lower.indices, lower.indptr
         self._storage_perm = self.storage[self._order]
         self._gs_dt = None
         self._gs = None
@@ -165,6 +187,28 @@ class TransportOperator:
         self.factorizations = 0
         self.krylov_iterations = 0
         self.fallbacks = 0
+
+    def spatial_entries(self, mesh, props, flow, params):
+        """(rows, cols, values) in cell order, duplicates summing, of the spatial
+        operator: upwind advection plus porosity-weighted diffusion on interior
+        faces; boundary faces with outward flux advect out, with no diffusive
+        exchange."""
+        phi = np.asarray(props.porosity, dtype=float)
+        q_out = np.maximum(flow.face_flux, 0.0)
+        q_in = np.maximum(-flow.face_flux, 0.0)
+        t_d = face_conductance(mesh.faces, params.diffusion * phi) if params.diffusion > 0 else 0.0
+        return face_operator(mesh.faces, q_out + t_d, q_in + t_d, q_out)
+
+    @property
+    def system_const(self) -> sp.csc_matrix:
+        """The spatial operator plus decay diagonal in cell order, as the step
+        solve sees it (the stored zeros dropped)."""
+        n = len(self._order)
+        rows = np.repeat(self._order, np.diff(self._indptr))
+        matrix = sp.coo_matrix(
+            (self._data, (rows, self._order[self._indices])), shape=(n, n)).tocsc()
+        matrix.eliminate_zeros()
+        return matrix
 
     def solve_step(self, c: np.ndarray, dt: float) -> np.ndarray:
         """Solve (system_const + storage/dt) x = storage/dt c.
@@ -175,12 +219,18 @@ class TransportOperator:
         direct LU of the permuted step if GMRES hits GMRES_MAX_CYCLES.
         """
         self.steps += 1
-        matrix = self._system_perm + sp.diags(self._storage_perm / dt)
+        data = self._data.copy()
+        data[self._diagonal] += self._storage_perm / dt
+        shape = (len(self._order),) * 2
+        matrix = sp.csr_matrix((data, self._indices, self._indptr), shape=shape)
         if self._gs_dt != dt:
-            # a triangular factor in natural order with diagonal pivots has no fill
+            # a triangular factor in natural order with diagonal pivots has no
+            # fill; one-column panels give the same floats in about half the time
+            lower = sp.csc_matrix(
+                (data[self._lower], self._lower_indices, self._lower_indptr), shape=shape)
             lower = spla.splu(
-                sp.tril(matrix).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-            self._gs = spla.LinearOperator(matrix.shape, matvec=lower.solve, dtype=float)
+                lower, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1)
+            self._gs = spla.LinearOperator(shape, matvec=lower.solve, dtype=float)
             self._gs_dt = dt
             self.factorizations += 1
         # start from one Gauss-Seidel sweep (from zero), not from c: on the

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fracscale import flow as flow_module
 from fracscale.flow import (
@@ -142,6 +143,65 @@ class TestSolvePressure:
         x = mesh.center[:, 0]
         exact = 1000.0 * (50.0 - x) / 50.0
         assert np.abs(flow.pressure - exact).max() < 1e-9 * 1000.0
+
+
+def nonsymmetric_system(n=400, seed=3):
+    """Random sparse nonsymmetric matrix, strictly diagonally dominant by rows,
+    its Jacobi preconditioner and a random right-hand side."""
+    rng = np.random.default_rng(seed)
+    off = sp.random(n, n, density=0.02, format="csr", random_state=rng,
+                    data_rvs=lambda k: rng.uniform(-1.0, 1.0, k))
+    off.setdiag(0.0)
+    diag = abs(off).sum(axis=1).A1 + rng.uniform(0.1, 1.0, n)
+    A = (off + sp.diags(diag)).tocsr()
+    return A, sp.diags(1.0 / diag), rng.standard_normal(n)
+
+
+def gmres_solve(A, M, b, **kwargs):
+    return krylov_solve(A, b, M, **{"rtol": 1e-14, "maxiter": 20, "restart": 20, **kwargs})
+
+
+class TestGmres:
+    def test_matches_sparse_direct_solve(self):
+        A, M, b = nonsymmetric_system()
+        x, iters, fell_back = gmres_solve(A, M, b)
+        want = spla.spsolve(A.tocsc(), b)
+        assert iters > 0 and not fell_back
+        assert np.linalg.norm(b - A @ x) <= 1e-14 * np.linalg.norm(b)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_zero_right_hand_side(self):
+        A, M, b = nonsymmetric_system()
+        x, iters, fell_back = gmres_solve(A, M, np.zeros_like(b))
+        assert (iters, fell_back) == (0, False)
+        assert np.all(x == 0.0)
+
+    def test_start_that_meets_rtol_takes_no_iteration(self):
+        A, M, b = nonsymmetric_system()
+        x0 = spla.spsolve(A.tocsc(), b)
+        x, iters, fell_back = gmres_solve(A, M, b, rtol=1e-10, x0=x0)
+        assert (iters, fell_back) == (0, False)
+        assert np.array_equal(x, x0)
+
+    def test_cap_falls_back_to_direct(self, caplog):
+        A, M, b = nonsymmetric_system()
+        with caplog.at_level(logging.WARNING, logger=flow_module.__name__):
+            x, iters, fell_back = gmres_solve(A, M, b, maxiter=1, restart=2)
+        assert (iters, fell_back) == (2, True)
+        assert len(caplog.records) == 1 and "GMRES hit its cap" in caplog.text
+        assert np.array_equal(x, spla.splu(A.tocsc()).solve(b))
+
+    def test_tiny_right_hand_side_is_solved(self):
+        # ||b||^2 underflows for b ~ 1e-170; the solve scales b by a power of
+        # two first, so it is the solve of 2^560 b scaled back, bit for bit
+        A, M, b = nonsymmetric_system(n=5, seed=1)
+        tiny = np.full(5, 1e-170)
+        x, iters, fell_back = gmres_solve(A, M, tiny)
+        want = spla.spsolve(A.tocsc(), tiny)
+        assert iters > 0 and not fell_back
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        big, _, _ = gmres_solve(A, M, np.ldexp(tiny, 560))
+        assert np.array_equal(x, np.ldexp(big, -560))
 
 
 class TestEffectivePermeability:
