@@ -10,6 +10,10 @@ clip_vertices (K zero-padded vertex loops against K boxes), vertex_area and
 discs_intersect_many.  Every row gets the arithmetic it would get alone, so
 a result does not depend on the batch it was computed in; disc_to_polygon,
 clip_polygon_to_box, polygon_area and discs_intersect are the K = 1 calls.
+clip_vertices takes and returns zero-padded loops, but runs its six
+half-space passes on a ragged layout: the live loops' vertices back to back
+in one flat array, so a pass costs the vertices still alive rather than K
+times the padded width, and loops that die drop out of later passes.
 """
 
 from __future__ import annotations
@@ -109,45 +113,41 @@ def _next_index(count: np.ndarray, width: int) -> np.ndarray:
     return np.where(nxt < count[:, None], nxt, 0)
 
 
-def _clip_halfspace(verts, count, axis: int, bound, keep_below: bool):
-    """One Sutherland-Hodgman pass of K loops against x[axis] <= bound[k] (>= when
-    keep_below=False); a loop left with fewer than 3 vertices gets count 0.
+def _clip_halfspace(flat, count, d, inside):
+    """One Sutherland-Hodgman pass of the loops stored back to back in flat,
+    count[l] vertices each, against the half-space d >= 0 (d per vertex).
+    Returns the clipped loops, still back to back, their vertex counts and
+    which loops kept 3 vertices or more (only those are returned).
 
     Each vertex emits itself when inside, then its edge's crossing point when
-    the edge changes side, at the offset a cumulative sum over its loop gives.
-    The side test is exact, with no slack: a slack keeps vertices just
-    outside the plane while edges are still cut on it, which extrapolates
-    the cut beyond the edge and, for a polygon nearly parallel to the plane,
-    counts a strip of it in the boxes on both sides.
+    the edge changes side: the output is one compress of the vertices
+    interleaved with their crossing slots.  The side test is exact, with no
+    slack: a slack keeps vertices just outside the plane while edges are
+    still cut on it, which extrapolates the cut beyond the edge and, for a
+    polygon nearly parallel to the plane, counts a strip of it in the boxes
+    on both sides.
     """
-    rows, width = verts.shape[:2]
-    x = verts[:, :, axis]
-    d = bound[:, None] - x if keep_below else x - bound[:, None]
-    inside = d >= 0.0
-    if inside.all():   # (a pad entry outside only costs the full pass)
-        return verts, count
-    real = np.arange(width) < count[:, None]
-    inside &= real
-    if not inside.any():
-        return verts[:, :0], np.zeros_like(count)
-    row = np.arange(rows)[:, None]
-    nxt = _next_index(count, width)
-    cross = (inside != inside[row, nxt]) & real
-    emitted = inside.astype(np.intp) + cross
-    new_count = emitted.sum(axis=1)
-    new_count[new_count < 3] = 0
-    kept = (new_count > 0)[:, None]
-    starts = np.cumsum(emitted, axis=1) - emitted
-    out = np.zeros((rows, new_count.max(), 3))
-    k, j = np.nonzero(inside & kept)
-    out[k, starts[k, j]] = verts[k, j]
-    k, j = np.nonzero(cross & kept)
-    jn = nxt[k, j]
-    denom = d[k, j] - d[k, jn]
-    t = d[k, j] / np.where(denom == 0.0, 1.0, denom)
-    v = verts[k, j]
-    out[k, starts[k, j] + inside[k, j]] = v + t[:, None] * (verts[k, jn] - v)
-    return out, new_count
+    end = np.cumsum(count)
+    start = end - count
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[end - 1] = start
+    cross = inside != inside[nxt]
+    new_count = np.add.reduceat(inside.astype(np.intp) + cross, start)
+    kept = new_count >= 3
+    slots = np.empty((len(flat), 2, 3))
+    slots[:, 0] = flat
+    j = np.flatnonzero(cross)
+    jn = nxt[j]
+    dj = d[j]
+    denom = dj - d[jn]
+    t = dj / np.where(denom == 0.0, 1.0, denom)
+    v = flat.take(j, axis=0)
+    slots[j, 1] = v + t[:, None] * (flat.take(jn, axis=0) - v)
+    # a loop either emits nothing or at least 3 vertices (an inside vertex
+    # with an outside one brings two crossings), so every emitted vertex
+    # belongs to a kept loop
+    emit = np.stack((inside, cross), axis=1).ravel()
+    return np.compress(emit, slots.reshape(-1, 3), axis=0), new_count[kept], kept
 
 
 def clip_vertices(verts, count, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -157,19 +157,41 @@ def clip_vertices(verts, count, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     lo and hi are (K, 3), or (3,) for one box for every loop.  Returns the
     clipped loops, zero-padded to the longest, and their vertex counts; a
     loop with fewer than 3 vertices, before or after clipping, has count 0.
-    Every loop sees the arithmetic it would see alone, so a row's result
-    does not depend on the others.
+
+    The six half-space passes run on the live loops' vertices only, stored
+    back to back in one flat (ragged) array: a pass costs the vertices still
+    alive, not K times the padded width, and is skipped when every live
+    vertex is inside.  Every loop sees the arithmetic it would see alone, so
+    a row's result does not depend on the others.
     """
     verts = np.asarray(verts, dtype=float)
+    rows, width = verts.shape[:2]
     count = np.where(np.asarray(count) >= 3, count, 0)
-    lo = np.asarray(lo, dtype=float).reshape(-1, 3)
-    hi = np.asarray(hi, dtype=float).reshape(-1, 3)
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float).reshape(-1, 3), (rows, 3))
+              for b in (lo, hi))
+    live = np.flatnonzero(count)   # rows whose loop is still alive
+    n = count[live]
+    if len(live) == rows and (n == width).all():
+        flat = verts.reshape(-1, 3)
+    else:
+        flat = verts[np.arange(width) < count[:, None]]
     for axis in range(3):
         for bound, keep_below in ((lo[:, axis], False), (hi[:, axis], True)):
-            if not count.any():
-                return verts[:, :0], count
-            verts, count = _clip_halfspace(verts, count, axis, bound, keep_below)
-    return verts, count
+            if not len(live):
+                break
+            b = np.repeat(bound[live], n)
+            x = flat[:, axis]
+            d = b - x if keep_below else x - b
+            inside = d >= 0.0
+            if inside.all():
+                continue
+            flat, n, kept = _clip_halfspace(flat, n, d, inside)
+            live = live[kept]
+    count = np.zeros(rows, dtype=np.intp)
+    count[live] = n
+    out = np.zeros((rows, count.max(initial=0), 3))
+    out[np.arange(out.shape[1]) < count[:, None]] = flat
+    return out, count
 
 
 def clip_polygon_to_box(poly: PlanarPolygon, box: Box) -> PlanarPolygon:

@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 # clip_vertices is looked up on geometry at each call, where a traced run
 # (bench/layers.py) wraps and counts it
@@ -311,6 +310,11 @@ def expected_min_radius(params: GenerationParams, L: float) -> float:
         else:
             integral = (a / (a - 1.0)) * r0 * (1.0 - (ru / r0) ** (1.0 - a))
         return float(integral / norm)
+    # imported here, not at module level: scipy.integrate pulls in
+    # scipy.optimize, and only this branch needs it (the desk family, with
+    # alpha L >= ru, never takes it)
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda r: min(r, cut) * radius_pdf(r, params), r0, ru,
         points=[cut] if r0 < cut < ru else None, epsabs=1e-12, epsrel=1e-12,

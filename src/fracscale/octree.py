@@ -42,8 +42,8 @@ _SQRT3_HALF = np.sqrt(3.0) / 2.0
 
 # (cell, fracture) candidates clipped per kernel call: large enough that
 # numpy dispatch per candidate is negligible, small enough to bound the
-# kernel's temporaries (8,192 ran no faster and peaked 13 MB higher on the
-# desk grid)
+# kernel's temporaries (with the ragged kernel, 8,192 ran no faster and
+# peaked 15 MB higher on the desk grid)
 CLIP_BLOCK = 4096
 
 # child index offsets (di, dj, dk) of the eight octants
@@ -339,13 +339,17 @@ def tag_fracture_cells(mesh: OctreeMesh, network, m_vertices: int = 32) -> Octre
     # by a hair so that rounding cannot drop a cell the polygon lies on
     lo_idx = np.maximum(np.floor((polys.lo - mesh.domain.lo) / edge - 1e-9).astype(int), 0)
     hi_idx = np.minimum(np.floor((polys.hi - mesh.domain.lo) / edge + 1e-9).astype(int), dims - 1)
-    boxes = [
-        np.ravel_multi_index(np.ix_(*(np.arange(a, b + 1) for a, b in zip(lo, hi))),
-                             mesh.n0).ravel()
-        for lo, hi in zip(lo_idx, hi_idx)
-    ]
-    cell = np.concatenate([np.zeros(0, dtype=int), *boxes])
-    fid = np.repeat(np.arange(len(boxes)), [len(box) for box in boxes])
+    # every box's cells, fracture by fracture and in C order within a box:
+    # each candidate's offset within its box decoded into (i, j, k)
+    shape = np.maximum(hi_idx - lo_idx + 1, 0)
+    size = shape.prod(axis=1)
+    fid = np.repeat(np.arange(len(size)), size)
+    offset = np.arange(len(fid)) - np.repeat(np.cumsum(size) - size, size)
+    ny, nz = shape[fid, 1], shape[fid, 2]
+    i = lo_idx[fid, 0] + offset // (ny * nz)
+    j = lo_idx[fid, 1] + offset // nz % ny
+    k = lo_idx[fid, 2] + offset % nz
+    cell = (i * mesh.n0[1] + j) * mesh.n0[2] + k
     area = mesh._measure(fid, mesh.level[cell], mesh.ijk[cell], polys)
     hit = area > AREA_EPS
     mesh._set_leaves(mesh.level, mesh.ijk, cell[hit], fid[hit], area[hit])

@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .flow import FlowBC, solve_steady_flow
 from .network import (
     GenerationParams,
@@ -311,8 +309,7 @@ def _run_mode(config, manifest, root, depth, key, network, graph):
                 config.m_vertices,
             )
             fc_report = count_false_connections(
-                (mesh.fracture_ids[i] for i in np.nonzero(mesh.is_fracture)[0]),
-                graph,
+                mesh, graph,
                 total_cells=mesh.num_cells,
                 equivalent_cells=equivalent_hex_count(config.L, config.l, orl),
             )

@@ -164,19 +164,27 @@ def count_false_connections(
 ) -> FalseConnectionReport:
     """Count co-located non-intersecting fracture pairs on the finest fracture cells.
 
-    cell_fracture_map is an iterable of per-cell fracture id sequences
-    (duplicates and order within a cell are ignored).  A pair sharing
-    several cells counts once network-wide.
+    cell_fracture_map is an OctreeMesh, whose (cell, fracture id) pairs are
+    read from pair_cell and pair_fid, or an iterable of per-cell fracture id
+    sequences (duplicates and order within a cell are ignored; an empty
+    sequence still counts as a fracture cell).  A pair sharing several cells
+    counts once network-wide.
     """
-    seqs = [np.asarray(cell_ids, dtype=np.int64).ravel() for cell_ids in cell_fracture_map]
-    ids = np.concatenate([np.empty(0, dtype=np.int64), *seqs])
-    cell = np.repeat(np.arange(len(seqs)), [len(q) for q in seqs])
-    # unique (cell, id) pairs, cell-major with ids ascending
-    order = np.lexsort((ids, cell))
-    cell, ids = cell[order], ids[order]
-    keep = np.ones(len(ids), dtype=bool)
-    keep[1:] = (cell[1:] != cell[:-1]) | (ids[1:] != ids[:-1])
-    cell, ids = cell[keep], ids[keep]
+    # unique (cell, id) pairs, cell-major with ids ascending, as a mesh keeps them
+    if hasattr(cell_fracture_map, "pair_cell"):
+        cell = cell_fracture_map.pair_cell
+        ids = np.asarray(cell_fracture_map.pair_fid, dtype=np.int64)
+        n_cells = int(cell_fracture_map.is_fracture.sum())
+    else:
+        seqs = [np.asarray(cell_ids, dtype=np.int64).ravel() for cell_ids in cell_fracture_map]
+        ids = np.concatenate([np.empty(0, dtype=np.int64), *seqs])
+        cell = np.repeat(np.arange(len(seqs)), [len(q) for q in seqs])
+        n_cells = len(seqs)
+        order = np.lexsort((ids, cell))
+        cell, ids = cell[order], ids[order]
+        keep = np.ones(len(ids), dtype=bool)
+        keep[1:] = (cell[1:] != cell[:-1]) | (ids[1:] != ids[:-1])
+        cell, ids = cell[keep], ids[keep]
     # every element pairs with the later elements of its cell
     end = np.searchsorted(cell, cell, side="right")
     partners = end - np.arange(len(ids)) - 1
@@ -191,7 +199,7 @@ def count_false_connections(
     return FalseConnectionReport(
         num_false_pairs=len(np.unique(ids[first[false]] * n + ids[second[false]])),
         cells_with_false=len(np.unique(cell[first[false]])),
-        total_fracture_cells=len(seqs),
+        total_fracture_cells=n_cells,
         total_cells=total_cells,
         equivalent_cells=equivalent_cells,
     )

@@ -358,6 +358,10 @@ def run_transport(
         decayed.append(state.decayed)
 
     min_concentration = float(state.min_concentration / initial_max)
+    if abs(min_concentration) < np.finfo(float).tiny:
+        # a subnormal ratio is round-off near the bottom of the double
+        # range, not a step that went negative
+        min_concentration = 0.0
     if min_concentration < -1e-12:
         logger.warning(
             "%s transport went negative: lowest concentration %.3e of the initial maximum",

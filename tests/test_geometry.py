@@ -232,6 +232,60 @@ class TestBatchedKernel:
             assert np.array_equal(got[k, :got_count[k]], want)
             assert areas[k] == vertex_area(one, one_count)[0] == reference_area(want)
 
+    def test_mixed_batch_equals_per_loop_reference(self):
+        # rows that die at each of the six half-spaces, rows no half-space
+        # touches and rows cut by several, with input counts 3 to M
+        M = 12
+        lo, hi = np.array([-1.0, -0.5, 0.0]), np.array([1.0, 1.5, 0.75])
+        mid = 0.5 * (lo + hi)
+        rng = np.random.default_rng(7)
+        loops, dies_at = [], []
+
+        def polygon(center, radius, m):
+            n = rng.normal(size=3)
+            e1 = np.cross(n, rng.normal(size=3))
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(n / np.linalg.norm(n), e1)
+            theta = 2.0 * np.pi * np.arange(m) / m
+            return center + radius * (np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2)
+
+        for m in range(3, M + 1):
+            for axis in range(3):
+                for side, bound in ((0, lo), (1, hi)):
+                    # wholly beyond one face and inside every earlier plane
+                    center = mid.copy()
+                    center[axis] = bound[axis] + (0.3 if side else -0.3)
+                    loops.append(polygon(center, 0.1, m))
+                    dies_at.append(2 * axis + side)
+            loops.append(polygon(mid, 0.1, m))        # untouched
+            dies_at.append(None)
+            for corner in (lo, hi, np.array([lo[0], hi[1], lo[2]])):
+                # centred just inside a corner, so it keeps some area
+                inward = np.sign(mid - corner) * rng.uniform(0.05, 0.15, 3)
+                loops.append(polygon(corner + inward, 0.6, m))
+                dies_at.append(-1)                    # cut by several planes
+        order = rng.permutation(len(loops))
+        loops = [loops[k] for k in order]
+        dies_at = [dies_at[k] for k in order]
+        verts, count = _stack(loops)
+        assert verts.shape[1] == M and count.min() == 3
+        got, got_count = clip_vertices(verts, count, np.tile(lo, (len(loops), 1)),
+                                       np.tile(hi, (len(loops), 1)))
+        areas = vertex_area(got, got_count)
+        assert np.all(got[np.arange(got.shape[1]) >= got_count[:, None]] == 0.0)
+        for k, (loop, fate) in enumerate(zip(loops, dies_at)):
+            want = reference_clip(loop, lo, hi)
+            assert got_count[k] == len(want)
+            assert np.array_equal(got[k, :got_count[k]], want)
+            assert areas[k] == reference_area(want)
+            if fate is None:
+                assert np.array_equal(want, loop)
+            elif fate >= 0:
+                assert got_count[k] == 0
+        cut = [k for k, fate in enumerate(dies_at) if fate == -1]
+        assert all(got_count[k] and not np.array_equal(got[k, :got_count[k]], loops[k])
+                   for k in cut)
+
     def test_lying_in_box_faces(self):
         # closed boxes: a loop in the top face is kept whole, one in no face
         # of the box is dropped

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import fracscale
 from fracscale import network as network_module
 from fracscale.geometry import clip_polygon_to_box, disc_to_polygon, polygon_area
 from fracscale.network import (
@@ -184,6 +189,20 @@ class TestDensityMetrics:
         oracle, _ = quad(lambda r: min(r, cut) * radius_pdf(r, reference_params),
                          1.0, 10.0, points=[cut], epsabs=1e-12, epsrel=1e-12)
         assert expected_min_radius(reference_params, L) == pytest.approx(oracle, rel=1e-9)
+
+    def test_package_import_leaves_quadrature_unloaded(self):
+        # scipy.integrate is imported only by the quadrature branch, which
+        # the closed form (alpha L >= ru) never takes
+        code = ("import importlib, pkgutil, sys, fracscale\n"
+                "for m in pkgutil.iter_modules(fracscale.__path__):\n"
+                "    importlib.import_module('fracscale.' + m.name)\n"
+                "print('scipy.integrate' in sys.modules)")
+        src = str(Path(fracscale.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_percolation_parameter_examples(self, reference_params):
         assert percolation_parameter(0, reference_params, 50.0) == 0.0

@@ -80,6 +80,42 @@ class TestTagging:
         poly = disc_to_polygon(net.fractures[0], 32)
         assert mesh.pair_area.sum() == pytest.approx(polygon_area(poly), rel=1e-12)
 
+    def test_candidates_equal_per_fracture_enumeration(self, monkeypatch):
+        # generated discs, some cut by a domain face, plus discs whose index
+        # box is empty: beyond one face, and beyond a domain edge (two axes
+        # empty, whose sizes multiply to a positive count)
+        gen = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=4))
+        net = make_network(gen.fractures + [
+            make_disc(30, (16.0, 0.0, 0.0), (0, 0, 1), 2.0),
+            make_disc(31, (-22.0, 22.0, 0.0), (1, 1, 0), 2.0),
+            make_disc(32, (0.0, -22.0, 22.0), (0, 1, 1), 2.0),
+            make_disc(33, (9.5, -9.5, 0.0), (1, 0, 1), 2.0),
+        ], 20.0)
+        seen = []
+        measure = octree.OctreeMesh._measure
+
+        def spy(mesh, fid, level, ijk, polys):
+            seen.append((fid, ijk))
+            return measure(mesh, fid, level, ijk, polys)
+
+        monkeypatch.setattr(octree.OctreeMesh, "_measure", spy)
+        mesh = tag_fracture_cells(build_initial_grid(net.domain, 5.0), net)
+        (fid, ijk), = seen
+        # the per-fracture enumeration: np.ix_ over each polygon's index box
+        polys = octree._Polygons(net, 32)
+        dims = np.array(mesh.n0)
+        lo = np.maximum(np.floor((polys.lo - mesh.domain.lo) / 5.0 - 1e-9).astype(int), 0)
+        hi = np.minimum(np.floor((polys.hi - mesh.domain.lo) / 5.0 + 1e-9).astype(int), dims - 1)
+        boxes = [np.ravel_multi_index(np.ix_(*(np.arange(a, b + 1) for a, b in zip(bl, bh))),
+                                      mesh.n0).ravel() for bl, bh in zip(lo, hi)]
+        assert [len(box) for box in boxes[30:33]] == [0, 0, 0] and len(boxes[33]) > 0
+        assert (hi[31] < lo[31]).sum() == (hi[32] < lo[32]).sum() == 2
+        assert np.prod(hi[31] - lo[31] + 1) > 0
+        cell = np.concatenate(boxes)
+        assert np.array_equal(fid, np.repeat(np.arange(len(boxes)), [len(b) for b in boxes]))
+        assert np.array_equal(ijk, mesh.ijk[cell])
+        assert fid.dtype == np.int64 and ijk.dtype == mesh.ijk.dtype
+
     def test_tagging_requires_initial_grid(self):
         net = make_network([make_disc(0, (2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
         mesh = cube_mesh(50.0, 5.0, net, orl=1)

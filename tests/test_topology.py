@@ -232,6 +232,19 @@ class TestFalseConnections:
         assert (report.num_false_pairs, report.cells_with_false) == expected
         assert report.total_fracture_cells == len(cell_map) + 1
 
+    @pytest.mark.parametrize("orl", [0, 1, 2])
+    def test_mesh_form_equals_per_cell_form(self, orl):
+        net = generate_network(GenerationParams(L=15.0, n_fractures=40, seed=3))
+        graph = build_intersection_graph(net)
+        mesh = cube_mesh(15.0, 5.0, net, orl=orl)
+        per_cell = count_false_connections(
+            (mesh.fracture_ids[i] for i in np.nonzero(mesh.is_fracture)[0]), graph,
+            total_cells=mesh.num_cells, equivalent_cells=7 * mesh.num_cells)
+        from_mesh = count_false_connections(
+            mesh, graph, total_cells=mesh.num_cells, equivalent_cells=7 * mesh.num_cells)
+        assert per_cell.num_false_pairs > 0
+        assert from_mesh == per_cell
+
     def test_report_percentages(self):
         net = chain_network()
         graph = build_intersection_graph(net)

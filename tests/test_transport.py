@@ -227,6 +227,24 @@ class TestRunTransport:
         assert len(caplog.records) == 1
         assert "-5.000e-01" in caplog.records[0].getMessage()
 
+    def test_subnormal_minimum_is_recorded_as_zero(self, monkeypatch):
+        # one entry at -5e-324 x the initial maximum: a negative subnormal
+        # ratio, round-off rather than a step that went negative
+        mesh, props, flow = channel(20)
+        initial_max = prepare_transport(mesh, props, flow, TracerParams()).concentration.max()
+
+        def solve_step(op, c, dt):
+            op.steps += 1
+            x = c.copy()
+            x[np.argmin(x)] = -5e-324 * initial_max
+            return x
+
+        monkeypatch.setattr(transport.TransportOperator, "solve_step", solve_step)
+        btc = run_transport(mesh, props, flow, TracerParams(), 1.0, n_outputs=4, dt0_yr=0.1)
+        assert btc.metadata["steps"] > 2
+        assert btc.metadata["min_concentration"] == 0.0
+        assert not np.signbit(btc.metadata["min_concentration"])
+
 
 def run_sign_flipping(monkeypatch):
     """A channel run whose field flips sign and halves every step, so its
