@@ -27,8 +27,6 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .topology import fracture_clusters
-
 logger = logging.getLogger(__name__)
 
 DEFAULT_VISCOSITY = 8.9e-4  # Pa s, water at 20 C
@@ -217,7 +215,7 @@ def assemble_tpfa(mesh, props, bc: FlowBC) -> TpfaSystem:
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     rhs = np.zeros(n)
     np.add.at(rhs, faces.cell_a[dirichlet], trans[dirichlet] * pbc[dirichlet])
-    return TpfaSystem(matrix, rhs, trans, pbc, fracture_clusters(faces, props.is_fracture))
+    return TpfaSystem(matrix, rhs, trans, pbc, mesh.clusters)
 
 
 def solve_pressure(

@@ -6,14 +6,15 @@ clipping of that polygon.  Disc-disc connectivity uses the exact circular
 test instead, so network topology never depends on the polygonization.
 
 Each computation is one kernel over K stacked inputs: disc_vertices,
-clip_vertices (K zero-padded vertex loops against K boxes), vertex_area and
+clip_vertices (K vertex loops against K boxes), vertex_area and
 discs_intersect_many.  Every row gets the arithmetic it would get alone, so
 a result does not depend on the batch it was computed in; disc_to_polygon,
 clip_polygon_to_box, polygon_area and discs_intersect are the K = 1 calls.
-clip_vertices takes and returns zero-padded loops, but runs its six
-half-space passes on a ragged layout: the live loops' vertices back to back
-in one flat array, so a pass costs the vertices still alive rather than K
-times the padded width, and loops that die drop out of later passes.
+A batch of K vertex loops has one layout: the loops back to back in one
+flat (sum(count), 3) array, with count (K,) giving each loop's vertex
+count; a (K, m, 3) stack of m-gons is the same rows.  clip_vertices takes
+and returns it, so a pass costs the vertices still alive and loops that
+die drop out of later passes; vertex_area reads it.
 """
 
 from __future__ import annotations
@@ -106,18 +107,20 @@ def disc_vertices(centers, normals, radii, m_vertices: int = 32) -> np.ndarray:
     )
 
 
-def _next_index(count: np.ndarray, width: int) -> np.ndarray:
-    """(K, width) index of each vertex's successor around its loop of count[k]
-    vertices; pad entries point at vertex 0."""
-    nxt = np.arange(1, width + 1)
-    return np.where(nxt < count[:, None], nxt, 0)
+def _successor(count) -> np.ndarray:
+    """Index of each vertex's successor around its loop, for loops of count[l]
+    vertices stored back to back; a loop's last vertex wraps to its first."""
+    end = np.cumsum(count)[count > 0]
+    nxt = np.arange(1, count.sum() + 1)
+    nxt[end - 1] = end - count[count > 0]
+    return nxt
 
 
 def _clip_halfspace(flat, count, d, inside):
     """One Sutherland-Hodgman pass of the loops stored back to back in flat,
-    count[l] vertices each, against the half-space d >= 0 (d per vertex).
-    Returns the clipped loops, still back to back, their vertex counts and
-    which loops kept 3 vertices or more (only those are returned).
+    count[l] >= 3 vertices each, against the half-space d >= 0 (d per
+    vertex).  Returns the clipped loops, still back to back, their vertex
+    counts and which loops kept 3 vertices or more (only those are returned).
 
     Each vertex emits itself when inside, then its edge's crossing point when
     the edge changes side: the output is one compress of the vertices
@@ -127,12 +130,9 @@ def _clip_halfspace(flat, count, d, inside):
     polygon nearly parallel to the plane, counts a strip of it in the boxes
     on both sides.
     """
-    end = np.cumsum(count)
-    start = end - count
-    nxt = np.arange(1, len(flat) + 1)
-    nxt[end - 1] = start
+    nxt = _successor(count)
     cross = inside != inside[nxt]
-    new_count = np.add.reduceat(inside.astype(np.intp) + cross, start)
+    new_count = np.add.reduceat(inside.astype(np.intp) + cross, np.cumsum(count) - count)
     kept = new_count >= 3
     slots = np.empty((len(flat), 2, 3))
     slots[:, 0] = flat
@@ -150,31 +150,29 @@ def _clip_halfspace(flat, count, d, inside):
     return np.compress(emit, slots.reshape(-1, 3), axis=0), new_count[kept], kept
 
 
-def clip_vertices(verts, count, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def clip_vertices(flat, count, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Sutherland-Hodgman of K vertex loops against K boxes [lo[k], hi[k]].
 
-    verts (K, M, 3) holds loop k in its first count[k] rows, zero-padded;
-    lo and hi are (K, 3), or (3,) for one box for every loop.  Returns the
-    clipped loops, zero-padded to the longest, and their vertex counts; a
-    loop with fewer than 3 vertices, before or after clipping, has count 0.
+    flat (sum(count), 3) holds the loops back to back, count[k] vertices for
+    loop k; a (K, m, 3) stack of m-gons is the same rows.  lo and hi are
+    (K, 3), or (3,) for one box for every loop.  Returns the clipped loops
+    in the same layout (flat itself when nothing is cut) and their counts;
+    a loop with fewer than 3 vertices, before or after clipping, has none.
 
-    The six half-space passes run on the live loops' vertices only, stored
-    back to back in one flat (ragged) array: a pass costs the vertices still
-    alive, not K times the padded width, and is skipped when every live
-    vertex is inside.  Every loop sees the arithmetic it would see alone, so
-    a row's result does not depend on the others.
+    Each half-space pass costs the vertices still alive, and is skipped when
+    all of them are inside.  Every loop sees the arithmetic it would see
+    alone, so a loop's result does not depend on the others.
     """
-    verts = np.asarray(verts, dtype=float)
-    rows, width = verts.shape[:2]
-    count = np.where(np.asarray(count) >= 3, count, 0)
+    flat = np.asarray(flat, dtype=float).reshape(-1, 3)
+    count = np.asarray(count, dtype=np.intp)
+    rows = len(count)
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float).reshape(-1, 3), (rows, 3))
               for b in (lo, hi))
-    live = np.flatnonzero(count)   # rows whose loop is still alive
+    alive = count >= 3
+    if not alive.all():
+        flat = flat[np.repeat(alive, count)]
+    live = np.flatnonzero(alive)   # loops still alive
     n = count[live]
-    if len(live) == rows and (n == width).all():
-        flat = verts.reshape(-1, 3)
-    else:
-        flat = verts[np.arange(width) < count[:, None]]
     for axis in range(3):
         for bound, keep_below in ((lo[:, axis], False), (hi[:, axis], True)):
             if not len(live):
@@ -189,40 +187,36 @@ def clip_vertices(verts, count, lo, hi) -> tuple[np.ndarray, np.ndarray]:
             live = live[kept]
     count = np.zeros(rows, dtype=np.intp)
     count[live] = n
-    out = np.zeros((rows, count.max(initial=0), 3))
-    out[np.arange(out.shape[1]) < count[:, None]] = flat
-    return out, count
+    return flat, count
 
 
 def clip_polygon_to_box(poly: PlanarPolygon, box: Box) -> PlanarPolygon:
     """Clip against the box's six half-spaces; <3 surviving vertices counts as empty."""
-    verts, count = clip_vertices(poly.vertices[None], [len(poly.vertices)], box.lo, box.hi)
+    flat, count = clip_vertices(poly.vertices, [len(poly.vertices)], box.lo, box.hi)
     if not count[0]:
         return PlanarPolygon.empty(poly.plane_normal)
-    return PlanarPolygon(verts[0, :count[0]], poly.plane_normal)
+    return PlanarPolygon(flat, poly.plane_normal)
 
 
-def vertex_area(verts, count) -> np.ndarray:
-    """Single-sided planar areas of K zero-padded vertex loops (Newell's formula;
-    exact for simple planar polygons); loops of fewer than 3 vertices have area 0.
+def vertex_area(flat, count) -> np.ndarray:
+    """Single-sided planar areas of K vertex loops stored back to back, count[k]
+    vertices for loop k (Newell's formula; exact for simple planar polygons);
+    loops of fewer than 3 vertices have area 0.
 
-    The cross products of the pad rows are zeroed before the sum over each
-    loop, and the norm is a dot product per loop, so an area does not depend
-    on the padding or on the other loops.
+    Each loop's cross products are summed in vertex order (np.bincount; a
+    reduceat sums pairwise, which rounds differently), and the norm is a dot
+    product per loop, so an area does not depend on the other loops.
     """
-    verts = np.asarray(verts, dtype=float)
-    count = np.asarray(count)
-    rows, width = verts.shape[:2]
-    if not width:
-        return np.zeros(rows)
-    s = np.cross(verts, verts[np.arange(rows)[:, None], _next_index(count, width)])
-    s[np.arange(width)[None, :] >= count[:, None]] = 0.0
-    s = s.sum(axis=1)
+    flat = np.asarray(flat, dtype=float).reshape(-1, 3)
+    count = np.asarray(count, dtype=np.intp)
+    loop = np.repeat(np.arange(len(count)), count)
+    s = np.cross(flat, flat[_successor(count)])
+    s = np.stack([np.bincount(loop, s[:, c], len(count)) for c in range(3)], axis=1)
     return np.where(count >= 3, 0.5 * np.sqrt(np.vecdot(s, s)), 0.0)
 
 
 def polygon_area(poly: PlanarPolygon) -> float:
-    return float(vertex_area(poly.vertices[None], np.array([len(poly.vertices)]))[0])
+    return float(vertex_area(poly.vertices, [len(poly.vertices)])[0])
 
 
 def discs_intersect(f1, f2, eps: float = 1e-9) -> bool:

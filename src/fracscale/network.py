@@ -145,7 +145,7 @@ class FractureNetwork:
         return self._vertices[m_vertices]
 
     def clipped_to_domain(self, m_vertices: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """Every disc polygon clipped to the domain in one call: clip_vertices' (verts, count)."""
+        """Every disc polygon clipped to the domain in one call: clip_vertices' (flat, count)."""
         verts = self.polygon_vertices(m_vertices)
         return geometry.clip_vertices(verts, np.full(len(verts), m_vertices),
                                       self.domain.lo, self.domain.hi)

@@ -35,6 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import AREA_EPS, Box, clip_vertices, vertex_area
+from .topology import fracture_clusters
 
 logger = logging.getLogger(__name__)
 
@@ -129,9 +130,9 @@ class _Polygons:
         m = self.verts.shape[1]
         for start in range(0, len(rows), CLIP_BLOCK):
             block = rows[start:start + CLIP_BLOCK]
-            verts, count = clip_vertices(self.verts[fid[block]], np.full(len(block), m),
-                                         lo[block], hi[block])
-            out[block] = vertex_area(verts, count)
+            flat, count = clip_vertices(self.verts[fid[block]], np.full(len(block), m),
+                                        lo[block], hi[block])
+            out[block] = vertex_area(flat, count)
         return out
 
 
@@ -193,7 +194,8 @@ class OctreeMesh:
         self.is_fracture = np.zeros(self.num_cells, dtype=bool)
         self.is_fracture[self.pair_cell] = True
         self._faces = None
-        for name in ("fracture_ids", "fracture_areas"):
+        self._contacts = None
+        for name in ("fracture_ids", "clusters"):
             self.__dict__.pop(name, None)
 
     # -- index geometry ----------------------------------------------------
@@ -218,13 +220,14 @@ class OctreeMesh:
         """Per-cell fracture ids, ascending: views into pair_fid."""
         return np.split(self.pair_fid, self._pair_bounds())
 
-    @cached_property
-    def fracture_areas(self) -> list:
-        """Per-cell clipped areas [m^2] aligned with fracture_ids: views into pair_area."""
-        return np.split(self.pair_area, self._pair_bounds())
-
     def _pair_bounds(self) -> np.ndarray:
         return np.searchsorted(self.pair_cell, np.arange(1, self.num_cells))
+
+    @cached_property
+    def clusters(self):
+        """Cells x clusters indicators of the face-connected fracture-cell
+        clusters (topology.fracture_clusters), labelled once per mesh."""
+        return fracture_clusters(self.faces, self.is_fracture)
 
     # -- construction ------------------------------------------------------
 
@@ -290,8 +293,11 @@ class OctreeMesh:
         """Every pair of leaves sharing a face, once: (low-side leaf, high-side leaf, axis).
 
         Built from the owner map on the finest lattice present; sorted by
-        axis, then low-side leaf, then high-side leaf.
+        axis, then low-side leaf, then high-side leaf.  Kept until the leaves
+        change or the faces are built, so refine's last balance check serves both.
         """
+        if self._contacts is not None:
+            return self._contacts
         owner = np.full(self.n0, -1)
         for level in range(int(self.level.max(initial=0)) + 1):
             if level:
@@ -309,7 +315,8 @@ class OctreeMesh:
             low.append(pairs // n)
             high.append(pairs % n)
             axes.append(np.full(len(pairs), axis))
-        return np.concatenate(low), np.concatenate(high), np.concatenate(axes)
+        self._contacts = np.concatenate(low), np.concatenate(high), np.concatenate(axes)
+        return self._contacts
 
     @property
     def faces(self) -> FaceSet:
@@ -418,6 +425,7 @@ def build_face_adjacency(mesh: OctreeMesh) -> FaceSet:
     ordered by cell_a, then axis, then side (low before high), then cell_b.
     """
     low, high, axis = mesh.contacts()
+    mesh._contacts = None
     if np.any(np.abs(mesh.level[low] - mesh.level[high]) > 1):
         raise MeshError("a face joins cells more than one level apart: mesh is not 2:1 balanced")
     edge = mesh.edge

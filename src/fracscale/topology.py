@@ -82,13 +82,11 @@ def build_intersection_graph(
                                    centers[b], normals[b], radii[b], eps)
         edges = list(zip(a[hit].tolist(), b[hit].tolist()))
 
-    verts, count = network.clipped_to_domain(m_vertices)
-    x = verts[..., 0]
-    real = np.arange(x.shape[1]) < count[:, None]
-    touch_lo = np.where(real, x, np.inf).min(axis=1, initial=np.inf)
-    touch_hi = np.where(real, x, -np.inf).max(axis=1, initial=-np.inf)
-    source_ids = np.flatnonzero(touch_lo <= domain.lo[0] + _FACE_TOUCH_EPS).tolist()
-    sink_ids = np.flatnonzero(touch_hi >= domain.hi[0] - _FACE_TOUCH_EPS).tolist()
+    flat, count = network.clipped_to_domain(m_vertices)
+    x = flat[:, 0]
+    loop = np.repeat(np.arange(n), count)
+    source_ids = np.unique(loop[x <= domain.lo[0] + _FACE_TOUCH_EPS]).tolist()
+    sink_ids = np.unique(loop[x >= domain.hi[0] - _FACE_TOUCH_EPS]).tolist()
 
     return IntersectionGraph(n, edges, source_ids, sink_ids)
 
@@ -227,7 +225,6 @@ def mesh_percolates(mesh) -> bool:
     """True when one face-connected cluster of fracture cells touches both
     the inflow and the outflow plane."""
     faces = mesh.faces
-    clusters = fracture_clusters(faces, mesh.is_fracture)
-    inlet, outlet = (clusters[faces.cell_a[faces.btag == tag]].indices
+    inlet, outlet = (mesh.clusters[faces.cell_a[faces.btag == tag]].indices
                      for tag in (mesh.BTAG_XMIN, mesh.BTAG_XMAX))
     return bool(np.intersect1d(inlet, outlet).size)

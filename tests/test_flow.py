@@ -18,6 +18,7 @@ from fracscale.flow import (
     wiener_bounds,
 )
 from fracscale.network import GenerationParams, generate_network
+from fracscale.topology import mesh_percolates
 from fracscale.upscale import upscale_mesh
 
 from conftest import box_mesh, cube_mesh, uniform_props
@@ -321,3 +322,12 @@ class TestRegression:
             _digest(A.indptr, A.indices, A.data),
             _digest(system.rhs, system.face_trans),
         ] == digests
+
+    def test_clusters_labelled_once_per_mesh(self):
+        net = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=4))
+        mesh = cube_mesh(20.0, 5.0, net, orl=1)
+        clusters = mesh.clusters
+        mesh_percolates(mesh)
+        assert mesh.clusters is clusters and clusters.shape[1] > 0
+        system = assemble_tpfa(mesh, upscale_mesh(mesh, net, 1e-16, 0.01), FlowBC(1000.0, 0.0))
+        assert system.clusters is clusters

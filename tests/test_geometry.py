@@ -207,12 +207,16 @@ def loop_and_box(draw):
     return np.array([[x0, y0, z], [x0 + 1.0, y0, z], [x0 + 1.0, y1, z], [x0, y1, z]]), lo, hi
 
 
-def _stack(loops, fill=0.0):
-    width = max(len(loop) for loop in loops)
-    verts = np.full((len(loops), width, 3), fill)
-    for k, loop in enumerate(loops):
-        verts[k, :len(loop)] = loop
-    return verts, np.array([len(loop) for loop in loops])
+def _ragged(loops):
+    """The loops back to back and their vertex counts: the kernel's layout."""
+    return (np.concatenate([np.reshape(loop, (-1, 3)) for loop in loops]),
+            np.array([len(loop) for loop in loops]))
+
+
+def _split(flat, count):
+    """One array per loop of the back-to-back layout."""
+    assert len(flat) == count.sum()
+    return np.split(flat, np.cumsum(count)[:-1])
 
 
 class TestBatchedKernel:
@@ -220,16 +224,14 @@ class TestBatchedKernel:
     @given(st.lists(loop_and_box(), min_size=1, max_size=12))
     def test_rows_equal_single_calls_bit_for_bit(self, rows):
         loops, lo, hi = zip(*rows)
-        verts, count = _stack(loops)
-        got, got_count = clip_vertices(verts, count, np.array(lo), np.array(hi))
+        got, got_count = clip_vertices(*_ragged(loops), np.array(lo), np.array(hi))
         areas = vertex_area(got, got_count)
-        assert np.all(got[np.arange(got.shape[1]) >= got_count[:, None]] == 0.0)
-        for k, loop in enumerate(loops):
-            one, one_count = clip_vertices(loop[None], [len(loop)], lo[k], hi[k])
+        for k, (loop, clipped) in enumerate(zip(loops, _split(got, got_count))):
+            one, one_count = clip_vertices(loop, [len(loop)], lo[k], hi[k])
             want = reference_clip(loop, lo[k], hi[k])
             assert got_count[k] == one_count[0] == len(want)
-            assert np.array_equal(got[k, :got_count[k]], one[0, :one_count[0]])
-            assert np.array_equal(got[k, :got_count[k]], want)
+            assert np.array_equal(clipped, one)
+            assert np.array_equal(clipped, want)
             assert areas[k] == vertex_area(one, one_count)[0] == reference_area(want)
 
     def test_mixed_batch_equals_per_loop_reference(self):
@@ -267,56 +269,67 @@ class TestBatchedKernel:
         order = rng.permutation(len(loops))
         loops = [loops[k] for k in order]
         dies_at = [dies_at[k] for k in order]
-        verts, count = _stack(loops)
-        assert verts.shape[1] == M and count.min() == 3
+        verts, count = _ragged(loops)
+        assert count.max() == M and count.min() == 3
         got, got_count = clip_vertices(verts, count, np.tile(lo, (len(loops), 1)),
                                        np.tile(hi, (len(loops), 1)))
         areas = vertex_area(got, got_count)
-        assert np.all(got[np.arange(got.shape[1]) >= got_count[:, None]] == 0.0)
+        clipped = _split(got, got_count)
         for k, (loop, fate) in enumerate(zip(loops, dies_at)):
             want = reference_clip(loop, lo, hi)
             assert got_count[k] == len(want)
-            assert np.array_equal(got[k, :got_count[k]], want)
+            assert np.array_equal(clipped[k], want)
             assert areas[k] == reference_area(want)
             if fate is None:
                 assert np.array_equal(want, loop)
             elif fate >= 0:
                 assert got_count[k] == 0
         cut = [k for k, fate in enumerate(dies_at) if fate == -1]
-        assert all(got_count[k] and not np.array_equal(got[k, :got_count[k]], loops[k])
-                   for k in cut)
+        assert all(got_count[k] and not np.array_equal(clipped[k], loops[k]) for k in cut)
+
+    def test_short_loops_between_live_loops(self):
+        # loops of 0, 1 and 2 vertices sit between live loops: each live
+        # loop still gets its single-call vertices and area, and a short
+        # loop's cross products stay out of its neighbours' sums
+        box = np.full(3, -0.5), np.full(3, 0.5)
+        live = [disc_vertices([0.2, 0.1, 0.3], [1, 2, 3], [0.9], m)[0] for m in (8, 32, 12)]
+        none, one = np.zeros((0, 3)), np.array([[0.1, 0.2, 0.3]])
+        two = np.array([[0.1, 0.2, 0.3], [0.3, -0.2, 0.1]])
+        loops = [live[0], none, live[1], one, two, live[2], two, none]
+        flat, count = _ragged(loops)
+        got, got_count = clip_vertices(flat, count, *box)
+        areas = vertex_area(got, got_count)
+        whole = vertex_area(flat, count)
+        for k, (loop, clipped) in enumerate(zip(loops, _split(got, got_count))):
+            single, single_count = clip_vertices(loop, [len(loop)], *box)
+            assert got_count[k] == single_count[0] == len(single)
+            assert np.array_equal(clipped, single)
+            assert areas[k] == vertex_area(single, single_count)[0]
+            assert whole[k] == vertex_area(loop, [len(loop)])[0] == reference_area(loop)
+        assert got_count[[0, 2, 5]].min() >= 3 and areas[[0, 2, 5]].min() > 0.0
 
     def test_lying_in_box_faces(self):
         # closed boxes: a loop in the top face is kept whole, one in no face
-        # of the box is dropped
+        # of the box is dropped; a (K, m, 3) stack is the same rows
         loop = disc_vertices([0.5, 0.5, 1.0], [0, 0, 1], [0.3], 16)
         verts, count = clip_vertices(np.repeat(loop, 2, axis=0), [16, 16],
                                      [[0, 0, 0], [0, 0, 2]], [[1, 1, 1], [1, 1, 3]])
         assert count.tolist() == [16, 0]
-        assert np.array_equal(verts[0], loop[0])
+        assert np.array_equal(verts, loop[0])
 
     def test_edge_contact_has_no_area(self):
         loop = np.array([[1.0, 0, 0.5], [2.0, 0, 0.5], [2.0, 1, 0.5], [1.0, 1, 0.5]])
-        verts, count = clip_vertices(loop[None], [4], np.zeros(3), np.ones(3))
+        verts, count = clip_vertices(loop, [4], np.zeros(3), np.ones(3))
         assert vertex_area(verts, count)[0] == 0.0
 
-    def test_padding_does_not_change_a_row(self):
-        loops = [disc_vertices([0.2, 0.1, 0.3], [1, 2, 3], [0.9], m)[0] for m in (8, 32)]
-        box = np.array([[-0.5, -0.5, -0.5]] * 2), np.array([[0.5, 0.5, 0.5]] * 2)
-        zero = clip_vertices(*_stack(loops), *box)
-        junk = clip_vertices(*_stack(loops, fill=7.0), *box)
-        assert np.array_equal(zero[1], junk[1])
-        assert np.array_equal(zero[0], junk[0])
-        assert np.array_equal(vertex_area(*zero), vertex_area(*junk))
-        assert np.array_equal(vertex_area(*_stack(loops)), vertex_area(*_stack(loops, fill=7.0)))
-
     def test_no_rows_and_short_loops(self):
-        verts, count = clip_vertices(np.zeros((0, 32, 3)), np.zeros(0, dtype=int),
+        verts, count = clip_vertices(np.zeros((0, 3)), np.zeros(0, dtype=int),
                                      np.zeros((0, 3)), np.ones((0, 3)))
-        assert verts.shape[0] == 0 and count.shape == (0,)
+        assert verts.shape == (0, 3) and count.shape == (0,)
         assert vertex_area(verts, count).shape == (0,)
-        two = np.array([[[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [0, 0, 0]]])
-        assert clip_vertices(two, [2], np.zeros(3), np.ones(3))[1].tolist() == [0]
+        two = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])
+        verts, count = clip_vertices(two, [2], np.zeros(3), np.ones(3))
+        assert verts.shape == (0, 3) and count.tolist() == [0]
         assert vertex_area(two, [2]).tolist() == [0.0]
 
 

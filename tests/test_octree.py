@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -192,9 +193,7 @@ class TestRefine:
             [make_disc(i, c, n, r) for i, (c, n, r) in enumerate(discs)], 20.0)
         for orl in (0, 1, 2):
             mesh = cube_mesh(20.0, 5.0, net, orl=orl)
-            stored = np.zeros(len(net))
-            for ids, areas in zip(mesh.fracture_ids, mesh.fracture_areas):
-                stored[list(ids)] += areas
+            stored = np.bincount(mesh.pair_fid, mesh.pair_area, len(net))
             for fid, f in enumerate(net.fractures):
                 domain_area = polygon_area(clip_polygon_to_box(disc_to_polygon(f, 32), mesh.domain))
                 # cells cut by a sliver of at most AREA_EPS store nothing
@@ -207,6 +206,15 @@ class TestRefine:
         interior = faces.cell_b >= 0
         jump = np.abs(mesh.level[faces.cell_a[interior]] - mesh.level[faces.cell_b[interior]])
         assert jump.max() <= 1
+
+    def test_faces_from_the_balance_contacts_equal_fresh_faces(self):
+        net = make_network([make_disc(0, (0.3, -0.4, 0.3), (0, 0, 1), 2.0)], 20.0)
+        mesh = cube_mesh(20.0, 5.0, net, orl=2)
+        reused = mesh.faces
+        assert mesh._contacts is None   # dropped once the faces are built
+        fresh = build_face_adjacency(mesh)
+        for f in dataclasses.fields(fresh):
+            assert np.array_equal(getattr(reused, f.name), getattr(fresh, f.name))
 
     def test_unbalanced_mesh_rejected_by_face_builder(self):
         net = make_network([make_disc(0, (0.3, -0.4, 0.3), (0, 0, 1), 2.0)], 20.0)
@@ -237,9 +245,9 @@ class TestPolygonAreas:
     def counted(self, monkeypatch):
         calls = []
 
-        def clip(verts, count, lo, hi):
-            calls.append(len(verts))
-            return clip_vertices(verts, count, lo, hi)
+        def clip(flat, count, lo, hi):
+            calls.append(len(count))
+            return clip_vertices(flat, count, lo, hi)
 
         monkeypatch.setattr(octree, "clip_vertices", clip)
         return calls
@@ -335,9 +343,9 @@ class TestClippedAreas:
         """Edge of every box clipped through octree.clip_vertices, one per row."""
         edges = []
 
-        def clip(verts, count, lo, hi):
-            edges.extend(np.broadcast_to(hi - lo, (len(verts), 3))[:, 0])
-            return clip_vertices(verts, count, lo, hi)
+        def clip(flat, count, lo, hi):
+            edges.extend(np.broadcast_to(hi - lo, (len(count), 3))[:, 0])
+            return clip_vertices(flat, count, lo, hi)
 
         monkeypatch.setattr(octree, "clip_vertices", clip)
         return edges

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,20 @@ class TestPipeline:
         first = (tmp_path / "manifest.json").read_bytes()
         run_pipeline(config, upto="flow")
         assert (tmp_path / "manifest.json").read_bytes() == first
+
+    def test_vtk_files_are_hashed_artifacts(self, tmp_path):
+        config = tiny_config(tmp_path, orls=(1, 2), k_m=(1e-16, 1e-14), write_vtk_files=True)
+        manifest = run_pipeline(config, upto="flow")
+        assert manifest["failures"] == []
+        vtk = [a for a in manifest["artifacts"] if a["kind"] == "mesh-vtk"]
+        assert len({a["path"] for a in vtk}) == len(vtk) == 4   # one per (orl, k_m)
+        for artifact in vtk:
+            body = (tmp_path / artifact["path"]).read_bytes()
+            assert hashlib.sha256(body).hexdigest() == artifact["sha256"]
+            text = body.decode()
+            cell_data = text[text.index("CELL_DATA"):]
+            for name in ("permeability", "porosity", "pressure"):
+                assert f"SCALARS {name} double 1" in cell_data
 
     def test_stage_gating(self, tmp_path):
         config = tiny_config(tmp_path)

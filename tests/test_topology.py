@@ -10,6 +10,7 @@ from fracscale.topology import (
     build_intersection_graph,
     count_false_connections,
     dfn_percolates,
+    fracture_clusters,
     mesh_percolates,
     percolating_cluster,
     remove_isolated,
@@ -294,5 +295,7 @@ class TestMeshPercolation:
                 cell_a = inverse[mesh.faces.cell_a]
                 cell_b = np.where(mesh.faces.cell_b >= 0, inverse[mesh.faces.cell_b], -1)
                 btag = mesh.faces.btag
+
+            clusters = fracture_clusters(faces, is_fracture)
 
         assert mesh_percolates(Shuffled) == verdict

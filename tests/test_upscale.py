@@ -103,7 +103,8 @@ class TestCellFractureData:
         props = upscale_mesh(mesh, net, 1e-16, 0.01)
         poly_area = polygon_area(disc_to_polygon(disc, 32))
         assert [list(ids) for ids in mesh.fracture_ids] == [[0]]
-        assert mesh.fracture_areas[0][0] == pytest.approx(poly_area, rel=1e-12)
+        assert mesh.pair_cell.tolist() == [0]
+        assert mesh.pair_area[0] == pytest.approx(poly_area, rel=1e-12)
         volume = props.fracture_porosity[0] * mesh.volume[0]
         assert volume == pytest.approx(poly_area * 5e-4, rel=1e-12)
         assert props.fracture_porosity[0] == pytest.approx(poly_area * 5e-4 / 15.625, rel=1e-12)
@@ -111,14 +112,14 @@ class TestCellFractureData:
     def test_no_fractures_gives_empty_list(self):
         mesh, _ = one_cell([], edge=2.5)
         assert [list(ids) for ids in mesh.fracture_ids] == [[]]
-        assert [list(areas) for areas in mesh.fracture_areas] == [[]]
+        assert len(mesh.pair_cell) == len(mesh.pair_area) == 0
 
     def test_disc_spanning_two_cells_conserves_area(self):
         disc = make_disc(0, (2.5, 1.0, 1.2), (0, 0, 1), 0.8)
         mesh = box_mesh((5.0, 2.5, 2.5), 2.5, make_network([disc], 5.0))
         assert [list(ids) for ids in mesh.fracture_ids] == [[0], [0]]
-        total = sum(a for areas in mesh.fracture_areas for a in areas)
-        assert total == pytest.approx(polygon_area(disc_to_polygon(disc, 32)), rel=1e-9)
+        assert mesh.pair_cell.tolist() == [0, 1]
+        assert mesh.pair_area.sum() == pytest.approx(polygon_area(disc_to_polygon(disc, 32)), rel=1e-9)
 
 
 class TestPermeabilityTensor:
