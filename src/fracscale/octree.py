@@ -468,32 +468,30 @@ _HEX_OFFSETS = np.array([
 
 def write_vtk(mesh: OctreeMesh, path, cell_data: dict | None = None,
               title: str = "octree continuum mesh") -> None:
-    """Legacy-ASCII VTK unstructured grid with hexahedral cells."""
+    """Legacy-ASCII VTK unstructured grid with hexahedral cells.
+
+    Each section is one printf-style format over the whole array, which
+    prints every value as ``format(v, ".10g")`` or ``".17g"`` would.
+    """
     n = mesh.num_cells
     data = {"level": mesh.level.astype(int), "is_fracture": mesh.is_fracture.astype(int)}
     data.update(cell_data or {})
+    lo = mesh.center - 0.5 * mesh.edge[:, None]
+    corners = lo[:, None, :] + mesh.edge[:, None, None] * _HEX_OFFSETS
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 2.0\n")
         fh.write(f"{title}\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {8 * n} double\n")
-        for idx in range(n):
-            lo = mesh.center[idx] - 0.5 * mesh.edge[idx]
-            for off in _HEX_OFFSETS:
-                pt = lo + mesh.edge[idx] * off
-                fh.write(f"{pt[0]:.10g} {pt[1]:.10g} {pt[2]:.10g}\n")
+        fh.write("%.10g %.10g %.10g\n" * (8 * n) % tuple(corners.ravel().tolist()))
         fh.write(f"CELLS {n} {9 * n}\n")
-        for idx in range(n):
-            base = 8 * idx
-            fh.write("8 " + " ".join(str(base + v) for v in range(8)) + "\n")
+        fh.write("8 %d %d %d %d %d %d %d %d\n" * n % tuple(range(8 * n)))
         fh.write(f"CELL_TYPES {n}\n")
-        fh.writelines("12\n" for _ in range(n))
+        fh.write("12\n" * n)
         fh.write(f"CELL_DATA {n}\n")
         for name, values in data.items():
             values = np.asarray(values)
             kind = "int" if values.dtype.kind in "iub" else "double"
             fh.write(f"SCALARS {name} {kind} 1\nLOOKUP_TABLE default\n")
-            if kind == "int":
-                fh.writelines(f"{int(v)}\n" for v in values)
-            else:
-                fh.writelines(f"{v:.17g}\n" for v in values)
+            line = "%d\n" if kind == "int" else "%.17g\n"
+            fh.write(line * len(values) % tuple(values.tolist()))

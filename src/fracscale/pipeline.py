@@ -5,15 +5,30 @@ refinement levels x matrix permeabilities x isolated-fracture handling,
 writing every artifact under one output directory together with a manifest
 (config hash, per-artifact checksums, summary rows, and per-run failures).
 Identical config and seeds reproduce byte-identical artifacts.
+
+The grid runs as units, one per (seed, density): a unit generates its
+network, builds the intersection graph and the removed subset, and carries
+both isolated modes through every orl, k_m and tracer, so the clipped areas
+its meshes share stay in one process.  Units share nothing else and run in
+forked worker processes, ``min(units, usable CPUs)`` of them, the densest
+units submitted first; every worker runs its BLAS on one thread.  Their
+rows are merged in grid order, so the manifest does not depend on which
+worker finished first.  Each worker holds one unit at a time (at orl 3
+with transport a worker peaked at about 240 MB), so memory grows with the
+worker count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
 import logging
+import os
+import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +64,10 @@ logger = logging.getLogger(__name__)
 STAGES = ("generate", "mesh", "upscale", "flow", "transport", "report")
 
 ISOLATED_MODES = ("retained", "removed")
+
+# config fields that span the grid; a repeated value would write one
+# artifact twice
+GRID_AXES = ("seeds", "p_primes", "isolated_modes", "orls", "k_m", "tracers")
 
 
 @dataclass(frozen=True)
@@ -106,6 +125,10 @@ class RunConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for name in GRID_AXES:
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {list(values)}")
         if not self.orls:
             raise ValueError("need at least one orl")
         if not self.p_primes:
@@ -175,20 +198,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-class _Manifest:
-    def __init__(self, config: RunConfig, root: Path):
+# what a unit records and the manifest merges, in grid order
+_RECORDS = (
+    "artifacts", "network_rows", "topology_rows", "upscale_rows", "flow_rows",
+    "transport_rows", "failures",
+)
+
+
+class _Records:
+    """Artifacts (hashed where they are written), summary rows and failures."""
+
+    def __init__(self, root: Path):
         self.root = root
-        self.data = {
-            "config_hash": config_hash(config),
-            "config": config.to_dict(),
-            "artifacts": [],
-            "network_rows": [],
-            "topology_rows": [],
-            "upscale_rows": [],
-            "flow_rows": [],
-            "transport_rows": [],
-            "failures": [],
-        }
+        self.data = {name: [] for name in _RECORDS}
 
     def add_artifact(self, path: Path, kind: str) -> None:
         self.data["artifacts"].append({
@@ -200,6 +222,16 @@ class _Manifest:
     def add_failure(self, key: dict, stage: str, error: Exception) -> None:
         logger.error("stage %s failed for %s: %s", stage, key, error)
         self.data["failures"].append({"key": key, "stage": stage, "error": str(error)})
+
+
+class _Manifest(_Records):
+    def __init__(self, config: RunConfig, root: Path):
+        super().__init__(root)
+        self.data.update(config_hash=config_hash(config), config=config.to_dict())
+
+    def merge(self, records: dict) -> None:
+        for name in _RECORDS:
+            self.data[name].extend(records[name])
 
     def write(self) -> Path:
         for name in ("artifacts", "failures"):
@@ -217,62 +249,181 @@ def _percolation_class(dfn: bool, mesh: bool) -> str:
     return "mismatch"
 
 
+# ---------------------------------------------------------------------------
+# worker processes
+
+# (set, get) thread-count symbols of the OpenBLAS builds numpy and scipy
+# ship (scipy-openblas with 64- and 32-bit integers), then of a plain OpenBLAS
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_calls() -> list[tuple]:
+    """(set_num_threads, get_num_threads) of every OpenBLAS this process has mapped."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    paths = dict.fromkeys(
+        f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])
+    )
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, setter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                calls.append((set_threads, get_threads))
+                break
+    return calls
+
+
+def _one_blas_thread() -> None:
+    """Worker initializer: workers with a BLAS thread per core each would
+    oversubscribe the cores."""
+    for set_threads, _ in _openblas_thread_calls():
+        set_threads(1)
+
+
+def _blas_threads() -> list[int]:
+    return [get_threads() for _, get_threads in _openblas_thread_calls()]
+
+
+def _worker_pool(workers: int):
+    # imported here, not at module level: the pool machinery adds ~20 ms to
+    # every import of fracscale, also where no pipeline runs
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # forked workers start with numpy, scipy and fracscale imported, where
+    # spawned ones would import them again; OpenBLAS quiesces its own
+    # threads around a fork
+    return ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread,
+    )
+
+
+def _max_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+@contextmanager
+def _timed(stats: dict, name: str):
+    """Store the block's wall seconds as stats[name], also when it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stats[name] = time.perf_counter() - t0
+
+
+# ---------------------------------------------------------------------------
+# the grid
+
 def run_pipeline(config: RunConfig, upto: str = "transport") -> dict:
     """Run every grid point through the requested final stage.
 
-    Failures are recorded per grid point and the rest of the grid continues.
+    The (seed, density) units run in worker processes (see the module
+    docstring).  Failures are recorded per grid point and the rest of the
+    grid continues.  Any other error (an output that cannot be written, a
+    worker that died) cancels the units not yet started and is raised once
+    the running ones have finished; no worker outlives the call.
+
     Returns the manifest dict (also written to <output_dir>/manifest.json).
+    Stage wall times and worker peak RSS go to <output_dir>/run_stats.json,
+    which is not an artifact.
     """
     if upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}")
     depth = STAGES.index(upto)
+    started = time.perf_counter()
     root = Path(config.output_dir)
     root.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(config, root)
     save_config(config, root / "config.json")
     manifest.add_artifact(root / "config.json", "config")
-    started = time.time()
-
-    counts = config.fracture_counts()
     (root / "networks").mkdir(exist_ok=True)
 
-    for seed in config.seeds:
-        for p_prime in config.p_primes:
-            key = {"seed": seed, "p_prime": p_prime}
-            try:
-                nets, graphs = _generate_stage(config, manifest, root, seed, p_prime, counts)
-            except Exception as err:  # noqa: BLE001 - grid must continue
-                manifest.add_failure(key, "generate", err)
-                continue
-            if depth < STAGES.index("mesh"):
-                continue
-            for mode in config.isolated_modes:
-                if mode not in nets:
-                    continue
-                _run_mode(
-                    config, manifest, root, depth,
-                    dict(key, isolated_mode=mode), nets[mode], graphs[mode],
-                )
+    counts = config.fracture_counts()
+    units = [(seed, p_prime) for seed in config.seeds for p_prime in config.p_primes]
+    # densest first, grid order on ties: the longest units must not start last
+    order = sorted(range(len(units)), key=lambda i: -counts[units[i][1]])
+    workers = min(len(units), len(os.sched_getaffinity(0)))
+    pool = _worker_pool(workers)
+    try:
+        futures = {
+            i: pool.submit(_run_unit, config, depth, *units[i], counts[units[i][1]])
+            for i in order
+        }
+        results = [futures[i].result() for i in range(len(units))]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
+    for records, _, _ in results:
+        manifest.merge(records)
     if depth >= STAGES.index("report"):
         for table in report_tables(manifest.data, root):
             manifest.add_artifact(table, "table")
     manifest.write()
-    logger.info("pipeline finished in %.1f s", time.time() - started)
+    wall = time.perf_counter() - started
+    with open(root / "run_stats.json", "w", encoding="utf-8") as fh:
+        json.dump({
+            "workers": workers, "wall_s": wall, "max_rss_mb": _max_rss_mb(),
+            "units": [unit for _, unit, _ in results],
+            "points": [point for _, _, points in results for point in points],
+        }, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    logger.info("pipeline finished in %.1f s on %d worker(s)", wall, workers)
     return manifest.data
 
 
-def _generate_stage(config, manifest, root, seed, p_prime, counts):
-    n = counts[p_prime]
-    params = config.generation_params(seed, n)
-    network = generate_network(
-        params,
-        count_in_expanded_domain=config.count_in_expanded_domain,
-        m_vertices=config.m_vertices,
+def _run_unit(config, depth, seed, p_prime, n_fractures):
+    """One (seed, density) unit, in a worker: (records, unit stats, point stats)."""
+    started = time.perf_counter()
+    root = Path(config.output_dir)
+    records = _Records(root)
+    key = {"seed": seed, "p_prime": p_prime}
+    unit, points = dict(key), []
+    try:
+        nets, graphs = _generate_stage(config, records, root, key, n_fractures, unit)
+    except Exception as err:  # noqa: BLE001 - grid must continue
+        records.add_failure(key, "generate", err)
+    else:
+        if depth >= STAGES.index("mesh"):
+            for mode in config.isolated_modes:
+                points += _run_mode(
+                    config, records, root, depth,
+                    dict(key, isolated_mode=mode), nets[mode], graphs[mode],
+                )
+    unit.update(
+        wall_s=time.perf_counter() - started, pid=os.getpid(),
+        max_rss_mb=_max_rss_mb(), blas_threads=_blas_threads(),
     )
-    graph = build_intersection_graph(network, m_vertices=config.m_vertices)
-    removed = remove_isolated(network, graph)
-    graph_removed = graph.subset(percolating_cluster(graph))
+    return records.data, unit, points
+
+
+def _generate_stage(config, records, root, key, n_fractures, unit):
+    seed, p_prime = key["seed"], key["p_prime"]
+    params = config.generation_params(seed, n_fractures)
+    with _timed(unit, "generate_s"):
+        network = generate_network(
+            params,
+            count_in_expanded_domain=config.count_in_expanded_domain,
+            m_vertices=config.m_vertices,
+        )
+    with _timed(unit, "graph_s"):
+        graph = build_intersection_graph(network, m_vertices=config.m_vertices)
+        removed = remove_isolated(network, graph)
+        graph_removed = graph.subset(percolating_cluster(graph))
 
     nets = {"retained": network, "removed": removed}
     graphs = {"retained": graph, "removed": graph_removed}
@@ -280,11 +431,11 @@ def _generate_stage(config, manifest, root, seed, p_prime, counts):
     for mode in config.isolated_modes:
         path = root / "networks" / f"seed{seed}_p{p_prime:g}_{mode}.jsonl"
         save_network(nets[mode], path)
-        manifest.add_artifact(path, "network")
+        records.add_artifact(path, "network")
 
     p32 = fracture_intensity(network, m_vertices=config.m_vertices)
     p32_hat = fracture_intensity(removed, m_vertices=config.m_vertices)
-    manifest.data["network_rows"].append({
+    records.data["network_rows"].append({
         "seed": seed, "p_prime": p_prime, "N": len(network),
         "N_hat": len(removed),
         "N_hat_over_N_pct": 100.0 * len(removed) / len(network) if len(network) else 0.0,
@@ -294,27 +445,32 @@ def _generate_stage(config, manifest, root, seed, p_prime, counts):
     return nets, graphs
 
 
-def _run_mode(config, manifest, root, depth, key, network, graph):
+def _run_mode(config, records, root, depth, key, network, graph) -> list[dict]:
+    """Every orl, k_m and tracer of one isolated mode; returns their stage times."""
     run_dir = root / f"seed{key['seed']}_p{key['p_prime']:g}_{key['isolated_mode']}"
     run_dir.mkdir(exist_ok=True)
     dfn_perc = dfn_percolates(graph)
     btc_group = {}
+    points = []
 
     for orl in config.orls:
         okey = dict(key, orl=orl)
+        point = dict(okey, solves=[])
+        points.append(point)
         try:
-            mesh = build_mesh(
-                network.domain, network,
-                MeshParams(l=config.l, orl=orl, balance_2to1=config.balance_2to1),
-                config.m_vertices,
-            )
-            fc_report = count_false_connections(
-                mesh, graph,
-                total_cells=mesh.num_cells,
-                equivalent_cells=equivalent_hex_count(config.L, config.l, orl),
-            )
-            mesh_perc = mesh_percolates(mesh)
-            manifest.data["topology_rows"].append({
+            with _timed(point, "mesh_s"):
+                mesh = build_mesh(
+                    network.domain, network,
+                    MeshParams(l=config.l, orl=orl, balance_2to1=config.balance_2to1),
+                    config.m_vertices,
+                )
+                fc_report = count_false_connections(
+                    mesh, graph,
+                    total_cells=mesh.num_cells,
+                    equivalent_cells=equivalent_hex_count(config.L, config.l, orl),
+                )
+                mesh_perc = mesh_percolates(mesh)
+            records.data["topology_rows"].append({
                 **okey,
                 "num_false_pairs": fc_report.num_false_pairs,
                 "cells_with_false": fc_report.cells_with_false,
@@ -328,22 +484,25 @@ def _run_mode(config, manifest, root, depth, key, network, graph):
                 "classification": _percolation_class(dfn_perc, mesh_perc),
             })
         except Exception as err:  # noqa: BLE001
-            manifest.add_failure(okey, "mesh", err)
+            records.add_failure(okey, "mesh", err)
             continue
         if depth < STAGES.index("upscale"):
             continue
 
         for k_m in config.k_m:
             ukey = dict(okey, k_m=k_m)
+            solve = {"k_m": k_m}
+            point["solves"].append(solve)
             try:
-                props = upscale_mesh(
-                    mesh, network, k_m, config.phi_m,
-                    m_vertices=config.m_vertices,
-                    strict_fracture_porosity=config.strict_fracture_porosity,
-                )
-                manifest.data["upscale_rows"].append({**ukey, **props.summary()})
+                with _timed(solve, "upscale_s"):
+                    props = upscale_mesh(
+                        mesh, network, k_m, config.phi_m,
+                        m_vertices=config.m_vertices,
+                        strict_fracture_porosity=config.strict_fracture_porosity,
+                    )
+                records.data["upscale_rows"].append({**ukey, **props.summary()})
             except Exception as err:  # noqa: BLE001
-                manifest.add_failure(ukey, "upscale", err)
+                records.add_failure(ukey, "upscale", err)
                 continue
             vtk_data = {"permeability": props.permeability, "porosity": props.porosity}
 
@@ -351,9 +510,11 @@ def _run_mode(config, manifest, root, depth, key, network, graph):
             if depth >= STAGES.index("flow"):
                 try:
                     bc = FlowBC(p_in=config.delta_p, p_out=0.0, mu=config.mu)
-                    flow = solve_steady_flow(mesh, props, bc, config.flow_tol, config.flow_method)
+                    with _timed(solve, "flow_s"):
+                        flow = solve_steady_flow(
+                            mesh, props, bc, config.flow_tol, config.flow_method)
                     vtk_data["pressure"] = flow.pressure
-                    manifest.data["flow_rows"].append({
+                    records.data["flow_rows"].append({
                         **ukey,
                         "k_eff": flow.k_eff, "q_in": flow.q_in, "q_out": flow.q_out,
                         "iterations": flow.iterations, "residual": flow.residual,
@@ -362,16 +523,17 @@ def _run_mode(config, manifest, root, depth, key, network, graph):
                         "mesh_percolates": mesh_perc,
                     })
                 except Exception as err:  # noqa: BLE001
-                    manifest.add_failure(ukey, "flow", err)
+                    records.add_failure(ukey, "flow", err)
                     flow = None
 
             if config.write_vtk_files:
                 vtk_path = run_dir / f"mesh_orl{orl}_km{k_m:.0e}.vtk"
                 write_vtk(mesh, vtk_path, vtk_data)
-                manifest.add_artifact(vtk_path, "mesh-vtk")
+                records.add_artifact(vtk_path, "mesh-vtk")
             if flow is None or depth < STAGES.index("transport") or not config.transport_enabled:
                 continue
 
+            solve["transport_s"] = {}
             for kind in config.tracers:
                 tkey = dict(ukey, tracer=kind)
                 try:
@@ -382,13 +544,14 @@ def _run_mode(config, manifest, root, depth, key, network, graph):
                         retardation=config.retardation if kind == "sorbing" else 1.0,
                         injected_mass=config.injected_mass,
                     )
-                    btc = run_transport(
-                        mesh, props, flow, params, config.t_end_yr,
-                        n_outputs=config.n_outputs,
-                        dt0_yr=config.dt0_yr, growth=config.dt_growth,
-                    )
+                    with _timed(solve["transport_s"], kind):
+                        btc = run_transport(
+                            mesh, props, flow, params, config.t_end_yr,
+                            n_outputs=config.n_outputs,
+                            dt0_yr=config.dt0_yr, growth=config.dt_growth,
+                        )
                     btc_group[(orl, k_m, kind)] = btc
-                    manifest.data["transport_rows"].append({
+                    records.data["transport_rows"].append({
                         **tkey,
                         "peak_time_yr": btc.peak_time_yr(),
                         **{name: btc.metadata[name] for name in SOLVER_COUNTS},
@@ -396,7 +559,7 @@ def _run_mode(config, manifest, root, depth, key, network, graph):
                         "ledger_closure": btc.ledger_closure(),
                     })
                 except Exception as err:  # noqa: BLE001
-                    manifest.add_failure(tkey, "transport", err)
+                    records.add_failure(tkey, "transport", err)
 
     # normalize every curve of a (k_m) group by its lowest-orl conservative peak
     for (orl, k_m, kind), btc in sorted(btc_group.items()):
@@ -413,7 +576,8 @@ def _run_mode(config, manifest, root, depth, key, network, graph):
             seed=key["seed"], p_prime=key["p_prime"], orl=orl, k_m=k_m,
             isolated_mode=key["isolated_mode"],
         )
-        manifest.add_artifact(path, "btc")
+        records.add_artifact(path, "btc")
+    return points
 
 
 # ---------------------------------------------------------------------------

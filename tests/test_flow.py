@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracscale import flow as flow_module
+from fracscale import pipeline
 from fracscale.flow import (
     FlowBC,
     assemble_tpfa,
@@ -135,6 +136,24 @@ class TestSolvePressure:
         got = solve_steady_flow(mesh, props, bc)
         want = solve_steady_flow(mesh, props, bc, method="direct")
         assert got.iterations > 0
+        assert abs(got.k_eff - want.k_eff) <= 1e-8 * want.k_eff
+
+    # pipeline workers run BLAS on one thread, where this process keeps its
+    # default; the CG's dot products then sum in another order and it stops
+    # at another iterate (orl 3, seed 2, p' 1: 1,165 vs 1,166 iterations,
+    # k_eff 6.4e-13 apart), inside criterion 4's tolerance
+    @pytest.mark.parametrize("orl", [1, 2])
+    def test_one_blas_thread_keff_matches_this_process(self, orl):
+        net = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=4))
+        mesh = cube_mesh(20.0, 5.0, net, orl=orl)
+        props = upscale_mesh(mesh, net, 1e-16, 0.01)
+        bc = FlowBC(1000.0, 0.0)
+        want = solve_steady_flow(mesh, props, bc)
+        pool = pipeline._worker_pool(1)
+        try:
+            got = pool.submit(solve_steady_flow, mesh, props, bc).result(timeout=120)
+        finally:
+            pool.shutdown()
         assert abs(got.k_eff - want.k_eff) <= 1e-8 * want.k_eff
 
     def test_linear_pressure_profile(self):

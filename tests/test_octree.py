@@ -504,6 +504,57 @@ class TestExport:
         assert sum(1 for line in text if line == "12") == mesh.num_cells
         assert "SCALARS permeability double 1" in text
 
+    def test_vtk_bytes_match_per_cell_writer(self, tmp_path):
+        # mixed levels, corners that need all 10 digits (cells of edge 20/3
+        # and its halves), int, bool and float data, and floats whose
+        # shortest form needs all 17 digits
+        net = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=4))
+        mesh = cube_mesh(20.0, 20.0 / 3.0, net, orl=2)
+        assert len(np.unique(mesh.level)) > 1
+        rng = np.random.default_rng(7)
+        data = {
+            "permeability": upscale_mesh(mesh, net, 1e-16, 0.01).permeability,
+            "noise": rng.standard_normal(mesh.num_cells) * 10.0 ** rng.integers(-300, 300, mesh.num_cells),
+            "label": rng.integers(-9, 9, mesh.num_cells),
+            "flag": rng.random(mesh.num_cells) < 0.5,
+        }
+        data["noise"][:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        write_vtk(mesh, tmp_path / "got.vtk", data, title="mixed")
+        _per_cell_vtk(mesh, tmp_path / "want.vtk", data, title="mixed")
+        assert (tmp_path / "got.vtk").read_bytes() == (tmp_path / "want.vtk").read_bytes()
+
+
+def _per_cell_vtk(mesh, path, cell_data, title):
+    """The per-cell writer write_vtk replaced, kept as its byte reference."""
+    n = mesh.num_cells
+    data = {"level": mesh.level.astype(int), "is_fracture": mesh.is_fracture.astype(int)}
+    data.update(cell_data)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# vtk DataFile Version 2.0\n")
+        fh.write(f"{title}\n")
+        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {8 * n} double\n")
+        for idx in range(n):
+            lo = mesh.center[idx] - 0.5 * mesh.edge[idx]
+            for off in octree._HEX_OFFSETS:
+                pt = lo + mesh.edge[idx] * off
+                fh.write(f"{pt[0]:.10g} {pt[1]:.10g} {pt[2]:.10g}\n")
+        fh.write(f"CELLS {n} {9 * n}\n")
+        for idx in range(n):
+            base = 8 * idx
+            fh.write("8 " + " ".join(str(base + v) for v in range(8)) + "\n")
+        fh.write(f"CELL_TYPES {n}\n")
+        fh.writelines("12\n" for _ in range(n))
+        fh.write(f"CELL_DATA {n}\n")
+        for name, values in data.items():
+            values = np.asarray(values)
+            kind = "int" if values.dtype.kind in "iub" else "double"
+            fh.write(f"SCALARS {name} {kind} 1\nLOOKUP_TABLE default\n")
+            if kind == "int":
+                fh.writelines(f"{int(v)}\n" for v in values)
+            else:
+                fh.writelines(f"{v:.17g}\n" for v in values)
+
 
 # (leaves, pairs, faces) counts and sha256 digests of the leaf (level, i, j, k),
 # pair (cell, id, area) and seven FaceSet arrays, cast to little-endian int64 /

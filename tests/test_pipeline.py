@@ -1,10 +1,15 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import shutil
 
 import pytest
 
+from fracscale import pipeline
 from fracscale.cli import main as cli_main
 from fracscale.pipeline import (
+    GRID_AXES,
     RunConfig,
     _percolation_class,
     config_hash,
@@ -53,6 +58,18 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             tiny_config("x", tracers=("magic",))
 
+    @pytest.mark.parametrize("axis", GRID_AXES)
+    def test_repeated_grid_value_rejected(self, axis):
+        # a repeat would write (and hash) one artifact twice, from two workers
+        values = {
+            "seeds": (3, 4, 3), "p_primes": (1, 1.0), "isolated_modes": ("removed", "removed"),
+            "orls": (1, 2, 1), "k_m": (1e-16, 1e-14, 1e-16), "tracers": ("sorbing", "sorbing"),
+        }
+        with pytest.raises(ValueError, match=f"{axis} repeats a value"):
+            tiny_config("x", **{axis: values[axis]})
+        with pytest.raises(ValueError, match=f"{axis} repeats a value"):
+            RunConfig.from_dict({**tiny_config("x").to_dict(), axis: list(values[axis])})
+
     def test_flow_method_validated_up_front(self):
         data = tiny_config("x").to_dict()
         for method in ("auto", "direct"):
@@ -99,11 +116,15 @@ class TestPipeline:
         assert m_a["network_rows"] == m_b["network_rows"]
 
     def test_rerun_same_directory_identical_manifest(self, tmp_path):
-        config = tiny_config(tmp_path)
+        # two units, so two workers where the host has two CPUs; the wall
+        # times in run_stats.json differ between the runs
+        config = tiny_config(tmp_path, seeds=(3, 4))
         run_pipeline(config, upto="flow")
         first = (tmp_path / "manifest.json").read_bytes()
+        stats = (tmp_path / "run_stats.json").read_bytes()
         run_pipeline(config, upto="flow")
         assert (tmp_path / "manifest.json").read_bytes() == first
+        assert (tmp_path / "run_stats.json").read_bytes() != stats
 
     def test_vtk_files_are_hashed_artifacts(self, tmp_path):
         config = tiny_config(tmp_path, orls=(1, 2), k_m=(1e-16, 1e-14), write_vtk_files=True)
@@ -196,6 +217,117 @@ class TestPipeline:
             run_pipeline(tiny_config(tmp_path), upto="simulate")
 
 
+def _tree(root):
+    """Every output file's bytes but run_stats.json, which holds wall times."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file() and path.name != "run_stats.json"
+    }
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+TRANSPORT_GRID = dict(
+    seeds=(3, 4), p_primes=(0.5, 1.0), isolated_modes=("retained", "removed"),
+    transport_enabled=True, tracers=("conservative", "sorbing"),
+    t_end_yr=1.0, n_outputs=12, dt0_yr=1e-4, write_vtk_files=True,
+)
+
+
+class TestWorkers:
+    def test_two_workers_write_what_one_writes(self, tmp_path, monkeypatch):
+        trees = {}
+        for workers in (2, 1):
+            _cpus(monkeypatch, workers)
+            out = tmp_path / "out"
+            manifest = run_pipeline(tiny_config(out, **TRANSPORT_GRID), upto="report")
+            assert manifest["failures"] == []
+            stats = json.loads((out / "run_stats.json").read_text())
+            assert stats["workers"] == workers
+            assert len({unit["pid"] for unit in stats["units"]}) <= workers
+            trees[workers] = _tree(out)
+            shutil.rmtree(out)
+        kinds = {path.suffix for path in trees[1]}
+        assert kinds == {".json", ".jsonl", ".vtk", ".csv"}
+        assert sum(path.name.startswith("btc_") for path in trees[1]) == 2 * 2 * 2 * 2
+        assert trees[2] == trees[1]
+
+    def test_rows_merge_in_grid_order_densest_unit_first(self, tmp_path, monkeypatch):
+        submitted = []
+        make_pool = pipeline._worker_pool
+
+        class RecordingPool:
+            def __init__(self, workers):
+                self.pool = make_pool(workers)
+
+            def submit(self, fn, config, depth, seed, p_prime, n_fractures):
+                submitted.append((seed, p_prime))
+                return self.pool.submit(fn, config, depth, seed, p_prime, n_fractures)
+
+            def shutdown(self, **kwargs):
+                self.pool.shutdown(**kwargs)
+
+        monkeypatch.setattr(pipeline, "_worker_pool", RecordingPool)
+        config = tiny_config(tmp_path, seeds=(3, 4), p_primes=(1.0, 0.0, 2.0))
+        manifest = run_pipeline(config, upto="mesh")
+        assert submitted == [(3, 2.0), (4, 2.0), (3, 1.0), (4, 1.0), (3, 0.0), (4, 0.0)]
+        grid = [(3, 1.0), (3, 0.0), (3, 2.0), (4, 1.0), (4, 0.0), (4, 2.0)]
+        assert [(r["seed"], r["p_prime"]) for r in manifest["network_rows"]] == grid
+        assert [(r["seed"], r["p_prime"]) for r in manifest["topology_rows"]] == grid
+
+    def test_no_worker_outlives_a_run(self, tmp_path):
+        manifest = run_pipeline(tiny_config(tmp_path, seeds=(3, 4)), upto="flow")
+        assert len(manifest["flow_rows"]) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_run_that_raises(self, tmp_path):
+        # a file where seed 4's run directory goes: mkdir raises in the worker
+        tmp_path.joinpath("seed4_p1_retained").write_text("")
+        with pytest.raises(FileExistsError):
+            run_pipeline(tiny_config(tmp_path, seeds=(3, 4, 5)), upto="flow")
+        assert multiprocessing.active_children() == []
+
+    def test_worker_blas_runs_on_one_thread(self):
+        if not pipeline._openblas_thread_calls():
+            pytest.skip("no OpenBLAS loaded")
+        pool = pipeline._worker_pool(1)
+        try:
+            threads = pool.submit(pipeline._blas_threads).result(timeout=60)
+        finally:
+            pool.shutdown()
+        assert threads and set(threads) == {1}
+
+
+class TestRunStats:
+    def test_every_point_is_timed_outside_the_artifacts(self, tmp_path):
+        config = tiny_config(
+            tmp_path, seeds=(3, 4), orls=(1, 2), k_m=(1e-16, 1e-14),
+            isolated_modes=("retained", "removed"), transport_enabled=True,
+            tracers=("conservative", "decaying"), t_end_yr=1.0, n_outputs=12, dt0_yr=1e-4,
+        )
+        manifest = run_pipeline(config, upto="transport")
+        assert manifest["failures"] == []
+        stats = json.loads((tmp_path / "run_stats.json").read_text())
+        assert "run_stats.json" not in {a["path"] for a in manifest["artifacts"]}
+
+        assert [(u["seed"], u["p_prime"]) for u in stats["units"]] == [(3, 1.0), (4, 1.0)]
+        for unit in stats["units"]:
+            assert unit["wall_s"] >= unit["generate_s"] + unit["graph_s"] > 0
+            assert unit["max_rss_mb"] > 0
+        key = ("seed", "p_prime", "isolated_mode", "orl")
+        points = {tuple(p[name] for name in key): p for p in stats["points"]}
+        assert len(points) == len(stats["points"])
+        assert set(points) == {tuple(r[name] for name in key) for r in manifest["topology_rows"]}
+        for point in points.values():
+            assert point["mesh_s"] > 0
+            assert [s["k_m"] for s in point["solves"]] == list(config.k_m)
+            for solve in point["solves"]:
+                assert solve["upscale_s"] > 0 and solve["flow_s"] > 0
+                assert set(solve["transport_s"]) == set(config.tracers)
+
+
 class TestReports:
     def test_percolation_classification(self):
         assert _percolation_class(True, True) == "match-percolating"
@@ -253,6 +385,14 @@ class TestCli:
         assert cli_main(["flow", "--config", str(tmp_path / "config.json")]) == 0
         assert cli_main(["report", "--out", str(out)]) == 0
         assert (out / "tables" / "flow_summary.csv").exists()
+
+    def test_repeated_seed_fails(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        save_config(tiny_config(tmp_path / "out"), config_path)
+        code = cli_main(["mesh", "--config", str(config_path), "--seed", "2", "--seed", "2"])
+        assert code == 1
+        assert "seeds repeats a value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_report_without_manifest_fails(self, tmp_path):
         assert cli_main(["report", "--out", str(tmp_path)]) == 1
