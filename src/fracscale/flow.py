@@ -13,19 +13,22 @@ of fracture cells (Nicolaides 1987; Graham, Lechner & Scheichl 2007):
 without it each cluster's pressure level converges slowly at high contrast.
 Transport steps are solved by gmres, restarted GMRES (Saad & Schultz 1986)
 preconditioned on the right, orthogonalising by classical Gram-Schmidt
-applied twice, on the right-hand side scaled exactly by a power of two.
+applied twice, on the right-hand side scaled exactly by a power of two,
+with lower_triangular_solver's forward substitution (no factorization) as
+the preconditioner.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 logger = logging.getLogger(__name__)
 
@@ -167,6 +170,41 @@ def gmres(A, b, M, *, rtol, maxiter, x0=None, restart):
     return np.ldexp(x, exponent), steps, bool(beta <= tol)
 
 
+def lower_triangular_solver(lower: sp.csc_matrix) -> spla.LinearOperator:
+    """lower^-1 as a LinearOperator, for a lower triangular CSC matrix with
+    sorted indices and no zero on its diagonal, with nothing factorized.
+
+    A triangle is its own LU factor: SuperLU's L would be its strictly lower
+    part with every column multiplied by the reciprocal of its diagonal, and
+    U its diagonal, which SuperLU keeps on L's diagonal.  That factor is
+    built here in one pass over the values, and an application is one call
+    of SuperLU's triangular solves (gstrs, the kernel spsolve_triangular
+    calls): forward substitution with unit L, then division by the
+    diagonal.  The solve holds the factor's arrays only.
+    """
+    n = lower.shape[0]
+    heads = lower.indptr[:-1]  # the diagonal heads each sorted column
+    if not (np.all(np.diff(lower.indptr) > 0)
+            and np.array_equal(lower.indices[heads], np.arange(n))):
+        raise ValueError("every column of the triangle must start with its diagonal entry")
+    diagonal = lower.data[heads]
+    if not np.all(diagonal):
+        raise la.LinAlgError("zero on the diagonal of a triangular solve")
+    factor = lower.data * np.repeat(1.0 / diagonal, np.diff(lower.indptr))
+    factor[heads] = diagonal
+    indices = lower.indices.astype(np.intc, copy=False)
+    indptr = lower.indptr.astype(np.intc, copy=False)
+    no_upper = (np.empty(0), np.empty(0, dtype=np.intc), np.zeros(n + 1, dtype=np.intc))
+
+    def solve(b):
+        x, info = _superlu.gstrs("N", n, len(factor), factor, indices, indptr, n, 0, *no_upper, b)
+        if info:
+            raise la.LinAlgError(f"SuperLU's triangular solve failed (info {info})")
+        return x
+
+    return spla.LinearOperator((n, n), matvec=solve, dtype=float)
+
+
 def krylov_solve(A, b, M, *, rtol, maxiter, x0=None, restart=None):
     """Solve A x = b by preconditioned CG, or by gmres(restart) if restart is set.
 
@@ -256,7 +294,12 @@ def solve_pressure(
 
 @dataclass
 class FlowField:
-    """Steady pressures, signed face fluxes, boundary totals, and k_eff."""
+    """Steady pressures, signed face fluxes, boundary totals, and k_eff.
+
+    transport_operators is where transport keeps the spatial operators it
+    built on this field, keyed by diffusion coefficient, so every tracer run
+    on the field shares one (see transport.SpatialOperator).
+    """
 
     pressure: np.ndarray
     face_flux: np.ndarray    # interior: positive cell_a -> cell_b; boundary: positive outward
@@ -267,6 +310,7 @@ class FlowField:
     residual: float
     k_harmonic: float
     k_arithmetic: float
+    transport_operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def face_fluxes(mesh, system: TpfaSystem, pressure: np.ndarray) -> np.ndarray:

@@ -15,17 +15,20 @@ Solving a step: every step matrix A = system_const + diag(storage/dt) is
 solved by restarted GMRES in potential order: cells sorted by descending
 steady pressure, so that every upwind neighbour comes before its downstream
 cell and the advective part of A is lower triangular (Natvig & Lie 2008;
-Kwok & Tchelepi 2007).  The permuted operator is assembled once, with every
-diagonal entry stored, so a step only adds storage/dt to a copy of its
-values.  The preconditioner is one forward Gauss-Seidel sweep, the lower
-triangle of the permuted A gathered from those values and factorized
-without fill, rebuilt only when dt changes; GMRES starts from that sweep
-applied to the right-hand side.  The GMRES is flow.gmres through
-flow.krylov_solve, the iterative solve flow shares: preconditioned on the
-right, orthogonalising by classical Gram-Schmidt applied twice, on the
-right-hand side scaled by a power of two, so fields decayed to ~1e-170
-solve as well as the pulse.  A step that hits the cap falls back to one
-direct sparse LU of the permuted step, as a capped pressure solve does.
+Kwok & Tchelepi 2007).  The permuted spatial operator is assembled once per
+flow field and diffusion coefficient, with every diagonal entry stored, and
+kept on the field, so the three tracers run on it share one assembly (see
+SpatialOperator); a tracer adds its decay diagonal to a copy of the values,
+and a step adds storage/dt to a copy of those.  The preconditioner is one
+forward Gauss-Seidel sweep: forward substitution with the lower triangle of
+the permuted A (flow.lower_triangular_solver, which factorizes nothing),
+gathered only when dt changes; GMRES starts from that sweep applied to the
+right-hand side.  The GMRES is flow.gmres through flow.krylov_solve, the
+iterative solve flow shares: preconditioned on the right, orthogonalising
+by classical Gram-Schmidt applied twice, on the right-hand side scaled by a
+power of two, so fields decayed to ~1e-170 solve as well as the pulse.  A
+step that hits the cap falls back to one direct sparse LU of the permuted
+step, as a capped pressure solve does; that is the only LU transport runs.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .flow import face_conductance, face_operator, krylov_solve
+from .flow import face_conductance, face_operator, krylov_solve, lower_triangular_solver
 
 logger = logging.getLogger(__name__)
 
@@ -52,8 +54,9 @@ GMRES_RTOL = 1e-14
 GMRES_RESTART = 50
 GMRES_MAX_CYCLES = 20
 # deterministic solver counts a TransportOperator keeps and run_transport
-# copies into BreakthroughCurve.metadata: steps, Gauss-Seidel factors (one
-# per distinct dt), GMRES iterations, and direct LUs after the cap
+# copies into BreakthroughCurve.metadata: steps, Gauss-Seidel triangles
+# gathered (one per distinct dt; nothing is factorized, the name is kept for
+# the manifest's transport_rows), GMRES iterations, and direct LUs after the cap
 SOLVER_COUNTS = ("steps", "factorizations", "krylov_iterations", "fallbacks")
 
 
@@ -119,67 +122,64 @@ class TransportState:
         return float(self.operator.storage @ self.concentration)
 
 
+@dataclass(eq=False)
+class SpatialOperator:
+    """The spatial operator of one flow field in potential order, with what
+    every tracer run on that field shares.
+
+    FlowField.transport_operators keeps one per diffusion coefficient; mesh
+    and porosity are what it was built from, and a tracer on another mesh
+    (by identity) or another porosity (by value) rebuilds it.  data holds
+    the CSR values with every diagonal entry stored (an explicit zero in a
+    cell without flux or diffusion), diagonal their positions, and lower the
+    positions of the lower triangle in the CSC order of lower_indices and
+    lower_indptr.
+    """
+
+    mesh: object
+    porosity: np.ndarray
+    order: np.ndarray        # the cell of each potential-ordered row
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    diagonal: np.ndarray
+    lower: np.ndarray
+    lower_indices: np.ndarray
+    lower_indptr: np.ndarray
+    outflow_weight: np.ndarray      # outward flux through x = +L/2, per cell
+    other_exit_weight: np.ndarray   # outward flux through any other boundary
+
+
 class TransportOperator:
-    """Frozen spatial operator and storage/decay diagonals for one tracer."""
+    """Storage and decay diagonals of one tracer on the spatial operator
+    its flow field shares between tracers."""
 
     def __init__(self, mesh, props, flow, params: TracerParams):
         phi = np.asarray(props.porosity, dtype=float)
         vol = np.asarray(mesh.volume, dtype=float)
-        n = mesh.num_cells
-        faces = mesh.faces
 
         if params.k_d is not None:
             r_cell = retardation_factor(params.k_d, phi, params.s_l, params.rho_w)
         else:
-            r_cell = np.full(n, params.retardation)
+            r_cell = np.full(mesh.num_cells, params.retardation)
 
         self.pore_volume = phi * vol
         self.storage = r_cell * self.pore_volume
         self.decay_diag = params.decay * self.pore_volume
         self.params = params
-        self.mesh = mesh
 
-        boundary = (faces.cell_b < 0) & (flow.face_flux > 0)
-        bc_cells = faces.cell_a[boundary]
-        bc_flux = flow.face_flux[boundary]
-        self.outflow_weight = np.zeros(n)
-        self.other_exit_weight = np.zeros(n)
-        is_outlet = faces.btag[boundary] == mesh.BTAG_XMAX
-        np.add.at(self.outflow_weight, bc_cells[is_outlet], bc_flux[is_outlet])
-        np.add.at(self.other_exit_weight, bc_cells[~is_outlet], bc_flux[~is_outlet])
-
-        # potential order: by descending steady pressure every upwind
-        # neighbour precedes its downstream cell, so the advective part of
-        # the permuted matrix is lower triangular
-        self._order = np.argsort(-flow.pressure, kind="stable")
-        rank = np.empty(n, dtype=np.int32)  # scipy's index type, so nothing is converted
-        rank[self._order] = np.arange(n, dtype=np.int32)
-        # one assembly of the permuted operator from its off-diagonal entries
-        # and its diagonal, summed apart so nothing is summed in the sort:
-        # every diagonal entry is stored (an explicit zero in a cell without
-        # flux, diffusion or decay), and a step adds storage/dt in place
-        rows, cols, vals = self.spatial_entries(mesh, props, flow, params)
-        off = rows != cols
-        diagonal = np.bincount(rows[~off], vals[~off], minlength=n) + self.decay_diag
-        system = sp.coo_matrix(
-            (np.concatenate([vals[off], diagonal]),
-             (np.concatenate([rank[rows[off]], rank]), np.concatenate([rank[cols[off]], rank]))),
-            shape=(n, n),
-        ).tocsr()
-        self._data, self._indices, self._indptr = system.data, system.indices, system.indptr
-        row_of = np.repeat(np.arange(n, dtype=np.int32), np.diff(system.indptr))
-        self._diagonal = np.flatnonzero(system.indices == row_of)
-        # the lower triangle in CSC order: transpose the CSR positions of its
-        # entries, which run in each row up to the diagonal
-        in_lower = system.indices <= row_of
-        lower_indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(self._diagonal - system.indptr[:-1] + 1, out=lower_indptr[1:])
-        lower = sp.csr_matrix(
-            (np.flatnonzero(in_lower), system.indices[in_lower], lower_indptr), shape=(n, n)
-        ).tocsc()
-        self._lower = lower.data
-        self._lower_indices, self._lower_indptr = lower.indices, lower.indptr
-        self._storage_perm = self.storage[self._order]
+        spatial = flow.transport_operators.get(params.diffusion)
+        if spatial is None or spatial.mesh is not mesh or not np.array_equal(spatial.porosity, phi):
+            spatial = self.spatial_operator(mesh, props, flow, params)
+            flow.transport_operators[params.diffusion] = spatial
+        self._spatial = spatial
+        self.outflow_weight = spatial.outflow_weight
+        self.other_exit_weight = spatial.other_exit_weight
+        # this tracer's values: the decay diagonal added to the stored one,
+        # and a step adds storage/dt to a copy of them
+        self._data = spatial.data.copy()
+        self._data[spatial.diagonal] += self.decay_diag[spatial.order]
+        self._storage_perm = self.storage[spatial.order]
         self._gs_dt = None
         self._gs = None
         # solver counts, read into BreakthroughCurve.metadata by run_transport
@@ -187,6 +187,52 @@ class TransportOperator:
         self.factorizations = 0
         self.krylov_iterations = 0
         self.fallbacks = 0
+
+    def spatial_operator(self, mesh, props, flow, params) -> SpatialOperator:
+        """Assemble the spatial operator from spatial_entries, in potential order."""
+        phi = np.asarray(props.porosity, dtype=float)
+        n = mesh.num_cells
+        faces = mesh.faces
+
+        boundary = (faces.cell_b < 0) & (flow.face_flux > 0)
+        bc_cells = faces.cell_a[boundary]
+        bc_flux = flow.face_flux[boundary]
+        outflow_weight = np.zeros(n)
+        other_exit_weight = np.zeros(n)
+        is_outlet = faces.btag[boundary] == mesh.BTAG_XMAX
+        np.add.at(outflow_weight, bc_cells[is_outlet], bc_flux[is_outlet])
+        np.add.at(other_exit_weight, bc_cells[~is_outlet], bc_flux[~is_outlet])
+
+        # potential order: by descending steady pressure every upwind
+        # neighbour precedes its downstream cell, so the advective part of
+        # the permuted matrix is lower triangular
+        order = np.argsort(-flow.pressure, kind="stable")
+        rank = np.empty(n, dtype=np.int32)  # scipy's index type, so nothing is converted
+        rank[order] = np.arange(n, dtype=np.int32)
+        # one assembly of the permuted operator from its off-diagonal entries
+        # and its diagonal, summed apart so nothing is summed in the sort
+        rows, cols, vals = self.spatial_entries(mesh, props, flow, params)
+        off = rows != cols
+        diagonal = np.bincount(rows[~off], vals[~off], minlength=n)
+        system = sp.coo_matrix(
+            (np.concatenate([vals[off], diagonal]),
+             (np.concatenate([rank[rows[off]], rank]), np.concatenate([rank[cols[off]], rank]))),
+            shape=(n, n),
+        ).tocsr()
+        row_of = np.repeat(np.arange(n, dtype=np.int32), np.diff(system.indptr))
+        diagonal_at = np.flatnonzero(system.indices == row_of)
+        # the lower triangle in CSC order: transpose the CSR positions of its
+        # entries, which run in each row up to the diagonal
+        in_lower = system.indices <= row_of
+        lower_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(diagonal_at - system.indptr[:-1] + 1, out=lower_indptr[1:])
+        lower = sp.csr_matrix(
+            (np.flatnonzero(in_lower), system.indices[in_lower], lower_indptr), shape=(n, n)
+        ).tocsc()
+        return SpatialOperator(
+            mesh, phi.copy(), order, system.data, system.indices, system.indptr, diagonal_at,
+            lower.data, lower.indices, lower.indptr, outflow_weight, other_exit_weight,
+        )
 
     def spatial_entries(self, mesh, props, flow, params):
         """(rows, cols, values) in cell order, duplicates summing, of the spatial
@@ -203,10 +249,11 @@ class TransportOperator:
     def system_const(self) -> sp.csc_matrix:
         """The spatial operator plus decay diagonal in cell order, as the step
         solve sees it (the stored zeros dropped)."""
-        n = len(self._order)
-        rows = np.repeat(self._order, np.diff(self._indptr))
+        spatial = self._spatial
+        n = len(spatial.order)
+        rows = np.repeat(spatial.order, np.diff(spatial.indptr))
         matrix = sp.coo_matrix(
-            (self._data, (rows, self._order[self._indices])), shape=(n, n)).tocsc()
+            (self._data, (rows, spatial.order[spatial.indices])), shape=(n, n)).tocsc()
         matrix.eliminate_zeros()
         return matrix
 
@@ -214,30 +261,28 @@ class TransportOperator:
         """Solve (system_const + storage/dt) x = storage/dt c.
 
         GMRES on the step permuted into potential order, preconditioned by
-        forward Gauss-Seidel (the no-fill factor of the lower triangle, kept
-        while dt is unchanged) and started from one Gauss-Seidel sweep; one
-        direct LU of the permuted step if GMRES hits GMRES_MAX_CYCLES.
+        forward Gauss-Seidel (forward substitution with the lower triangle,
+        gathered once per distinct dt) and started from one Gauss-Seidel
+        sweep; one direct LU of the permuted step if GMRES hits
+        GMRES_MAX_CYCLES.
         """
+        spatial = self._spatial
         self.steps += 1
         data = self._data.copy()
-        data[self._diagonal] += self._storage_perm / dt
-        shape = (len(self._order),) * 2
-        matrix = sp.csr_matrix((data, self._indices, self._indptr), shape=shape)
+        data[spatial.diagonal] += self._storage_perm / dt
+        shape = (len(spatial.order),) * 2
+        matrix = sp.csr_matrix((data, spatial.indices, spatial.indptr), shape=shape)
         if self._gs_dt != dt:
-            # a triangular factor in natural order with diagonal pivots has no
-            # fill; one-column panels give the same floats in about half the time
             lower = sp.csc_matrix(
-                (data[self._lower], self._lower_indices, self._lower_indptr), shape=shape)
-            lower = spla.splu(
-                lower, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1)
-            self._gs = spla.LinearOperator(shape, matvec=lower.solve, dtype=float)
+                (data[spatial.lower], spatial.lower_indices, spatial.lower_indptr), shape=shape)
+            self._gs = lower_triangular_solver(lower)
             self._gs_dt = dt
             self.factorizations += 1
         # start from one Gauss-Seidel sweep (from zero), not from c: on the
         # small, strongly dominant steps that sweep is accurate entry by
         # entry, whereas from c the norm-wise stop leaves relative errors
         # above 1e-12 in entries near 1e-12 of the peak
-        b = (self.storage / dt * c)[self._order]
+        b = (self.storage / dt * c)[spatial.order]
         x_perm, iterations, fell_back = krylov_solve(
             matrix, b, self._gs, rtol=GMRES_RTOL, maxiter=GMRES_MAX_CYCLES,
             x0=self._gs.matvec(b), restart=GMRES_RESTART,
@@ -245,7 +290,7 @@ class TransportOperator:
         self.krylov_iterations += iterations
         self.fallbacks += fell_back
         x = np.empty_like(x_perm)
-        x[self._order] = x_perm
+        x[spatial.order] = x_perm
         return x
 
 

@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -14,6 +15,7 @@ from fracscale.flow import (
     effective_permeability,
     face_fluxes,
     krylov_solve,
+    lower_triangular_solver,
     solve_pressure,
     solve_steady_flow,
     wiener_bounds,
@@ -222,6 +224,27 @@ class TestGmres:
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
         big, _, _ = gmres_solve(A, M, np.ldexp(tiny, 560))
         assert np.array_equal(x, np.ldexp(big, -560))
+
+
+class TestLowerTriangularSolver:
+    def test_solves_the_triangle(self):
+        A, _, b = nonsymmetric_system()
+        lower = sp.tril(A, format="csc")
+        kept = b.copy()
+        x = lower_triangular_solver(lower).matvec(b)
+        want = la.solve_triangular(lower.toarray(), b, lower=True)
+        assert np.array_equal(b, kept)
+        assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_rejects_a_missing_or_zero_diagonal(self):
+        A, _, _ = nonsymmetric_system()
+        lower = sp.tril(A, format="csc")
+        lower.data[lower.indptr[7]] = 0.0
+        with pytest.raises(la.LinAlgError):
+            lower_triangular_solver(lower)
+        lower.eliminate_zeros()
+        with pytest.raises(ValueError):
+            lower_triangular_solver(lower)
 
 
 class TestEffectivePermeability:

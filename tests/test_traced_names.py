@@ -57,9 +57,30 @@ def test_traced_flow_and_transport_count_their_factorizations(fs):
     m = layers.metrics(tracer, None)
     assert m["flow.direct_solves"] == 1
     assert m["transport.steps"] == 4
+    # the Gauss-Seidel preconditioner factorizes nothing: transport's only
+    # LU is the fallback after the GMRES cap, which no step here reaches
+    assert m["transport.factorizations"] == 0
+    assert m["transport.lu_fill_nnz"] == 0
+    assert m["flow.assemble_s"] > 0 and m["transport.operator_s"] > 0
+
+
+def test_traced_transport_counts_its_fallback_factorization(fs, monkeypatch):
+    mesh = box_mesh((2.0, 0.5, 0.5), 0.25)
+    props = uniform_props(mesh, 1e-12, 0.01)
+    field = fs.flow.solve_steady_flow(mesh, props, fs.flow.FlowBC(1000.0, 0.0))
+    # no restart cycle: the one step goes to the direct LU
+    monkeypatch.setattr(fs.transport, "GMRES_MAX_CYCLES", 0)
+    tracer = Tracer()
+    with installed(layers.patches(tracer, fs)):
+        btc = fs.transport.run_transport(
+            mesh, props, field, fs.transport.TracerParams(), 1.0,
+            output_times_yr=[0.25], dt0_yr=0.25,
+        )
+    m = layers.metrics(tracer, None)
+    assert btc.metadata["fallbacks"] == 1
+    assert m["transport.steps"] == 1
     assert m["transport.factorizations"] == 1
     assert m["transport.lu_fill_nnz"] > 0
-    assert m["flow.assemble_s"] > 0 and m["transport.operator_s"] > 0
 
 
 def test_traced_default_flow_solves_by_cg(fs):

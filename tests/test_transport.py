@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracscale import pipeline, transport
-from fracscale.flow import FlowBC, solve_steady_flow
+from fracscale.flow import FlowBC, lower_triangular_solver, solve_steady_flow
 from fracscale.network import GenerationParams, generate_network
 from fracscale.transport import (
     YEAR_SECONDS,
@@ -348,27 +352,124 @@ class TestReferenceAssembly:
         mesh, props, flow = generated_flows[1]
         params = desk_tracer(kind)
 
-        def run():
+        def run(flow):
             return run_transport(mesh, props, flow, params, 1e8, n_outputs=48, growth=1.5)
 
-        got = run()
+        got = run(flow)
 
         # the operator's one assembly, and so every step solve, takes the
-        # reference entries instead of the face operator's
+        # reference entries instead of the face operator's.  A copy of the
+        # flow holds no spatial operator, so the reference one is assembled
+        calls = []
+
         class ReferenceOperator(transport.TransportOperator):
             def spatial_entries(self, mesh, props, flow, params):
+                calls.append(params)
                 spatial = reference_spatial(mesh, props, flow, params)
                 return spatial.row, spatial.col, spatial.data
 
         monkeypatch.setattr(transport, "TransportOperator", ReferenceOperator)
-        want = run()
+        want = run(dataclasses.replace(flow))
+        assert calls == [params]
         assert got.peak_index() == want.peak_index()
         for name in ("mass_rate_mol_per_yr", "cumulative_mol", "in_domain_mol", "decayed_mol"):
             assert _rel_diff(getattr(got, name), getattr(want, name)) <= REFERENCE_RTOL, name
 
 
+def counted_spatial_entries(monkeypatch):
+    """Record the params of every spatial_entries call, i.e. every assembly."""
+    calls = []
+    real = transport.TransportOperator.spatial_entries
+
+    def spatial_entries(op, mesh, props, flow, params):
+        calls.append(params)
+        return real(op, mesh, props, flow, params)
+
+    monkeypatch.setattr(transport.TransportOperator, "spatial_entries", spatial_entries)
+    return calls
+
+
+class TestSharedSpatialOperator:
+    def test_three_tracers_on_one_flow_assemble_once(self, generated_flows, monkeypatch):
+        mesh, props, flow = generated_flows[2]
+        flow = dataclasses.replace(flow)  # no spatial operator kept yet
+        calls = counted_spatial_entries(monkeypatch)
+        ops = [prepare_transport(mesh, props, flow, desk_tracer(kind)).operator
+               for kind in TRACER_KINDS]
+        assert len(calls) == 1 and list(flow.transport_operators) == [1e-9]
+        spatial = flow.transport_operators[1e-9]
+        assert all(op.outflow_weight is spatial.outflow_weight for op in ops)
+
+    def test_other_diffusion_porosity_or_mesh_rebuilds(self, generated_flows, monkeypatch):
+        mesh, props, flow = generated_flows[1]
+        flow = dataclasses.replace(flow)
+        calls = counted_spatial_entries(monkeypatch)
+
+        def prepare(mesh, props, diffusion=1e-9):
+            prepare_transport(mesh, props, flow, TracerParams(diffusion=diffusion))
+            return len(calls)
+
+        assert prepare(mesh, props) == 1
+        # equal porosity in another array is the same operator
+        assert prepare(mesh, dataclasses.replace(props, porosity=props.porosity.copy())) == 1
+        assert prepare(mesh, props, diffusion=2e-9) == 2
+        assert sorted(flow.transport_operators) == [1e-9, 2e-9]
+        assert prepare(mesh, dataclasses.replace(props, porosity=2 * props.porosity)) == 3
+        assert prepare(mesh, props) == 4
+        assert prepare(mesh, props) == 4
+        # the same cells in another mesh object: identity decides
+        assert prepare(copy.copy(mesh), props) == 5
+        assert prepare(mesh, props, diffusion=2e-9) == 5
+
+    @pytest.mark.parametrize("kind", TRACER_KINDS)
+    def test_shared_operator_run_is_bit_identical_to_fresh_flow(
+        self, generated_flows, kind, monkeypatch,
+    ):
+        mesh, props, flow = generated_flows[2]
+        shared = dataclasses.replace(flow)
+        params = desk_tracer(kind)
+
+        def run(flow):
+            return run_transport(mesh, props, flow, params, 1e8, n_outputs=48, growth=1.5)
+
+        prepare_transport(mesh, props, shared, desk_tracer("conservative"))
+        calls = counted_spatial_entries(monkeypatch)
+        got = run(shared)
+        assert calls == []
+        want = run(dataclasses.replace(flow))
+        assert calls == [params]
+        for name in ("times_yr", "mass_rate_mol_per_yr", "cumulative_mol", "in_domain_mol",
+                     "decayed_mol"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.metadata == want.metadata
+        assert got.initial_total_mass == want.initial_total_mass
+
+    def test_operator_is_freed_by_refcounting_after_a_run(self, generated_flows, monkeypatch):
+        # the Gauss-Seidel solve an operator keeps must not refer back to
+        # it: through a reference cycle every operator of a long grid would
+        # wait for the cyclic collector, holding its arrays
+        mesh, props, flow = generated_flows[1]
+        refs = []
+        prepare = transport.prepare_transport
+
+        def prepare_and_watch(*args):
+            state = prepare(*args)
+            refs.append(weakref.ref(state.operator))
+            return state
+
+        monkeypatch.setattr(transport, "prepare_transport", prepare_and_watch)
+        gc.disable()
+        try:
+            btc = run_transport(mesh, props, flow, desk_tracer("decaying"), 1e8, n_outputs=8)
+            assert btc.metadata["factorizations"] > 1
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
+
+
 def counted_splu(monkeypatch):
-    """Replace scipy's splu, as transport calls it, with a counting wrapper."""
+    """Replace scipy's splu, which a step calls only in the direct fallback,
+    with a counting wrapper."""
     calls = []
     real = spla.splu
 
@@ -376,14 +477,37 @@ def counted_splu(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(transport.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
     return calls
+
+
+def recorded_triangles(monkeypatch):
+    """Record every Gauss-Seidel triangle a step hands the triangular solve."""
+    triangles = []
+    real = transport.lower_triangular_solver
+
+    def solver(lower):
+        triangles.append(lower.copy())
+        return real(lower)
+
+    monkeypatch.setattr(transport, "lower_triangular_solver", solver)
+    return triangles
+
+
+def step_matrix(op, dt):
+    """The backward-Euler step matrix in cell order."""
+    return op.system_const + sp.diags(op.storage / dt)
+
+
+def permuted_step(op, flow, dt):
+    """The step matrix in potential order, as CSR."""
+    order = np.argsort(-flow.pressure, kind="stable")
+    return step_matrix(op, dt).tocsr()[order][:, order]
 
 
 def lu_step(op, c, dt):
     """One backward-Euler step by a direct sparse LU solve."""
-    matrix = (op.system_const + sp.diags(op.storage / dt)).tocsc()
-    return spla.splu(matrix).solve(op.storage / dt * c)
+    return spla.splu(step_matrix(op, dt).tocsc()).solve(op.storage / dt * c)
 
 
 def peak_scaled_diff(got, want):
@@ -417,9 +541,12 @@ class TestStepSolver:
         state = prepare_transport(mesh, props, flow, desk_tracer(kind))
         op, dt = state.operator, dt_yr * YEAR_SECONDS
         want = lu_step(op, state.concentration, dt)
-        calls = counted_splu(monkeypatch)
+        lu_calls = counted_splu(monkeypatch)
+        triangles = recorded_triangles(monkeypatch)
         got = op.solve_step(state.concentration, dt)
-        assert len(calls) == 1 and sp.triu(calls[0][0], 1).nnz == 0
+        # one Gauss-Seidel triangle and no LU at all
+        assert lu_calls == []
+        assert len(triangles) == 1 and sp.triu(triangles[0], 1).nnz == 0
         assert (op.factorizations, op.fallbacks) == (1, 0)
         assert got.min() >= -KRYLOV_STEP_TOL * got.max()
         assert peak_scaled_diff(got, want) <= KRYLOV_STEP_TOL
@@ -431,14 +558,34 @@ class TestStepSolver:
     ):
         mesh, props, flow = generated_flows[orl]
         state = prepare_transport(mesh, props, flow, desk_tracer(kind))
-        op, dt = state.operator, YEAR_SECONDS
+        op = state.operator
+        triangles = recorded_triangles(monkeypatch)
+        # gathered once per distinct dt, from that dt's step
+        for dt in (YEAR_SECONDS, YEAR_SECONDS, 2 * YEAR_SECONDS):
+            op.solve_step(state.concentration, dt)
+        assert len(triangles) == op.factorizations == 2
+        for lower, dt in zip(triangles, (YEAR_SECONDS, 2 * YEAR_SECONDS)):
+            assert lower.format == "csc" and lower.has_sorted_indices
+            assert (lower != sp.tril(permuted_step(op, flow, dt))).nnz == 0
+
+    @pytest.mark.parametrize("dt_yr", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("orl", [1, 2])
+    @pytest.mark.parametrize("kind", TRACER_KINDS)
+    def test_triangular_solve_matches_spsolve_triangular(self, generated_flows, kind, orl, dt_yr):
+        # the kernel is SuperLU's gstrs on the triangle with its columns
+        # scaled, as spsolve_triangular runs it; <= 2.2e-16 of the largest
+        # entry measured on these triangles (<= 1.6e-16 from the splu factor
+        # the preconditioner was before)
+        mesh, props, flow = generated_flows[orl]
+        state = prepare_transport(mesh, props, flow, desk_tracer(kind))
+        op, dt = state.operator, dt_yr * YEAR_SECONDS
+        lower = sp.tril(permuted_step(op, flow, dt), format="csc")
         order = np.argsort(-flow.pressure, kind="stable")
-        step = (op.system_const + sp.diags(op.storage / dt)).tocsr()[order][:, order]
-        calls = counted_splu(monkeypatch)
-        op.solve_step(state.concentration, dt)
-        lower = calls[0][0]
-        assert lower.format == "csc" and lower.has_sorted_indices
-        assert (lower != sp.tril(step)).nnz == 0
+        for b in ((op.storage / dt * state.concentration)[order],
+                  np.random.default_rng(7).random(mesh.num_cells)):
+            want = spla.spsolve_triangular(lower, b, lower=True)
+            got = lower_triangular_solver(lower).matvec(b)
+            assert peak_scaled_diff(got, want) <= 1e-14
 
     @pytest.mark.parametrize("orl", [1, 2])
     @pytest.mark.parametrize("kind", TRACER_KINDS)
@@ -459,12 +606,13 @@ class TestStepSolver:
         op, dt = state.operator, YEAR_SECONDS
         c1 = lu_step(op, state.concentration, dt)
         c2 = lu_step(op, c1, dt)
-        calls = counted_splu(monkeypatch)
+        lu_calls = counted_splu(monkeypatch)
+        triangles = recorded_triangles(monkeypatch)
         got1 = op.solve_step(state.concentration, dt)
         got2 = op.solve_step(got1, dt)
-        # one Gauss-Seidel factor for the repeated dt, and no LU of the full matrix
-        assert len(calls) == 1
-        assert all(sp.triu(args[0], 1).nnz == 0 for args in calls)
+        # one Gauss-Seidel triangle for the repeated dt, and no LU at all
+        assert lu_calls == []
+        assert len(triangles) == 1 and sp.triu(triangles[0], 1).nnz == 0
         assert (op.factorizations, op.fallbacks) == (1, 0)
         assert op.krylov_iterations > 0
         assert peak_scaled_diff(got1, c1) <= KRYLOV_STEP_TOL
@@ -477,10 +625,14 @@ class TestStepSolver:
         op, dt = state.operator, 1e8 * YEAR_SECONDS
         want = lu_step(op, state.concentration, dt)
         monkeypatch.setattr(transport, "GMRES_MAX_CYCLES", 1)
-        calls = counted_splu(monkeypatch)
+        lu_calls = counted_splu(monkeypatch)
+        triangles = recorded_triangles(monkeypatch)
         got = op.solve_step(state.concentration, dt)
-        assert len(calls) == 2
-        assert sp.triu(calls[0][0], 1).nnz == 0 and sp.triu(calls[1][0], 1).nnz > 0
+        # one Gauss-Seidel triangle, and the fallback is the only LU: of the
+        # whole permuted step
+        assert len(triangles) == 1 and sp.triu(triangles[0], 1).nnz == 0
+        assert len(lu_calls) == 1 and sp.triu(lu_calls[0][0], 1).nnz > 0
+        assert (lu_calls[0][0] != permuted_step(op, flow, dt)).nnz == 0
         assert (op.factorizations, op.fallbacks) == (1, 1)
         assert op.krylov_iterations == transport.GMRES_RESTART
         # the fallback factors the step in potential order, lu_step in natural order
