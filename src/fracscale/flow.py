@@ -14,8 +14,8 @@ without it each cluster's pressure level converges slowly at high contrast.
 Transport steps are solved by gmres, restarted GMRES (Saad & Schultz 1986)
 preconditioned on the right, orthogonalising by classical Gram-Schmidt
 applied twice, on the right-hand side scaled exactly by a power of two,
-with lower_triangular_solver's forward substitution (no factorization) as
-the preconditioner.
+with forward_sweep's forward substitution (one in-place pass of the CSR
+product kernel, no factorization) as the preconditioner.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.linalg._dsolve import _superlu
+from scipy.sparse import _sparsetools
 
 logger = logging.getLogger(__name__)
 
@@ -170,36 +170,32 @@ def gmres(A, b, M, *, rtol, maxiter, x0=None, restart):
     return np.ldexp(x, exponent), steps, bool(beta <= tol)
 
 
-def lower_triangular_solver(lower: sp.csc_matrix) -> spla.LinearOperator:
-    """lower^-1 as a LinearOperator, for a lower triangular CSC matrix with
-    sorted indices and no zero on its diagonal, with nothing factorized.
+def forward_sweep(indptr, indices, strict, diagonal) -> spla.LinearOperator:
+    """L^-1 as a LinearOperator, for the lower triangular L = D (I - S) given
+    by its diagonal D and its strict part S in CSR (strict, indices, indptr:
+    L's strict lower triangle with each row scaled by -1/D, float64 values,
+    indices and indptr of one integer dtype), with nothing factorized.
 
-    A triangle is its own LU factor: SuperLU's L would be its strictly lower
-    part with every column multiplied by the reciprocal of its diagonal, and
-    U its diagonal, which SuperLU keeps on L's diagonal.  That factor is
-    built here in one pass over the values, and an application is one call
-    of SuperLU's triangular solves (gstrs, the kernel spsolve_triangular
-    calls): forward substitution with unit L, then division by the
-    diagonal.  The solve holds the factor's arrays only.
+    An application is one forward substitution: x = b / D, then one call of
+    scipy's CSR product kernel (csr_matvec, which adds row i's products
+    into y[i], row by row) with x as both its input and its output.  Every
+    x[j] (j < i) row i reads is then already final, so the one pass computes
+    x[i] = (b[i] - sum_j L[i, j] x[j]) / L[i, i] in row order.  The kernel
+    is scipy's private API; the tests pin that it runs in place and in order.
+    b is left unchanged.
     """
-    n = lower.shape[0]
-    heads = lower.indptr[:-1]  # the diagonal heads each sorted column
-    if not (np.all(np.diff(lower.indptr) > 0)
-            and np.array_equal(lower.indices[heads], np.arange(n))):
-        raise ValueError("every column of the triangle must start with its diagonal entry")
-    diagonal = lower.data[heads]
+    n = len(diagonal)
+    # the kernel reads raw buffers: arrays that do not fit would be read out
+    # of bounds, and another dtype would be converted, x into a copy
+    if not (len(indptr) == n + 1 and len(indices) == len(strict) == indptr[-1]
+            and indices.dtype == indptr.dtype and strict.dtype == diagonal.dtype == np.float64):
+        raise ValueError("the sweep's arrays do not make one float64 CSR triangle")
     if not np.all(diagonal):
         raise la.LinAlgError("zero on the diagonal of a triangular solve")
-    factor = lower.data * np.repeat(1.0 / diagonal, np.diff(lower.indptr))
-    factor[heads] = diagonal
-    indices = lower.indices.astype(np.intc, copy=False)
-    indptr = lower.indptr.astype(np.intc, copy=False)
-    no_upper = (np.empty(0), np.empty(0, dtype=np.intc), np.zeros(n + 1, dtype=np.intc))
 
     def solve(b):
-        x, info = _superlu.gstrs("N", n, len(factor), factor, indices, indptr, n, 0, *no_upper, b)
-        if info:
-            raise la.LinAlgError(f"SuperLU's triangular solve failed (info {info})")
+        x = b / diagonal
+        _sparsetools.csr_matvec(n, n, indptr, indices, strict, x, x)
         return x
 
     return spla.LinearOperator((n, n), matvec=solve, dtype=float)

@@ -287,29 +287,41 @@ def _openblas_thread_calls() -> list[tuple]:
     return calls
 
 
-def _one_blas_thread() -> None:
-    """Worker initializer: workers with a BLAS thread per core each would
-    oversubscribe the cores."""
-    for set_threads, _ in _openblas_thread_calls():
-        set_threads(1)
-
-
 def _blas_threads() -> list[int]:
     return [get_threads() for _, get_threads in _openblas_thread_calls()]
 
 
+@contextmanager
 def _worker_pool(workers: int):
+    """A pool of forked worker processes, each running BLAS on one thread;
+    shut down on leaving, once the running units have finished.
+
+    Workers with a BLAS thread per core each would oversubscribe the cores.
+    OpenBLAS stops its threads around a fork, and setting the count in a
+    worker afterwards starts them again, so every loaded OpenBLAS is set to
+    one thread here, before the workers fork, and the parent's counts are
+    restored once the pool is shut down.
+    """
     # imported here, not at module level: the pool machinery adds ~20 ms to
     # every import of fracscale, also where no pipeline runs
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # forked workers start with numpy, scipy and fracscale imported, where
-    # spawned ones would import them again; OpenBLAS quiesces its own
-    # threads around a fork
-    return ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread,
-    )
+    calls = _openblas_thread_calls()
+    counts = [get_threads() for _, get_threads in calls]
+    for set_threads, _ in calls:
+        set_threads(1)
+    try:
+        # forked workers start with numpy, scipy and fracscale imported,
+        # where spawned ones would import them again
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            yield pool
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        for (set_threads, _), count in zip(calls, counts):
+            set_threads(count)
 
 
 def _max_rss_mb() -> float:
@@ -358,15 +370,12 @@ def run_pipeline(config: RunConfig, upto: str = "transport") -> dict:
     # densest first, grid order on ties: the longest units must not start last
     order = sorted(range(len(units)), key=lambda i: -counts[units[i][1]])
     workers = min(len(units), len(os.sched_getaffinity(0)))
-    pool = _worker_pool(workers)
-    try:
+    with _worker_pool(workers) as pool:
         futures = {
             i: pool.submit(_run_unit, config, depth, *units[i], counts[units[i][1]])
             for i in order
         }
         results = [futures[i].result() for i in range(len(units))]
-    finally:
-        pool.shutdown(cancel_futures=True)
 
     for records, _, _ in results:
         manifest.merge(records)

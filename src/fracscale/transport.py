@@ -21,9 +21,10 @@ kept on the field, so the three tracers run on it share one assembly (see
 SpatialOperator); a tracer adds its decay diagonal to a copy of the values,
 and a step adds storage/dt to a copy of those.  The preconditioner is one
 forward Gauss-Seidel sweep: forward substitution with the lower triangle of
-the permuted A (flow.lower_triangular_solver, which factorizes nothing),
-gathered only when dt changes; GMRES starts from that sweep applied to the
-right-hand side.  The GMRES is flow.gmres through flow.krylov_solve, the
+the permuted A (flow.forward_sweep, one in-place pass of scipy's CSR product
+kernel, which factorizes nothing), its strict part scaled by the diagonal
+and gathered only when dt changes; GMRES starts from that sweep applied to
+the right-hand side.  The GMRES is flow.gmres through flow.krylov_solve, the
 iterative solve flow shares: preconditioned on the right, orthogonalising
 by classical Gram-Schmidt applied twice, on the right-hand side scaled by a
 power of two, so fields decayed to ~1e-170 solve as well as the pulse.  A
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .flow import face_conductance, face_operator, krylov_solve, lower_triangular_solver
+from .flow import face_conductance, face_operator, forward_sweep, krylov_solve
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +56,9 @@ GMRES_RESTART = 50
 GMRES_MAX_CYCLES = 20
 # deterministic solver counts a TransportOperator keeps and run_transport
 # copies into BreakthroughCurve.metadata: steps, Gauss-Seidel triangles
-# gathered (one per distinct dt; nothing is factorized, the name is kept for
-# the manifest's transport_rows), GMRES iterations, and direct LUs after the cap
+# gathered and scaled for the sweep (one per distinct dt; nothing is
+# factorized, the name is kept for the manifest's transport_rows), GMRES
+# iterations, and direct LUs after the cap
 SOLVER_COUNTS = ("steps", "factorizations", "krylov_iterations", "fallbacks")
 
 
@@ -131,9 +133,10 @@ class SpatialOperator:
     and porosity are what it was built from, and a tracer on another mesh
     (by identity) or another porosity (by value) rebuilds it.  data holds
     the CSR values with every diagonal entry stored (an explicit zero in a
-    cell without flux or diffusion), diagonal their positions, and lower the
-    positions of the lower triangle in the CSC order of lower_indices and
-    lower_indptr.
+    cell without flux or diffusion) and diagonal their positions.  strict
+    holds the positions of the strict lower triangle, in CSR order, with
+    strict_indices and strict_indptr its pattern and strict_rows the row of
+    each entry: what a Gauss-Seidel sweep gathers per dt.
     """
 
     mesh: object
@@ -143,9 +146,10 @@ class SpatialOperator:
     indices: np.ndarray
     indptr: np.ndarray
     diagonal: np.ndarray
-    lower: np.ndarray
-    lower_indices: np.ndarray
-    lower_indptr: np.ndarray
+    strict: np.ndarray
+    strict_indices: np.ndarray
+    strict_indptr: np.ndarray
+    strict_rows: np.ndarray
     outflow_weight: np.ndarray      # outward flux through x = +L/2, per cell
     other_exit_weight: np.ndarray   # outward flux through any other boundary
 
@@ -221,17 +225,15 @@ class TransportOperator:
         ).tocsr()
         row_of = np.repeat(np.arange(n, dtype=np.int32), np.diff(system.indptr))
         diagonal_at = np.flatnonzero(system.indices == row_of)
-        # the lower triangle in CSC order: transpose the CSR positions of its
-        # entries, which run in each row up to the diagonal
-        in_lower = system.indices <= row_of
-        lower_indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(diagonal_at - system.indptr[:-1] + 1, out=lower_indptr[1:])
-        lower = sp.csr_matrix(
-            (np.flatnonzero(in_lower), system.indices[in_lower], lower_indptr), shape=(n, n)
-        ).tocsc()
+        # the strict lower triangle in CSR order: the entries of each sorted
+        # row before its diagonal
+        strict = np.flatnonzero(system.indices < row_of)
+        strict_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(diagonal_at - system.indptr[:-1], out=strict_indptr[1:])
         return SpatialOperator(
             mesh, phi.copy(), order, system.data, system.indices, system.indptr, diagonal_at,
-            lower.data, lower.indices, lower.indptr, outflow_weight, other_exit_weight,
+            strict, system.indices[strict], strict_indptr, row_of[strict],
+            outflow_weight, other_exit_weight,
         )
 
     def spatial_entries(self, mesh, props, flow, params):
@@ -262,20 +264,20 @@ class TransportOperator:
 
         GMRES on the step permuted into potential order, preconditioned by
         forward Gauss-Seidel (forward substitution with the lower triangle,
-        gathered once per distinct dt) and started from one Gauss-Seidel
-        sweep; one direct LU of the permuted step if GMRES hits
-        GMRES_MAX_CYCLES.
+        its strict part gathered and scaled by -1/diagonal once per distinct
+        dt) and started from one Gauss-Seidel sweep; one direct LU of the
+        permuted step if GMRES hits GMRES_MAX_CYCLES.
         """
         spatial = self._spatial
         self.steps += 1
         data = self._data.copy()
         data[spatial.diagonal] += self._storage_perm / dt
-        shape = (len(spatial.order),) * 2
-        matrix = sp.csr_matrix((data, spatial.indices, spatial.indptr), shape=shape)
+        n = len(spatial.order)
+        matrix = sp.csr_matrix((data, spatial.indices, spatial.indptr), shape=(n, n))
         if self._gs_dt != dt:
-            lower = sp.csc_matrix(
-                (data[spatial.lower], spatial.lower_indices, spatial.lower_indptr), shape=shape)
-            self._gs = lower_triangular_solver(lower)
+            diagonal = data[spatial.diagonal]
+            strict = data[spatial.strict] * (-1.0 / diagonal)[spatial.strict_rows]
+            self._gs = forward_sweep(spatial.strict_indptr, spatial.strict_indices, strict, diagonal)
             self._gs_dt = dt
             self.factorizations += 1
         # start from one Gauss-Seidel sweep (from zero), not from c: on the

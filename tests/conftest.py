@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracscale.geometry import Box
 from fracscale.network import Fracture, FractureNetwork, GenerationParams, aperture_from_radius
@@ -59,6 +60,18 @@ def uniform_props(mesh, k, phi):
         k_m=float(k),
         phi_m=float(phi),
     )
+
+
+def sweep_parts(lower):
+    """(indptr, indices, strict, diagonal) of a lower triangle with a full
+    diagonal, as flow.forward_sweep takes it: the strict part in CSR with
+    each row scaled by -1/diagonal."""
+    diagonal = lower.diagonal()
+    strict = sp.tril(lower, -1, format="csr")
+    strict.sort_indices()
+    rows = np.repeat(np.arange(lower.shape[0]), np.diff(strict.indptr))
+    return (strict.indptr.astype(np.int32), strict.indices.astype(np.int32),
+            strict.data * (-1.0 / diagonal)[rows], diagonal)
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@ import json
 import multiprocessing
 import os
 import shutil
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from fracscale import pipeline
@@ -259,17 +261,19 @@ class TestWorkers:
         make_pool = pipeline._worker_pool
 
         class RecordingPool:
-            def __init__(self, workers):
-                self.pool = make_pool(workers)
+            def __init__(self, pool):
+                self.pool = pool
 
             def submit(self, fn, config, depth, seed, p_prime, n_fractures):
                 submitted.append((seed, p_prime))
                 return self.pool.submit(fn, config, depth, seed, p_prime, n_fractures)
 
-            def shutdown(self, **kwargs):
-                self.pool.shutdown(**kwargs)
+        @contextmanager
+        def recording_pool(workers):
+            with make_pool(workers) as pool:
+                yield RecordingPool(pool)
 
-        monkeypatch.setattr(pipeline, "_worker_pool", RecordingPool)
+        monkeypatch.setattr(pipeline, "_worker_pool", recording_pool)
         config = tiny_config(tmp_path, seeds=(3, 4), p_primes=(1.0, 0.0, 2.0))
         manifest = run_pipeline(config, upto="mesh")
         assert submitted == [(3, 2.0), (4, 2.0), (3, 1.0), (4, 1.0), (3, 0.0), (4, 0.0)]
@@ -292,12 +296,37 @@ class TestWorkers:
     def test_worker_blas_runs_on_one_thread(self):
         if not pipeline._openblas_thread_calls():
             pytest.skip("no OpenBLAS loaded")
-        pool = pipeline._worker_pool(1)
-        try:
+        parent = pipeline._blas_threads()
+        with pipeline._worker_pool(1) as pool:
             threads = pool.submit(pipeline._blas_threads).result(timeout=60)
-        finally:
-            pool.shutdown()
+            # a BLAS call in the worker, which starts OpenBLAS's threads if
+            # its count is above one; then the worker's OS threads
+            tasks = pool.submit(_worker_tasks_after_blas).result(timeout=60)
         assert threads and set(threads) == {1}
+        if tasks is not None:
+            assert tasks == 1
+        assert pipeline._blas_threads() == parent
+
+    def test_parent_blas_threads_restored_when_the_pool_raises(self):
+        if not pipeline._openblas_thread_calls():
+            pytest.skip("no OpenBLAS loaded")
+        parent = pipeline._blas_threads()
+        with pytest.raises(ZeroDivisionError):
+            with pipeline._worker_pool(1) as pool:
+                assert set(pipeline._blas_threads()) == {1}
+                pool.submit(divmod, 1, 0).result(timeout=60)
+        assert pipeline._blas_threads() == parent
+        assert multiprocessing.active_children() == []
+
+
+def _worker_tasks_after_blas():
+    """The OS threads of this process after a BLAS product, or None without /proc."""
+    a = np.random.default_rng(0).random((400, 400))
+    a @ a
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
 
 
 class TestRunStats:

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracscale import pipeline, transport
-from fracscale.flow import FlowBC, lower_triangular_solver, solve_steady_flow
+from fracscale.flow import FlowBC, forward_sweep, solve_steady_flow
 from fracscale.network import GenerationParams, generate_network
 from fracscale.transport import (
     YEAR_SECONDS,
@@ -30,7 +30,7 @@ from fracscale.transport import (
 
 from fracscale.upscale import upscale_mesh
 
-from conftest import box_mesh, cube_mesh, uniform_props
+from conftest import box_mesh, cube_mesh, sweep_parts, uniform_props
 
 
 def channel(nx=100, l=0.25, k=1e-12, phi=0.01, delta_p=1000.0):
@@ -481,17 +481,33 @@ def counted_splu(monkeypatch):
     return calls
 
 
-def recorded_triangles(monkeypatch):
-    """Record every Gauss-Seidel triangle a step hands the triangular solve."""
-    triangles = []
-    real = transport.lower_triangular_solver
+def recorded_sweeps(monkeypatch):
+    """Record the (indptr, indices, strict, diagonal) of every Gauss-Seidel
+    sweep a step builds."""
+    sweeps = []
+    real = transport.forward_sweep
 
-    def solver(lower):
-        triangles.append(lower.copy())
-        return real(lower)
+    def sweep(*parts):
+        sweeps.append(tuple(part.copy() for part in parts))
+        return real(*parts)
 
-    monkeypatch.setattr(transport, "lower_triangular_solver", solver)
-    return triangles
+    monkeypatch.setattr(transport, "forward_sweep", sweep)
+    return sweeps
+
+
+def assert_sweeps_triangle(parts, lower):
+    """The sweep was built from exactly the lower triangle lower: the same
+    diagonal, and the same strict part with each row scaled by -1/diagonal,
+    bit for bit, in int32 CSR with each row's columns sorted."""
+    indptr, indices, strict, diagonal = parts
+    want_indptr, want_indices, want_strict, want_diagonal = sweep_parts(lower)
+    n = len(diagonal)
+    assert indptr.dtype == indices.dtype == np.int32
+    got = sp.csr_matrix((strict, indices, indptr), shape=(n, n))
+    assert got.has_sorted_indices and sp.triu(got).nnz == 0
+    want = sp.csr_matrix((want_strict, want_indices, want_indptr), shape=(n, n))
+    assert np.array_equal(diagonal, want_diagonal)
+    assert (got != want).nnz == 0
 
 
 def step_matrix(op, dt):
@@ -542,11 +558,12 @@ class TestStepSolver:
         op, dt = state.operator, dt_yr * YEAR_SECONDS
         want = lu_step(op, state.concentration, dt)
         lu_calls = counted_splu(monkeypatch)
-        triangles = recorded_triangles(monkeypatch)
+        sweeps = recorded_sweeps(monkeypatch)
         got = op.solve_step(state.concentration, dt)
-        # one Gauss-Seidel triangle and no LU at all
+        # one Gauss-Seidel triangle, the step's, and no LU at all
         assert lu_calls == []
-        assert len(triangles) == 1 and sp.triu(triangles[0], 1).nnz == 0
+        assert len(sweeps) == 1
+        assert_sweeps_triangle(sweeps[0], sp.tril(permuted_step(op, flow, dt)))
         assert (op.factorizations, op.fallbacks) == (1, 0)
         assert got.min() >= -KRYLOV_STEP_TOL * got.max()
         assert peak_scaled_diff(got, want) <= KRYLOV_STEP_TOL
@@ -559,32 +576,38 @@ class TestStepSolver:
         mesh, props, flow = generated_flows[orl]
         state = prepare_transport(mesh, props, flow, desk_tracer(kind))
         op = state.operator
-        triangles = recorded_triangles(monkeypatch)
+        sweeps = recorded_sweeps(monkeypatch)
         # gathered once per distinct dt, from that dt's step
         for dt in (YEAR_SECONDS, YEAR_SECONDS, 2 * YEAR_SECONDS):
             op.solve_step(state.concentration, dt)
-        assert len(triangles) == op.factorizations == 2
-        for lower, dt in zip(triangles, (YEAR_SECONDS, 2 * YEAR_SECONDS)):
-            assert lower.format == "csc" and lower.has_sorted_indices
-            assert (lower != sp.tril(permuted_step(op, flow, dt))).nnz == 0
+        assert len(sweeps) == op.factorizations == 2
+        for parts, dt in zip(sweeps, (YEAR_SECONDS, 2 * YEAR_SECONDS)):
+            assert_sweeps_triangle(parts, sp.tril(permuted_step(op, flow, dt)))
 
     @pytest.mark.parametrize("dt_yr", [1e-8, 1.0, 1e8])
     @pytest.mark.parametrize("orl", [1, 2])
     @pytest.mark.parametrize("kind", TRACER_KINDS)
-    def test_triangular_solve_matches_spsolve_triangular(self, generated_flows, kind, orl, dt_yr):
-        # the kernel is SuperLU's gstrs on the triangle with its columns
-        # scaled, as spsolve_triangular runs it; <= 2.2e-16 of the largest
-        # entry measured on these triangles (<= 1.6e-16 from the splu factor
-        # the preconditioner was before)
+    def test_triangular_solve_matches_spsolve_triangular(
+        self, generated_flows, kind, orl, dt_yr, monkeypatch,
+    ):
+        # the sweep a step builds is one in-place pass of scipy's csr_matvec
+        # over the triangle's strict part scaled by its diagonal; <= 5.3e-16
+        # of the largest entry measured on these triangles, and the
+        # right-hand side is left as it was
         mesh, props, flow = generated_flows[orl]
         state = prepare_transport(mesh, props, flow, desk_tracer(kind))
         op, dt = state.operator, dt_yr * YEAR_SECONDS
-        lower = sp.tril(permuted_step(op, flow, dt), format="csc")
+        sweeps = recorded_sweeps(monkeypatch)
+        op.solve_step(state.concentration, dt)
+        sweep = forward_sweep(*sweeps[0])
+        lower = sp.tril(permuted_step(op, flow, dt), format="csr")
         order = np.argsort(-flow.pressure, kind="stable")
         for b in ((op.storage / dt * state.concentration)[order],
                   np.random.default_rng(7).random(mesh.num_cells)):
+            kept = b.copy()
             want = spla.spsolve_triangular(lower, b, lower=True)
-            got = lower_triangular_solver(lower).matvec(b)
+            got = sweep.matvec(b)
+            assert np.array_equal(b, kept)
             assert peak_scaled_diff(got, want) <= 1e-14
 
     @pytest.mark.parametrize("orl", [1, 2])
@@ -607,12 +630,13 @@ class TestStepSolver:
         c1 = lu_step(op, state.concentration, dt)
         c2 = lu_step(op, c1, dt)
         lu_calls = counted_splu(monkeypatch)
-        triangles = recorded_triangles(monkeypatch)
+        sweeps = recorded_sweeps(monkeypatch)
         got1 = op.solve_step(state.concentration, dt)
         got2 = op.solve_step(got1, dt)
         # one Gauss-Seidel triangle for the repeated dt, and no LU at all
         assert lu_calls == []
-        assert len(triangles) == 1 and sp.triu(triangles[0], 1).nnz == 0
+        assert len(sweeps) == 1
+        assert_sweeps_triangle(sweeps[0], sp.tril(permuted_step(op, flow, dt)))
         assert (op.factorizations, op.fallbacks) == (1, 0)
         assert op.krylov_iterations > 0
         assert peak_scaled_diff(got1, c1) <= KRYLOV_STEP_TOL
@@ -626,11 +650,12 @@ class TestStepSolver:
         want = lu_step(op, state.concentration, dt)
         monkeypatch.setattr(transport, "GMRES_MAX_CYCLES", 1)
         lu_calls = counted_splu(monkeypatch)
-        triangles = recorded_triangles(monkeypatch)
+        sweeps = recorded_sweeps(monkeypatch)
         got = op.solve_step(state.concentration, dt)
         # one Gauss-Seidel triangle, and the fallback is the only LU: of the
         # whole permuted step
-        assert len(triangles) == 1 and sp.triu(triangles[0], 1).nnz == 0
+        assert len(sweeps) == 1
+        assert_sweeps_triangle(sweeps[0], sp.tril(permuted_step(op, flow, dt)))
         assert len(lu_calls) == 1 and sp.triu(lu_calls[0][0], 1).nnz > 0
         assert (lu_calls[0][0] != permuted_step(op, flow, dt)).nnz == 0
         assert (op.factorizations, op.fallbacks) == (1, 1)
@@ -709,11 +734,8 @@ class TestStepSolver:
         mesh, props, flow = generated_flows[orl]
         args = (mesh, props, flow, desk_tracer(kind), 1e8)
         want = run_transport(*args, n_outputs=48, growth=1.5)
-        pool = pipeline._worker_pool(1)
-        try:
+        with pipeline._worker_pool(1) as pool:
             got = pool.submit(run_transport, *args, n_outputs=48, growth=1.5).result(timeout=300)
-        finally:
-            pool.shutdown()
         assert_runs_agree(got, want, rtol)
 
 
