@@ -18,18 +18,24 @@ cell and the advective part of A is lower triangular (Natvig & Lie 2008;
 Kwok & Tchelepi 2007).  The permuted spatial operator is assembled once per
 flow field and diffusion coefficient, with every diagonal entry stored, and
 kept on the field, so the three tracers run on it share one assembly (see
-SpatialOperator); a tracer adds its decay diagonal to a copy of the values,
-and a step adds storage/dt to a copy of those.  The preconditioner is one
-forward Gauss-Seidel sweep: forward substitution with the lower triangle of
-the permuted A (flow.forward_sweep, one in-place pass of scipy's CSR product
-kernel, which factorizes nothing), its strict part scaled by the diagonal
-and gathered only when dt changes; GMRES starts from that sweep applied to
-the right-hand side.  The GMRES is flow.gmres through flow.krylov_solve, the
-iterative solve flow shares: preconditioned on the right, orthogonalising
-by classical Gram-Schmidt applied twice, on the right-hand side scaled by a
-power of two, so fields decayed to ~1e-170 solve as well as the pulse.  A
-step that hits the cap falls back to one direct sparse LU of the permuted
-step, as a capped pressure solve does; that is the only LU transport runs.
+SpatialOperator).  A tracer keeps its step values in one array, the decay
+diagonal added, and gathers their strict lower and upper triangles once:
+dt moves only the diagonal, which is rewritten when dt changes.  The
+preconditioner is symmetric Gauss-Seidel, split into a backward and a
+forward sweep of the permuted A (flow.SymmetricGaussSeidel, each sweep one
+in-place pass of scipy's CSR product kernel, which factorizes nothing) whose
+triangles are scaled by the diagonal once per distinct dt.  GMRES runs on
+the split-preconditioned step, each iteration by Eisenstat's trick (two
+sweeps and no product with A), starts from one symmetric Gauss-Seidel sweep
+of the right-hand side, and follows each cycle with a few forward
+Gauss-Seidel steps, which keep the small entries downstream of the pulse
+accurate relative to themselves.  The GMRES is flow.gmres through
+flow.krylov_solve, the iterative solve flow shares: orthogonalising by
+classical Gram-Schmidt applied twice, on the right-hand side scaled by a
+power of two, so fields decayed to ~1e-170 solve as well as the pulse, and
+judged by the true residual.  A step that hits the cap falls back to one
+direct sparse LU of the permuted step, as a capped pressure solve does;
+that is the only LU transport runs.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .flow import face_conductance, face_operator, forward_sweep, krylov_solve
+from .flow import SymmetricGaussSeidel, face_conductance, face_operator, krylov_solve
 
 logger = logging.getLogger(__name__)
 
@@ -55,11 +61,11 @@ GMRES_RTOL = 1e-14
 GMRES_RESTART = 50
 GMRES_MAX_CYCLES = 20
 # deterministic solver counts a TransportOperator keeps and run_transport
-# copies into BreakthroughCurve.metadata: steps, Gauss-Seidel triangles
-# gathered and scaled for the sweep (one per distinct dt; nothing is
+# copies into BreakthroughCurve.metadata: steps, symmetric Gauss-Seidel
+# splits scaled by the step's diagonal (one per distinct dt; nothing is
 # factorized, the name is kept for the manifest's transport_rows), GMRES
-# iterations, and direct LUs after the cap
-SOLVER_COUNTS = ("steps", "factorizations", "krylov_iterations", "fallbacks")
+# iterations, GMRES restart cycles, and direct LUs after the cap
+SOLVER_COUNTS = ("steps", "factorizations", "krylov_iterations", "krylov_cycles", "fallbacks")
 
 
 def decay_constant(half_life_yr: float) -> float:
@@ -136,7 +142,11 @@ class SpatialOperator:
     cell without flux or diffusion) and diagonal their positions.  strict
     holds the positions of the strict lower triangle, in CSR order, with
     strict_indices and strict_indptr its pattern and strict_rows the row of
-    each entry: what a Gauss-Seidel sweep gathers per dt.
+    each entry: what the forward Gauss-Seidel sweep gathers.  upper,
+    upper_indices and upper_indptr are the same for the strict upper
+    triangle with rows and columns numbered backwards (i -> n-1-i), which
+    makes it strictly lower, and upper_rows the row of each entry before
+    that numbering: what the backward sweep gathers.
     """
 
     mesh: object
@@ -150,6 +160,10 @@ class SpatialOperator:
     strict_indices: np.ndarray
     strict_indptr: np.ndarray
     strict_rows: np.ndarray
+    upper: np.ndarray
+    upper_indices: np.ndarray
+    upper_indptr: np.ndarray
+    upper_rows: np.ndarray
     outflow_weight: np.ndarray      # outward flux through x = +L/2, per cell
     other_exit_weight: np.ndarray   # outward flux through any other boundary
 
@@ -179,10 +193,17 @@ class TransportOperator:
         self._spatial = spatial
         self.outflow_weight = spatial.outflow_weight
         self.other_exit_weight = spatial.other_exit_weight
-        # this tracer's values: the decay diagonal added to the stored one,
-        # and a step adds storage/dt to a copy of them
-        self._data = spatial.data.copy()
-        self._data[spatial.diagonal] += self.decay_diag[spatial.order]
+        # this tracer's step values: the decay diagonal added to the stored
+        # one, and storage/dt added to that diagonal whenever dt changes.
+        # dt moves only the diagonal, so the strict triangles the sweeps
+        # read are gathered once
+        data = spatial.data.copy()
+        data[spatial.diagonal] += self.decay_diag[spatial.order]
+        n = mesh.num_cells
+        self._step = sp.csr_matrix((data, spatial.indices, spatial.indptr), shape=(n, n))
+        self._diagonal = data[spatial.diagonal]
+        self._lower = data[spatial.strict]
+        self._upper = data[spatial.upper]
         self._storage_perm = self.storage[spatial.order]
         self._gs_dt = None
         self._gs = None
@@ -190,6 +211,7 @@ class TransportOperator:
         self.steps = 0
         self.factorizations = 0
         self.krylov_iterations = 0
+        self.krylov_cycles = 0
         self.fallbacks = 0
 
     def spatial_operator(self, mesh, props, flow, params) -> SpatialOperator:
@@ -230,9 +252,16 @@ class TransportOperator:
         strict = np.flatnonzero(system.indices < row_of)
         strict_indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(diagonal_at - system.indptr[:-1], out=strict_indptr[1:])
+        # the strict upper triangle numbered backwards: its CSR order is the
+        # forward CSR order reversed, rows and sorted columns both descending
+        upper = np.flatnonzero(system.indices > row_of)[::-1]
+        upper_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum((system.indptr[1:] - diagonal_at - 1)[::-1], out=upper_indptr[1:])
+        last = np.int32(n - 1)
         return SpatialOperator(
             mesh, phi.copy(), order, system.data, system.indices, system.indptr, diagonal_at,
             strict, system.indices[strict], strict_indptr, row_of[strict],
+            upper, last - system.indices[upper], upper_indptr, row_of[upper],
             outflow_weight, other_exit_weight,
         )
 
@@ -254,42 +283,49 @@ class TransportOperator:
         spatial = self._spatial
         n = len(spatial.order)
         rows = np.repeat(spatial.order, np.diff(spatial.indptr))
+        data = self._step.data.copy()
+        data[spatial.diagonal] = self._diagonal
         matrix = sp.coo_matrix(
-            (self._data, (rows, spatial.order[spatial.indices])), shape=(n, n)).tocsc()
+            (data, (rows, spatial.order[spatial.indices])), shape=(n, n)).tocsc()
         matrix.eliminate_zeros()
         return matrix
 
     def solve_step(self, c: np.ndarray, dt: float) -> np.ndarray:
         """Solve (system_const + storage/dt) x = storage/dt c.
 
-        GMRES on the step permuted into potential order, preconditioned by
-        forward Gauss-Seidel (forward substitution with the lower triangle,
-        its strict part gathered and scaled by -1/diagonal once per distinct
-        dt) and started from one Gauss-Seidel sweep; one direct LU of the
-        permuted step if GMRES hits GMRES_MAX_CYCLES.
+        GMRES on the step permuted into potential order, split-preconditioned
+        by symmetric Gauss-Seidel (its triangles scaled by -1/diagonal once
+        per distinct dt) and started from one symmetric Gauss-Seidel sweep;
+        one direct LU of the permuted step if GMRES hits GMRES_MAX_CYCLES.
         """
         spatial = self._spatial
         self.steps += 1
-        data = self._data.copy()
-        data[spatial.diagonal] += self._storage_perm / dt
-        n = len(spatial.order)
-        matrix = sp.csr_matrix((data, spatial.indices, spatial.indptr), shape=(n, n))
         if self._gs_dt != dt:
-            diagonal = data[spatial.diagonal]
-            strict = data[spatial.strict] * (-1.0 / diagonal)[spatial.strict_rows]
-            self._gs = forward_sweep(spatial.strict_indptr, spatial.strict_indices, strict, diagonal)
+            diagonal = self._diagonal + self._storage_perm / dt
+            self._step.data[spatial.diagonal] = diagonal
+            scale = -1.0 / diagonal
+            self._gs = SymmetricGaussSeidel(
+                (spatial.strict_indptr, spatial.strict_indices,
+                 self._lower * scale.take(spatial.strict_rows)),
+                (spatial.upper_indptr, spatial.upper_indices,
+                 self._upper * scale.take(spatial.upper_rows)),
+                diagonal,
+            )
             self._gs_dt = dt
             self.factorizations += 1
-        # start from one Gauss-Seidel sweep (from zero), not from c: on the
-        # small, strongly dominant steps that sweep is accurate entry by
-        # entry, whereas from c the norm-wise stop leaves relative errors
-        # above 1e-12 in entries near 1e-12 of the peak
+        gs = self._gs
+        # start from one symmetric Gauss-Seidel sweep (from zero), not from
+        # c: on the small, strongly dominant steps that sweep, which ends on
+        # the forward one, is accurate entry by entry, whereas from c the
+        # norm-wise stop leaves relative errors above 1e-12 in entries near
+        # 1e-12 of the peak
         b = (self.storage / dt * c)[spatial.order]
-        x_perm, iterations, fell_back = krylov_solve(
-            matrix, b, self._gs, rtol=GMRES_RTOL, maxiter=GMRES_MAX_CYCLES,
-            x0=self._gs.matvec(b), restart=GMRES_RESTART,
+        x_perm, iterations, cycles, fell_back = krylov_solve(
+            self._step, b, gs, rtol=GMRES_RTOL, maxiter=GMRES_MAX_CYCLES,
+            x0=gs.solve, restart=GMRES_RESTART,
         )
         self.krylov_iterations += iterations
+        self.krylov_cycles += cycles
         self.fallbacks += fell_back
         x = np.empty_like(x_perm)
         x[spatial.order] = x_perm

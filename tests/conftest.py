@@ -62,16 +62,25 @@ def uniform_props(mesh, k, phi):
     )
 
 
-def sweep_parts(lower):
-    """(indptr, indices, strict, diagonal) of a lower triangle with a full
-    diagonal, as flow.forward_sweep takes it: the strict part in CSR with
-    each row scaled by -1/diagonal."""
-    diagonal = lower.diagonal()
-    strict = sp.tril(lower, -1, format="csr")
-    strict.sort_indices()
-    rows = np.repeat(np.arange(lower.shape[0]), np.diff(strict.indptr))
-    return (strict.indptr.astype(np.int32), strict.indices.astype(np.int32),
-            strict.data * (-1.0 / diagonal)[rows], diagonal)
+def gauss_seidel_parts(matrix):
+    """(lower, upper, diagonal) of a square matrix with a full diagonal, as
+    flow.SymmetricGaussSeidel takes them: each strict triangle as int32 CSR
+    (indptr, indices, values) with sorted rows and each row scaled by
+    -1/diagonal, the upper one with its rows and columns numbered backwards."""
+    matrix = sp.csr_matrix(matrix)
+    diagonal = matrix.diagonal()
+    backwards = np.arange(len(diagonal))[::-1]
+
+    def triangle(strict, diagonal):
+        strict = sp.csr_matrix(strict)
+        strict.sort_indices()
+        rows = np.repeat(np.arange(len(diagonal)), np.diff(strict.indptr))
+        return (strict.indptr.astype(np.int32), strict.indices.astype(np.int32),
+                strict.data * (-1.0 / diagonal)[rows])
+
+    lower = triangle(sp.tril(matrix, -1), diagonal)
+    upper = triangle(sp.tril(matrix[backwards][:, backwards], -1), diagonal[backwards])
+    return lower, upper, diagonal
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ from fracscale.flow import (
     FlowBC,
     assemble_tpfa,
     effective_permeability,
+    SymmetricGaussSeidel,
     face_fluxes,
-    forward_sweep,
     krylov_solve,
     solve_pressure,
     solve_steady_flow,
@@ -24,7 +24,7 @@ from fracscale.network import GenerationParams, generate_network
 from fracscale.topology import mesh_percolates
 from fracscale.upscale import upscale_mesh
 
-from conftest import box_mesh, cube_mesh, sweep_parts, uniform_props
+from conftest import box_mesh, cube_mesh, gauss_seidel_parts, uniform_props
 
 
 def heterogeneous_props(mesh, seed, k_lo=1e-16, k_hi=1e-13):
@@ -119,8 +119,8 @@ class TestSolvePressure:
         A, b = system.matrix, system.rhs
         jacobi = sp.diags(1.0 / A.diagonal())
         with caplog.at_level(logging.WARNING, logger=flow_module.__name__):
-            p, iters, fell_back = krylov_solve(A, b, jacobi, rtol=1e-10, maxiter=1)
-        assert (iters, fell_back) == (1, True)
+            p, iters, cycles, fell_back = krylov_solve(A, b, jacobi, rtol=1e-10, maxiter=1)
+        assert (iters, cycles, fell_back) == (1, 0, True)
         assert len(caplog.records) == 1 and "CG hit its cap" in caplog.text
         p_direct, _, _ = solve_pressure(system, method="direct")
         assert np.abs(p - p_direct).max() <= 1e-13 * np.abs(p_direct).max()
@@ -176,37 +176,75 @@ def nonsymmetric_system(n=400, seed=3):
     return A, sp.diags(1.0 / diag), rng.standard_normal(n)
 
 
+class RightPreconditioner:
+    """M on the right only (M1 = I), as gmres takes a preconditioner."""
+
+    left = None
+    smooth = None
+
+    def __init__(self, A, M):
+        self.A, self.M = A, M
+
+    def product(self, v):
+        return self.A @ (self.M @ v)
+
+    def right(self, u):
+        return self.M @ u
+
+
 def gmres_solve(A, M, b, **kwargs):
-    return krylov_solve(A, b, M, **{"rtol": 1e-14, "maxiter": 20, "restart": 20, **kwargs})
+    return krylov_solve(A, b, RightPreconditioner(A, M),
+                        **{"rtol": 1e-14, "maxiter": 20, "restart": 20, **kwargs})
 
 
 class TestGmres:
     def test_matches_sparse_direct_solve(self):
         A, M, b = nonsymmetric_system()
-        x, iters, fell_back = gmres_solve(A, M, b)
+        x, iters, cycles, fell_back = gmres_solve(A, M, b)
         want = spla.spsolve(A.tocsc(), b)
-        assert iters > 0 and not fell_back
+        assert iters > 0 and cycles > 0 and not fell_back
         assert np.linalg.norm(b - A @ x) <= 1e-14 * np.linalg.norm(b)
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_split_gauss_seidel_matches_sparse_direct_solve(self):
+        A, _, b = nonsymmetric_system()
+        gs = SymmetricGaussSeidel(*gauss_seidel_parts(A))
+        x, iters, cycles, fell_back = krylov_solve(
+            A, b, gs, rtol=1e-14, maxiter=20, x0=gs.solve(b), restart=20)
+        want = spla.spsolve(A.tocsc(), b)
+        assert iters > 0 and cycles > 0 and not fell_back
+        assert np.linalg.norm(b - A @ x) <= 1e-14 * np.linalg.norm(b)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_start_function_sees_the_scaled_right_hand_side(self):
+        # a start given as a function is computed from b after its scaling
+        # by a power of two, so the whole solve scales with b bit for bit
+        A, _, b = nonsymmetric_system()
+        gs = SymmetricGaussSeidel(*gauss_seidel_parts(A))
+
+        def solve(b):
+            return krylov_solve(A, b, gs, rtol=1e-14, maxiter=20, x0=gs.solve, restart=20)[0]
+
+        assert np.array_equal(solve(np.ldexp(b, -560)), np.ldexp(solve(b), -560))
+
     def test_zero_right_hand_side(self):
         A, M, b = nonsymmetric_system()
-        x, iters, fell_back = gmres_solve(A, M, np.zeros_like(b))
-        assert (iters, fell_back) == (0, False)
+        x, iters, cycles, fell_back = gmres_solve(A, M, np.zeros_like(b))
+        assert (iters, cycles, fell_back) == (0, 0, False)
         assert np.all(x == 0.0)
 
     def test_start_that_meets_rtol_takes_no_iteration(self):
         A, M, b = nonsymmetric_system()
         x0 = spla.spsolve(A.tocsc(), b)
-        x, iters, fell_back = gmres_solve(A, M, b, rtol=1e-10, x0=x0)
-        assert (iters, fell_back) == (0, False)
+        x, iters, cycles, fell_back = gmres_solve(A, M, b, rtol=1e-10, x0=x0)
+        assert (iters, cycles, fell_back) == (0, 0, False)
         assert np.array_equal(x, x0)
 
     def test_cap_falls_back_to_direct(self, caplog):
         A, M, b = nonsymmetric_system()
         with caplog.at_level(logging.WARNING, logger=flow_module.__name__):
-            x, iters, fell_back = gmres_solve(A, M, b, maxiter=1, restart=2)
-        assert (iters, fell_back) == (2, True)
+            x, iters, cycles, fell_back = gmres_solve(A, M, b, maxiter=1, restart=2)
+        assert (iters, cycles, fell_back) == (2, 1, True)
         assert len(caplog.records) == 1 and "GMRES hit its cap" in caplog.text
         assert np.array_equal(x, spla.splu(A.tocsc()).solve(b))
 
@@ -215,62 +253,111 @@ class TestGmres:
         # two first, so it is the solve of 2^560 b scaled back, bit for bit
         A, M, b = nonsymmetric_system(n=5, seed=1)
         tiny = np.full(5, 1e-170)
-        x, iters, fell_back = gmres_solve(A, M, tiny)
+        x, iters, _, fell_back = gmres_solve(A, M, tiny)
         want = spla.spsolve(A.tocsc(), tiny)
         assert iters > 0 and not fell_back
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
-        big, _, _ = gmres_solve(A, M, np.ldexp(tiny, 560))
+        big, _, _, _ = gmres_solve(A, M, np.ldexp(tiny, 560))
         assert np.array_equal(x, np.ldexp(big, -560))
 
 
-class TestLowerTriangularSolver:
-    def test_solves_the_triangle(self):
+def chained_system(n=60_000, seed=11):
+    """A random sparse matrix whose strict lower triangle holds the
+    subdiagonal, which chains every row to the one before, and whose strict
+    upper triangle is the lower one transposed, with a dominant diagonal."""
+    rng = np.random.default_rng(seed)
+    near = sp.random(n, n, density=4.0 / n, format="csr", random_state=rng,
+                     data_rvs=lambda k: rng.uniform(-1.0, 1.0, k))
+    chain = sp.diags(rng.uniform(-1.0, 1.0, n - 1), -1)
+    strict = sp.tril(near, -1) + chain
+    return (strict + strict.T + sp.diags(rng.uniform(1.0, 2.0, n))).tocsr(), rng.standard_normal(n)
+
+
+class TestGaussSeidelSweeps:
+    def test_forward_sweep_solves_the_lower_triangle(self):
+        # right(u) = (D + L)^-1 D u is the forward sweep of D u
         A, _, b = nonsymmetric_system()
-        lower = sp.tril(A, format="csr")
         kept = b.copy()
-        x = forward_sweep(*sweep_parts(lower)).matvec(b)
-        want = la.solve_triangular(lower.toarray(), b, lower=True)
+        x = SymmetricGaussSeidel(*gauss_seidel_parts(A)).right(b)
+        want = la.solve_triangular(sp.tril(A).toarray(), A.diagonal() * b, lower=True)
         assert np.array_equal(b, kept)
         assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_sweep_runs_in_place_in_row_order(self):
-        # forward_sweep is one pass of scipy's csr_matvec with x as its input
+    def test_backward_sweep_solves_the_upper_triangle(self):
+        A, _, b = nonsymmetric_system()
+        kept = b.copy()
+        x = SymmetricGaussSeidel(*gauss_seidel_parts(A)).left(b)
+        want = spla.spsolve_triangular(sp.triu(A, format="csr"), b, lower=False)
+        assert np.array_equal(b, kept)
+        assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_sweeps_run_in_place_in_row_order(self):
+        # each sweep is one pass of scipy's csr_matvec with x as its input
         # and its output.  A kernel that copied x, or split the rows between
         # threads, would read entries not yet final: a copy gives one Jacobi
         # step, 0.72 of the largest entry off here.  The subdiagonal chains
-        # every row to the one before, and n is large enough for a threaded
-        # kernel to split.  <= 2.2e-16 of the largest entry measured
-        n = 60_000
-        rng = np.random.default_rng(11)
-        near = sp.random(n, n, density=4.0 / n, format="csr", random_state=rng,
-                         data_rvs=lambda k: rng.uniform(-1.0, 1.0, k))
-        chain = sp.diags(rng.uniform(-1.0, 1.0, n - 1), -1)
-        lower = (sp.tril(near, -1) + chain + sp.diags(rng.uniform(1.0, 2.0, n))).tocsr()
-        b = rng.standard_normal(n)
+        # every row to the one before, its transpose every row to the one
+        # after, and n is large enough for a threaded kernel to split.
+        # right(b) is the forward sweep of D b, left(b) the backward sweep
+        # of b; <= 3.6e-16 of the largest entry measured
+        A, b = chained_system()
         kept = b.copy()
-        got = forward_sweep(*sweep_parts(lower)).matvec(b)
-        want = spla.spsolve_triangular(lower, b, lower=True)
-        assert np.array_equal(b, kept)
+        gs = SymmetricGaussSeidel(*gauss_seidel_parts(A))
+        for got, triangle, lower in ((gs.right(b), sp.tril(A, format="csr"), True),
+                                     (gs.left(b), sp.triu(A, format="csr"), False)):
+            want = spla.spsolve_triangular(triangle, A.diagonal() * b if lower else b, lower=lower)
+            assert np.array_equal(b, kept)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_split_products_match_the_formed_matrices(self):
+        # M1 = D + U and M2 = I + D^-1 L: Eisenstat's product against
+        # M1^-1 A M2^-1 v formed by dense solves, and the split's other
+        # products; <= 9.3e-16 of the largest entry measured
+        A, _, v = nonsymmetric_system()
+        dense = A.toarray()
+        m1 = np.triu(dense)
+        m2 = np.tril(dense) / np.diag(dense)[:, None]
+        gs = SymmetricGaussSeidel(*gauss_seidel_parts(A))
+        kept = v.copy()
+        for got, want in ((gs.product(v), la.solve(m1, dense @ la.solve(m2, v))),
+                          (gs.left(v), la.solve(m1, v)),
+                          (gs.right(v), la.solve(m2, v)),
+                          (gs.solve(v), la.solve(m1 @ m2, v))):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(v, kept)
+
+    def test_smoothing_is_forward_gauss_seidel(self):
+        A, _, b = nonsymmetric_system()
+        x = np.random.default_rng(5).standard_normal(len(b))
+        kept = x.copy()
+        got = SymmetricGaussSeidel(*gauss_seidel_parts(A)).smooth(b, x)
+        want = x
+        for _ in range(flow_module.GAUSS_SEIDEL_SMOOTHING):
+            want = la.solve_triangular(sp.tril(A).toarray(), b - sp.triu(A, 1) @ want, lower=True)
+        assert np.array_equal(x, kept)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_rejects_a_zero_diagonal(self):
         A, _, _ = nonsymmetric_system()
-        lower = sp.tril(A, format="csr")
-        indptr, indices, strict, diagonal = sweep_parts(lower)
+        lower, upper, diagonal = gauss_seidel_parts(A)
         diagonal[7] = 0.0
         with pytest.raises(la.LinAlgError):
-            forward_sweep(indptr, indices, strict, diagonal)
+            SymmetricGaussSeidel(lower, upper, diagonal)
 
     def test_rejects_arrays_that_do_not_make_one_triangle(self):
         A, _, _ = nonsymmetric_system()
-        indptr, indices, strict, diagonal = sweep_parts(sp.tril(A, format="csr"))
-        for parts in ((indptr[:-1], indices, strict, diagonal),
-                      (indptr, indices[:-1], strict, diagonal),
-                      (indptr, indices.astype(np.int64), strict, diagonal),
-                      (indptr, indices, strict.astype(np.float32), diagonal),
-                      (indptr, indices, strict, diagonal.astype(np.float32))):
+        lower, upper, diagonal = gauss_seidel_parts(A)
+        indptr, indices, strict = lower
+        for bad in ((indptr[:-1], indices, strict),
+                    (indptr, indices[:-1], strict),
+                    (indptr, indices.astype(np.int64), strict),
+                    (indptr, indices, strict.astype(np.float32))):
             with pytest.raises(ValueError):
-                forward_sweep(*parts)
+                SymmetricGaussSeidel(bad, upper, diagonal)
+            with pytest.raises(ValueError):
+                SymmetricGaussSeidel(lower, bad, diagonal)
+        with pytest.raises(ValueError):
+            SymmetricGaussSeidel(lower, upper, diagonal.astype(np.float32))
 
 
 class TestEffectivePermeability:

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracscale import pipeline, transport
-from fracscale.flow import FlowBC, forward_sweep, solve_steady_flow
+from fracscale.flow import FlowBC, SymmetricGaussSeidel, solve_steady_flow
 from fracscale.network import GenerationParams, generate_network
 from fracscale.transport import (
     YEAR_SECONDS,
@@ -30,7 +30,7 @@ from fracscale.transport import (
 
 from fracscale.upscale import upscale_mesh
 
-from conftest import box_mesh, cube_mesh, sweep_parts, uniform_props
+from conftest import box_mesh, cube_mesh, gauss_seidel_parts, uniform_props
 
 
 def channel(nx=100, l=0.25, k=1e-12, phi=0.01, delta_p=1000.0):
@@ -482,32 +482,36 @@ def counted_splu(monkeypatch):
 
 
 def recorded_sweeps(monkeypatch):
-    """Record the (indptr, indices, strict, diagonal) of every Gauss-Seidel
-    sweep a step builds."""
+    """Record the (lower, upper, diagonal) of every symmetric Gauss-Seidel
+    split a step builds."""
     sweeps = []
-    real = transport.forward_sweep
+    real = transport.SymmetricGaussSeidel
 
-    def sweep(*parts):
-        sweeps.append(tuple(part.copy() for part in parts))
-        return real(*parts)
+    def split(lower, upper, diagonal):
+        sweeps.append((tuple(a.copy() for a in lower), tuple(a.copy() for a in upper),
+                       diagonal.copy()))
+        return real(lower, upper, diagonal)
 
-    monkeypatch.setattr(transport, "forward_sweep", sweep)
+    monkeypatch.setattr(transport, "SymmetricGaussSeidel", split)
     return sweeps
 
 
-def assert_sweeps_triangle(parts, lower):
-    """The sweep was built from exactly the lower triangle lower: the same
-    diagonal, and the same strict part with each row scaled by -1/diagonal,
-    bit for bit, in int32 CSR with each row's columns sorted."""
-    indptr, indices, strict, diagonal = parts
-    want_indptr, want_indices, want_strict, want_diagonal = sweep_parts(lower)
+def assert_sweeps_triangle(parts, step):
+    """The split was built from exactly the step matrix step: the same
+    diagonal, and both strict triangles with each row scaled by -1/diagonal,
+    bit for bit, in int32 CSR with each row's columns sorted, the upper one
+    with its rows and columns numbered backwards."""
+    *triangles, diagonal = parts
+    *want_triangles, want_diagonal = gauss_seidel_parts(step)
     n = len(diagonal)
-    assert indptr.dtype == indices.dtype == np.int32
-    got = sp.csr_matrix((strict, indices, indptr), shape=(n, n))
-    assert got.has_sorted_indices and sp.triu(got).nnz == 0
-    want = sp.csr_matrix((want_strict, want_indices, want_indptr), shape=(n, n))
     assert np.array_equal(diagonal, want_diagonal)
-    assert (got != want).nnz == 0
+    for (indptr, indices, strict), want in zip(triangles, want_triangles):
+        assert indptr.dtype == indices.dtype == np.int32
+        got = sp.csr_matrix((strict, indices, indptr), shape=(n, n))
+        assert got.has_sorted_indices and sp.triu(got).nnz == 0
+        want_indptr, want_indices, want_strict = want
+        want = sp.csr_matrix((want_strict, want_indices, want_indptr), shape=(n, n))
+        assert (got != want).nnz == 0
 
 
 def step_matrix(op, dt):
@@ -560,17 +564,17 @@ class TestStepSolver:
         lu_calls = counted_splu(monkeypatch)
         sweeps = recorded_sweeps(monkeypatch)
         got = op.solve_step(state.concentration, dt)
-        # one Gauss-Seidel triangle, the step's, and no LU at all
+        # one Gauss-Seidel split, the step's, and no LU at all
         assert lu_calls == []
         assert len(sweeps) == 1
-        assert_sweeps_triangle(sweeps[0], sp.tril(permuted_step(op, flow, dt)))
+        assert_sweeps_triangle(sweeps[0], permuted_step(op, flow, dt))
         assert (op.factorizations, op.fallbacks) == (1, 0)
         assert got.min() >= -KRYLOV_STEP_TOL * got.max()
         assert peak_scaled_diff(got, want) <= KRYLOV_STEP_TOL
 
     @pytest.mark.parametrize("orl", [1, 2])
     @pytest.mark.parametrize("kind", TRACER_KINDS)
-    def test_gauss_seidel_factor_is_lower_triangle_of_step(
+    def test_gauss_seidel_split_is_the_triangles_of_step(
         self, generated_flows, kind, orl, monkeypatch,
     ):
         mesh, props, flow = generated_flows[orl]
@@ -582,7 +586,7 @@ class TestStepSolver:
             op.solve_step(state.concentration, dt)
         assert len(sweeps) == op.factorizations == 2
         for parts, dt in zip(sweeps, (YEAR_SECONDS, 2 * YEAR_SECONDS)):
-            assert_sweeps_triangle(parts, sp.tril(permuted_step(op, flow, dt)))
+            assert_sweeps_triangle(parts, permuted_step(op, flow, dt))
 
     @pytest.mark.parametrize("dt_yr", [1e-8, 1.0, 1e8])
     @pytest.mark.parametrize("orl", [1, 2])
@@ -590,25 +594,28 @@ class TestStepSolver:
     def test_triangular_solve_matches_spsolve_triangular(
         self, generated_flows, kind, orl, dt_yr, monkeypatch,
     ):
-        # the sweep a step builds is one in-place pass of scipy's csr_matvec
-        # over the triangle's strict part scaled by its diagonal; <= 5.3e-16
-        # of the largest entry measured on these triangles, and the
-        # right-hand side is left as it was
+        # each sweep of the split a step builds is one in-place pass of
+        # scipy's csr_matvec over a triangle's strict part scaled by its
+        # diagonal; <= 5.5e-16 of the largest entry measured on these
+        # triangles, and the right-hand side is left as it was
         mesh, props, flow = generated_flows[orl]
         state = prepare_transport(mesh, props, flow, desk_tracer(kind))
         op, dt = state.operator, dt_yr * YEAR_SECONDS
         sweeps = recorded_sweeps(monkeypatch)
         op.solve_step(state.concentration, dt)
-        sweep = forward_sweep(*sweeps[0])
-        lower = sp.tril(permuted_step(op, flow, dt), format="csr")
+        split = SymmetricGaussSeidel(*sweeps[0])
+        step = permuted_step(op, flow, dt)
         order = np.argsort(-flow.pressure, kind="stable")
         for b in ((op.storage / dt * state.concentration)[order],
                   np.random.default_rng(7).random(mesh.num_cells)):
             kept = b.copy()
-            want = spla.spsolve_triangular(lower, b, lower=True)
-            got = sweep.matvec(b)
-            assert np.array_equal(b, kept)
-            assert peak_scaled_diff(got, want) <= 1e-14
+            # right(b) is the forward sweep of diagonal * b, left(b) the backward one of b
+            for got, triangle, lower in ((split.right(b), sp.tril(step, format="csr"), True),
+                                         (split.left(b), sp.triu(step, format="csr"), False)):
+                want = spla.spsolve_triangular(
+                    triangle, step.diagonal() * b if lower else b, lower=lower)
+                assert np.array_equal(b, kept)
+                assert peak_scaled_diff(got, want) <= 1e-14
 
     @pytest.mark.parametrize("orl", [1, 2])
     @pytest.mark.parametrize("kind", TRACER_KINDS)
@@ -633,10 +640,10 @@ class TestStepSolver:
         sweeps = recorded_sweeps(monkeypatch)
         got1 = op.solve_step(state.concentration, dt)
         got2 = op.solve_step(got1, dt)
-        # one Gauss-Seidel triangle for the repeated dt, and no LU at all
+        # one Gauss-Seidel split for the repeated dt, and no LU at all
         assert lu_calls == []
         assert len(sweeps) == 1
-        assert_sweeps_triangle(sweeps[0], sp.tril(permuted_step(op, flow, dt)))
+        assert_sweeps_triangle(sweeps[0], permuted_step(op, flow, dt))
         assert (op.factorizations, op.fallbacks) == (1, 0)
         assert op.krylov_iterations > 0
         assert peak_scaled_diff(got1, c1) <= KRYLOV_STEP_TOL
@@ -645,23 +652,47 @@ class TestStepSolver:
     def test_gmres_cap_falls_back_to_direct(self, generated_flows, monkeypatch):
         mesh, props, flow = generated_flows[2]
         state = prepare_transport(mesh, props, flow, desk_tracer("conservative"))
-        # one restart cycle is too few at the largest steps a pulse takes
+        # one restart cycle of 10 iterations is too few at the largest steps
+        # a pulse takes (symmetric Gauss-Seidel takes 42 there)
         op, dt = state.operator, 1e8 * YEAR_SECONDS
         want = lu_step(op, state.concentration, dt)
         monkeypatch.setattr(transport, "GMRES_MAX_CYCLES", 1)
+        monkeypatch.setattr(transport, "GMRES_RESTART", 10)
         lu_calls = counted_splu(monkeypatch)
         sweeps = recorded_sweeps(monkeypatch)
         got = op.solve_step(state.concentration, dt)
-        # one Gauss-Seidel triangle, and the fallback is the only LU: of the
+        # one Gauss-Seidel split, and the fallback is the only LU: of the
         # whole permuted step
         assert len(sweeps) == 1
-        assert_sweeps_triangle(sweeps[0], sp.tril(permuted_step(op, flow, dt)))
+        assert_sweeps_triangle(sweeps[0], permuted_step(op, flow, dt))
         assert len(lu_calls) == 1 and sp.triu(lu_calls[0][0], 1).nnz > 0
         assert (lu_calls[0][0] != permuted_step(op, flow, dt)).nnz == 0
         assert (op.factorizations, op.fallbacks) == (1, 1)
-        assert op.krylov_iterations == transport.GMRES_RESTART
+        assert (op.krylov_iterations, op.krylov_cycles) == (transport.GMRES_RESTART, 1)
         # the fallback factors the step in potential order, lu_step in natural order
         assert peak_scaled_diff(got, want) <= KRYLOV_STEP_TOL
+
+    @pytest.mark.parametrize("restart", [30, 40, transport.GMRES_RESTART])
+    def test_large_step_after_the_pulse_spread_converges(
+        self, generated_flows, restart, monkeypatch,
+    ):
+        # GMRES_RTOL is near the attainable accuracy of the true residual on
+        # the largest steps: on the orl-3 desk mesh a 1e8 yr step after
+        # steps of 1e-2, 1e2 and 1e4 yr spent every restart cycle of
+        # forward-Gauss-Seidel GMRES(30) and GMRES(40) and fell back to the LU
+        mesh, props, flow = generated_flows[2]
+        monkeypatch.setattr(transport, "GMRES_RESTART", restart)
+        state = prepare_transport(mesh, props, flow, desk_tracer("conservative"))
+        op = state.operator
+        for dt_yr in (1e-2, 1e2, 1e4):
+            step_transport(state, dt_yr * YEAR_SECONDS)
+        dt = 1e8 * YEAR_SECONDS
+        order = np.argsort(-flow.pressure, kind="stable")
+        b = (op.storage / dt * state.concentration)[order]
+        x = op.solve_step(state.concentration, dt)[order]
+        residual = np.linalg.norm(b - permuted_step(op, flow, dt) @ x)
+        assert op.fallbacks == 0
+        assert residual <= transport.GMRES_RTOL * np.linalg.norm(b)
 
     def test_run_records_solver_counts(self, generated_flows):
         mesh, props, flow = generated_flows[1]
@@ -669,11 +700,14 @@ class TestStepSolver:
             mesh, props, flow, desk_tracer("conservative"), 1e8, n_outputs=48, growth=1.5,
         )
         meta = btc.metadata
-        assert transport.SOLVER_COUNTS == ("steps", "factorizations", "krylov_iterations", "fallbacks")
+        assert transport.SOLVER_COUNTS == (
+            "steps", "factorizations", "krylov_iterations", "krylov_cycles", "fallbacks")
         assert set(meta) == {"other_exit_mol", "min_concentration", *transport.SOLVER_COUNTS}
-        # one Gauss-Seidel factor per distinct dt
+        # one Gauss-Seidel split per distinct dt; a step the start already
+        # solves takes no cycle, every other at least one
         assert 0 < meta["factorizations"] <= meta["steps"]
-        assert meta["krylov_iterations"] >= meta["factorizations"]
+        assert 0 < meta["krylov_cycles"] <= meta["krylov_iterations"]
+        assert meta["krylov_cycles"] <= meta["steps"] * transport.GMRES_MAX_CYCLES
         assert meta["fallbacks"] == 0
         assert -1e-12 <= meta["min_concentration"] <= 0.0
         assert btc.ledger_closure() < 1e-6
