@@ -18,7 +18,10 @@ The preconditioner is SymmetricGaussSeidel: symmetric Gauss-Seidel split
 into its backward and forward triangles, each solved by one in-place pass
 of the CSR product kernel (no factorization), applied with the step matrix
 by Eisenstat's trick, two sweeps and no matrix product per iteration, and
-followed after each cycle by a few forward Gauss-Seidel steps.
+followed after each cycle by a few forward Gauss-Seidel steps.  pad_rows
+pads the triangles' patterns with zeros on each short row's own column, so
+that most rows hold one number of entries and the kernel's row loop keeps
+one trip count; the sweeps give the same bits with or without them.
 """
 
 from __future__ import annotations
@@ -136,7 +139,9 @@ def gmres(A, b, M, *, rtol, maxiter, x0=None, restart):
     before each of at most maxiter cycles and after the last.  b is scaled
     by the power of two at max|b|, exactly, so norms of tiny fields do not
     underflow.  x0 is the start, scaled with b, or a function giving the
-    start from the scaled b, so that the start scales exactly with b too.
+    start from M1^-1 b of the scaled b (b itself for M1 = I), so that the
+    start scales exactly with b too and M1^-1 b is applied once: with
+    M.right as x0 the start is M^-1 b = M2^-1 M1^-1 b.
     Returns (x, Arnoldi steps, cycles, converged).
     """
     bmax = np.abs(b).max()
@@ -144,13 +149,14 @@ def gmres(A, b, M, *, rtol, maxiter, x0=None, restart):
         return np.zeros(len(b)), 0, 0, True
     exponent = np.frexp(bmax)[1]
     b = np.ldexp(b, -exponent)
+    left = M.left or (lambda r: r)
+    left_b = left(b)
     if x0 is None:
         x = np.zeros(len(b))
     else:
-        x = x0(b) if callable(x0) else np.ldexp(x0, -exponent)
-    left = M.left or (lambda r: r)
+        x = x0(left_b) if callable(x0) else np.ldexp(x0, -exponent)
     tol = rtol * np.linalg.norm(b)
-    cycle_tol = rtol * np.linalg.norm(left(b))
+    cycle_tol = rtol * np.linalg.norm(left_b)
     m = min(restart, len(b))
     basis = np.empty((m + 1, len(b)))
     hess = np.zeros((m, m))  # upper triangular after the rotations
@@ -195,6 +201,32 @@ def gmres(A, b, M, *, rtol, maxiter, x0=None, restart):
     return np.ldexp(x, exponent), steps, cycle, bool(converged)
 
 
+def pad_rows(indptr, indices):
+    """Pad a CSR triangle's pattern so that every row holds at least
+    k = min(median row length + 1, longest row) entries (the upper median of
+    the lengths), for the sweeps of SymmetricGaussSeidel.
+
+    Each padding entry lies on its row's own column and follows the row's
+    entries, so the rows of a strict triangle stay sorted.  With most rows
+    of one length the CSR product kernel's inner loop keeps one trip count
+    from row to row, the layout ELLPACK (Kincaid, Oppe & Young 1989) and
+    SELL-C-sigma (Kreutzer et al. 2014) give every row; padding every row to
+    the longest costs more than it saves.  A pattern whose rows all have one
+    length is returned as it is.  Returns the padded int32 (indptr, indices)
+    and the slot of each entry of the pattern in them.
+    """
+    n = len(indptr) - 1
+    lengths = np.diff(indptr)
+    k = min(np.partition(lengths, n // 2)[n // 2] + 1, lengths.max()) if n else 0
+    padded = np.maximum(lengths, k)
+    padded_indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(padded, out=padded_indptr[1:])
+    padded_indices = np.repeat(np.arange(n, dtype=np.int32), padded)
+    slots = np.arange(len(indices)) + np.repeat(padded_indptr[:-1] - indptr[:-1], lengths)
+    padded_indices[slots] = indices
+    return padded_indptr, padded_indices, slots
+
+
 class SymmetricGaussSeidel:
     """Symmetric Gauss-Seidel for A = D + L + U as gmres takes it, split as
     M1 = D + U and M2 = I + D^-1 L, so that M1 M2 = (D + U) D^-1 (D + L):
@@ -205,7 +237,11 @@ class SymmetricGaussSeidel:
     upper is U the same way with its rows and columns numbered backwards
     (i -> n-1-i), which makes it strictly lower too, each row scaled by -1
     over the diagonal entry of its own (reversed) row.  The arrays are
-    float64 values and indices and indptr of one integer dtype.
+    float64 values and indices and indptr of one integer dtype.  A row may
+    also hold zeros on its own column after its entries, as pad_rows lays
+    them out: the kernel keeps row i's sum apart and stores it once, so such
+    an entry reads x[i] before row i is stored and adds 0 x[i], which leaves
+    every finite sum as it was (a -0.0 sum may turn +0.0).
 
     A sweep solves a triangle in one call of scipy's CSR product kernel
     (csr_matvec, which adds row i's products into y[i], row by row) with x
@@ -219,9 +255,10 @@ class SymmetricGaussSeidel:
     product(v) is Eisenstat's (1981): with the scaled triangles L' = D^-1 L
     and U' = D^-1 U, A = D [(I + L') + (I + U') - I], so
     M1^-1 A M2^-1 v = t + (I + U')^-1 (v - t) with t = (I + L')^-1 v: two
-    sweeps and no product with A.  The forward sweep comes last in solve
-    (M^-1 b) and right, and smooth then runs GAUSS_SEIDEL_SMOOTHING forward
-    Gauss-Seidel steps x <- (D + L)^-1 (b - U x): in an order where L holds
+    sweeps and no product with A.  The forward sweep comes last in right,
+    and so in the start M^-1 b = right(left(b)), and smooth then runs
+    GAUSS_SEIDEL_SMOOTHING forward Gauss-Seidel steps
+    x <- (D + L)^-1 (b - U x): in an order where L holds
     the upwind couplings, the error of the x they return is carried
     downstream as the field is, so entries far below the largest stay
     accurate relative to themselves, which a stop on the residual norm
@@ -256,10 +293,6 @@ class SymmetricGaussSeidel:
     def right(self, u):
         """M2^-1 u = (D + L)^-1 D u, the forward sweep of D u."""
         return self._sweep(self.lower, np.array(u))
-
-    def solve(self, b):
-        """M^-1 b = M2^-1 M1^-1 b."""
-        return self.right(self.left(b))
 
     def product(self, v):
         """M1^-1 A M2^-1 v, by Eisenstat's trick."""

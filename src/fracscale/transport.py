@@ -24,10 +24,14 @@ dt moves only the diagonal, which is rewritten when dt changes.  The
 preconditioner is symmetric Gauss-Seidel, split into a backward and a
 forward sweep of the permuted A (flow.SymmetricGaussSeidel, each sweep one
 in-place pass of scipy's CSR product kernel, which factorizes nothing) whose
-triangles are scaled by the diagonal once per distinct dt.  GMRES runs on
-the split-preconditioned step, each iteration by Eisenstat's trick (two
-sweeps and no product with A), starts from one symmetric Gauss-Seidel sweep
-of the right-hand side, and follows each cycle with a few forward
+triangles are scaled by the diagonal once per distinct dt.  Their patterns
+are padded once per spatial operator (flow.pad_rows: zeros on each short
+row's own column, which leave every sweep's bits as they were), so that the
+kernel's row loop mostly runs one trip count; each tracer scatters its
+gathered values into the padded slots once.  GMRES runs on the
+split-preconditioned step, each iteration by Eisenstat's trick (two sweeps
+and no product with A), starts from one symmetric Gauss-Seidel sweep of the
+right-hand side, and follows each cycle with a few forward
 Gauss-Seidel steps, which keep the small entries downstream of the pulse
 accurate relative to themselves.  The GMRES is flow.gmres through
 flow.krylov_solve, the iterative solve flow shares: orthogonalising by
@@ -46,7 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .flow import SymmetricGaussSeidel, face_conductance, face_operator, krylov_solve
+from .flow import (
+    SymmetricGaussSeidel, face_conductance, face_operator, krylov_solve, pad_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -140,13 +146,18 @@ class SpatialOperator:
     (by identity) or another porosity (by value) rebuilds it.  data holds
     the CSR values with every diagonal entry stored (an explicit zero in a
     cell without flux or diffusion) and diagonal their positions.  strict
-    holds the positions of the strict lower triangle, in CSR order, with
-    strict_indices and strict_indptr its pattern and strict_rows the row of
-    each entry: what the forward Gauss-Seidel sweep gathers.  upper,
-    upper_indices and upper_indptr are the same for the strict upper
-    triangle with rows and columns numbered backwards (i -> n-1-i), which
-    makes it strictly lower, and upper_rows the row of each entry before
-    that numbering: what the backward sweep gathers.
+    holds the positions of the strict lower triangle, in CSR order: what
+    the forward Gauss-Seidel sweep gathers.  strict_indices and
+    strict_indptr are its pattern padded by flow.pad_rows, zeros on each
+    short row's own column, so that most rows hold one number of entries;
+    strict_slots is the slot of each gathered entry in that pattern and
+    strict_rows the row of each slot, padding included.  upper,
+    upper_indices, upper_indptr, upper_slots and upper_rows are the same
+    for the strict upper triangle with rows and columns numbered backwards
+    (i -> n-1-i), which makes it strictly lower, its rows padded after that
+    numbering and upper_rows the row of each slot before it: what the
+    backward sweep gathers.  Only the sweeps read the padded patterns; the
+    step matrix keeps data's pattern.
     """
 
     mesh: object
@@ -159,10 +170,12 @@ class SpatialOperator:
     strict: np.ndarray
     strict_indices: np.ndarray
     strict_indptr: np.ndarray
+    strict_slots: np.ndarray
     strict_rows: np.ndarray
     upper: np.ndarray
     upper_indices: np.ndarray
     upper_indptr: np.ndarray
+    upper_slots: np.ndarray
     upper_rows: np.ndarray
     outflow_weight: np.ndarray      # outward flux through x = +L/2, per cell
     other_exit_weight: np.ndarray   # outward flux through any other boundary
@@ -196,14 +209,17 @@ class TransportOperator:
         # this tracer's step values: the decay diagonal added to the stored
         # one, and storage/dt added to that diagonal whenever dt changes.
         # dt moves only the diagonal, so the strict triangles the sweeps
-        # read are gathered once
+        # read are gathered once, into their padded slots; the padding
+        # stays zero under solve_step's scaling
         data = spatial.data.copy()
         data[spatial.diagonal] += self.decay_diag[spatial.order]
         n = mesh.num_cells
         self._step = sp.csr_matrix((data, spatial.indices, spatial.indptr), shape=(n, n))
         self._diagonal = data[spatial.diagonal]
-        self._lower = data[spatial.strict]
-        self._upper = data[spatial.upper]
+        self._lower = np.zeros(len(spatial.strict_indices))
+        self._lower[spatial.strict_slots] = data[spatial.strict]
+        self._upper = np.zeros(len(spatial.upper_indices))
+        self._upper[spatial.upper_slots] = data[spatial.upper]
         self._storage_perm = self.storage[spatial.order]
         self._gs_dt = None
         self._gs = None
@@ -252,16 +268,23 @@ class TransportOperator:
         strict = np.flatnonzero(system.indices < row_of)
         strict_indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(diagonal_at - system.indptr[:-1], out=strict_indptr[1:])
+        strict_indptr, strict_indices, strict_slots = pad_rows(
+            strict_indptr, system.indices[strict])
         # the strict upper triangle numbered backwards: its CSR order is the
         # forward CSR order reversed, rows and sorted columns both descending
         upper = np.flatnonzero(system.indices > row_of)[::-1]
         upper_indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum((system.indptr[1:] - diagonal_at - 1)[::-1], out=upper_indptr[1:])
         last = np.int32(n - 1)
+        upper_indptr, upper_indices, upper_slots = pad_rows(
+            upper_indptr, last - system.indices[upper])
+        rows = np.arange(n, dtype=np.int32)
         return SpatialOperator(
             mesh, phi.copy(), order, system.data, system.indices, system.indptr, diagonal_at,
-            strict, system.indices[strict], strict_indptr, row_of[strict],
-            upper, last - system.indices[upper], upper_indptr, row_of[upper],
+            strict, strict_indices, strict_indptr, strict_slots,
+            np.repeat(rows, np.diff(strict_indptr)),
+            upper, upper_indices, upper_indptr, upper_slots,
+            last - np.repeat(rows, np.diff(upper_indptr)),
             outflow_weight, other_exit_weight,
         )
 
@@ -318,11 +341,12 @@ class TransportOperator:
         # c: on the small, strongly dominant steps that sweep, which ends on
         # the forward one, is accurate entry by entry, whereas from c the
         # norm-wise stop leaves relative errors above 1e-12 in entries near
-        # 1e-12 of the peak
+        # 1e-12 of the peak.  gmres hands gs.right the backward sweep
+        # M1^-1 b it also takes its cycle stop from
         b = (self.storage / dt * c)[spatial.order]
         x_perm, iterations, cycles, fell_back = krylov_solve(
             self._step, b, gs, rtol=GMRES_RTOL, maxiter=GMRES_MAX_CYCLES,
-            x0=gs.solve, restart=GMRES_RESTART,
+            x0=gs.right, restart=GMRES_RESTART,
         )
         self.krylov_iterations += iterations
         self.krylov_cycles += cycles

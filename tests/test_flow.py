@@ -16,6 +16,7 @@ from fracscale.flow import (
     SymmetricGaussSeidel,
     face_fluxes,
     krylov_solve,
+    pad_rows,
     solve_pressure,
     solve_steady_flow,
     wiener_bounds,
@@ -164,11 +165,11 @@ class TestSolvePressure:
         assert np.abs(flow.pressure - exact).max() < 1e-9 * 1000.0
 
 
-def nonsymmetric_system(n=400, seed=3):
+def nonsymmetric_system(n=400, seed=3, density=0.02):
     """Random sparse nonsymmetric matrix, strictly diagonally dominant by rows,
     its Jacobi preconditioner and a random right-hand side."""
     rng = np.random.default_rng(seed)
-    off = sp.random(n, n, density=0.02, format="csr", random_state=rng,
+    off = sp.random(n, n, density=density, format="csr", random_state=rng,
                     data_rvs=lambda k: rng.uniform(-1.0, 1.0, k))
     off.setdiag(0.0)
     diag = abs(off).sum(axis=1).A1 + rng.uniform(0.1, 1.0, n)
@@ -210,22 +211,54 @@ class TestGmres:
         A, _, b = nonsymmetric_system()
         gs = SymmetricGaussSeidel(*gauss_seidel_parts(A))
         x, iters, cycles, fell_back = krylov_solve(
-            A, b, gs, rtol=1e-14, maxiter=20, x0=gs.solve(b), restart=20)
+            A, b, gs, rtol=1e-14, maxiter=20, x0=gs.right, restart=20)
         want = spla.spsolve(A.tocsc(), b)
         assert iters > 0 and cycles > 0 and not fell_back
         assert np.linalg.norm(b - A @ x) <= 1e-14 * np.linalg.norm(b)
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_start_function_sees_the_scaled_right_hand_side(self):
-        # a start given as a function is computed from b after its scaling
-        # by a power of two, so the whole solve scales with b bit for bit
+        # a start given as a function is computed from M1^-1 b of b after
+        # its scaling by a power of two, so the whole solve scales with b
+        # bit for bit
         A, _, b = nonsymmetric_system()
         gs = SymmetricGaussSeidel(*gauss_seidel_parts(A))
+        seen = []
+
+        def start(r):
+            seen.append(r.copy())
+            return gs.right(r)
 
         def solve(b):
-            return krylov_solve(A, b, gs, rtol=1e-14, maxiter=20, x0=gs.solve, restart=20)[0]
+            return krylov_solve(A, b, gs, rtol=1e-14, maxiter=20, x0=start, restart=20)[0]
 
-        assert np.array_equal(solve(np.ldexp(b, -560)), np.ldexp(solve(b), -560))
+        got = solve(b)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], gs.left(np.ldexp(b, -np.frexp(np.abs(b).max())[1])))
+        assert np.array_equal(solve(np.ldexp(b, -560)), np.ldexp(got, -560))
+
+    def test_right_hand_side_is_swept_backward_once(self):
+        # the cycle stop and the start M^-1 b = M2^-1 M1^-1 b share one
+        # M1^-1 b; every other backward sweep outside the products is a
+        # cycle's residual
+        A, _, b = nonsymmetric_system()
+        gs = SymmetricGaussSeidel(*gauss_seidel_parts(A))
+        calls = []
+
+        class Counted:
+            product, right, smooth = gs.product, gs.right, gs.smooth
+
+            @staticmethod
+            def left(r):
+                calls.append(r)
+                return gs.left(r)
+
+        x, iters, cycles, fell_back = krylov_solve(
+            A, b, Counted, rtol=1e-14, maxiter=20, x0=gs.right, restart=20)
+        assert cycles > 0 and not fell_back
+        assert len(calls) == cycles + 1
+        assert np.array_equal(x, krylov_solve(
+            A, b, gs, rtol=1e-14, maxiter=20, x0=gs.right, restart=20)[0])
 
     def test_zero_right_hand_side(self):
         A, M, b = nonsymmetric_system()
@@ -322,7 +355,7 @@ class TestGaussSeidelSweeps:
         for got, want in ((gs.product(v), la.solve(m1, dense @ la.solve(m2, v))),
                           (gs.left(v), la.solve(m1, v)),
                           (gs.right(v), la.solve(m2, v)),
-                          (gs.solve(v), la.solve(m1 @ m2, v))):
+                          (gs.right(gs.left(v)), la.solve(m1 @ m2, v))):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(v, kept)
 
@@ -358,6 +391,65 @@ class TestGaussSeidelSweeps:
                 SymmetricGaussSeidel(lower, bad, diagonal)
         with pytest.raises(ValueError):
             SymmetricGaussSeidel(lower, upper, diagonal.astype(np.float32))
+
+
+def padded(parts):
+    """A triangle's (indptr, indices, values) with its rows padded by pad_rows."""
+    indptr, indices, values = parts
+    indptr, indices, slots = pad_rows(indptr, indices)
+    out = np.zeros(len(indices))
+    out[slots] = values
+    return indptr, indices, out
+
+
+class TestPaddedRows:
+    def test_short_rows_are_padded_on_their_own_column(self):
+        A, _, _ = nonsymmetric_system(density=0.005)
+        for indptr, indices, _ in gauss_seidel_parts(A)[:2]:
+            n = len(indptr) - 1
+            lengths = np.diff(indptr)
+            k = min(np.sort(lengths)[n // 2] + 1, lengths.max())
+            assert lengths.min() == 0 and k < lengths.max()
+            got_indptr, got_indices, slots = pad_rows(indptr.astype(np.int64), indices)
+            assert got_indptr.dtype == got_indices.dtype == np.int32
+            got = sp.csr_matrix((np.ones(len(got_indices)), got_indices, got_indptr), shape=(n, n))
+            got.check_format(full_check=True)
+            assert got.has_sorted_indices
+            assert np.array_equal(np.diff(got_indptr), np.maximum(lengths, k))
+            # each entry keeps its place in its row, the padding follows it
+            rows = np.repeat(np.arange(n), lengths)
+            assert np.array_equal(got_indices[slots], indices)
+            assert np.array_equal(slots - got_indptr[rows], np.arange(len(indices)) - indptr[rows])
+            padding = np.ones(len(got_indices), dtype=bool)
+            padding[slots] = False
+            assert np.array_equal(got_indices[padding],
+                                  np.repeat(np.arange(n), np.maximum(k - lengths, 0)))
+
+    def test_rows_of_one_length_are_left_as_they_are(self):
+        n = 50
+        indptr = np.arange(0, 3 * n + 1, 3, dtype=np.int32)
+        indices = np.random.default_rng(2).integers(0, n, 3 * n).astype(np.int32)
+        got_indptr, got_indices, slots = pad_rows(indptr, indices)
+        assert np.array_equal(got_indptr, indptr) and np.array_equal(got_indices, indices)
+        assert np.array_equal(slots, np.arange(3 * n))
+
+    @pytest.mark.parametrize("system", ["random", "chained"])
+    def test_padded_sweeps_are_bit_identical(self, system):
+        # a padding entry adds 0 x[i] to row i's sum, read before row i is
+        # stored; the real products are summed in the same order
+        if system == "random":
+            A, _, b = nonsymmetric_system(density=0.005)
+            assert np.any(np.diff(A.indptr) == 1)  # rows holding the diagonal only
+        else:
+            A, b = chained_system()
+        lower, upper, diagonal = gauss_seidel_parts(A)
+        plain = SymmetricGaussSeidel(lower, upper, diagonal)
+        pad = SymmetricGaussSeidel(padded(lower), padded(upper), diagonal)
+        assert len(pad.lower[1]) > len(lower[1]) and len(pad.upper[1]) > len(upper[1])
+        x = np.random.default_rng(5).standard_normal(len(b))
+        for method, args in (("right", (b,)), ("left", (b,)), ("product", (b,)),
+                             ("smooth", (b, x))):
+            assert np.array_equal(getattr(pad, method)(*args), getattr(plain, method)(*args))
 
 
 class TestEffectivePermeability:

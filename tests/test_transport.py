@@ -467,6 +467,52 @@ class TestSharedSpatialOperator:
             gc.enable()
 
 
+class TestPaddedSweeps:
+    def test_run_is_bit_identical_to_unpadded_sweeps(self, generated_flows, monkeypatch):
+        # the sweeps' padding entries add 0 x[i] to row i's sum, so a run is
+        # the same, bit for bit, with the patterns left as they are
+        mesh, props, flow = generated_flows[2]
+
+        def runs():
+            fresh = dataclasses.replace(flow)  # no spatial operator kept yet
+            btcs = [run_transport(mesh, props, fresh, desk_tracer(kind), 1e8,
+                                  n_outputs=48, growth=1.5) for kind in TRACER_KINDS]
+            return btcs, fresh.transport_operators[1e-9]
+
+        got, spatial = runs()
+        monkeypatch.setattr(transport, "pad_rows", lambda indptr, indices: (
+            indptr, indices, np.arange(len(indices))))
+        want, unpadded = runs()
+        assert len(spatial.strict_indices) > len(spatial.strict)
+        assert len(spatial.upper_indices) > len(spatial.upper)
+        assert len(unpadded.strict_indices) == len(unpadded.strict)
+        for g, w in zip(got, want):
+            for name in ("times_yr", "mass_rate_mol_per_yr", "cumulative_mol", "in_domain_mol",
+                         "decayed_mol"):
+                assert np.array_equal(getattr(g, name), getattr(w, name)), name
+            assert g.metadata == w.metadata
+            assert g.initial_total_mass == w.initial_total_mass
+
+    def test_patterns_are_padded_once_per_spatial_operator(self, generated_flows, monkeypatch):
+        mesh, props, flow = generated_flows[2]
+        flow = dataclasses.replace(flow)
+        calls = []
+        real = transport.pad_rows
+
+        def pad_rows(indptr, indices):
+            calls.append(len(indices))
+            return real(indptr, indices)
+
+        monkeypatch.setattr(transport, "pad_rows", pad_rows)
+        for kind in TRACER_KINDS:
+            state = prepare_transport(mesh, props, flow, desk_tracer(kind))
+            for dt_yr in (1e-8, 1.0, 1.0, 1e4):
+                step_transport(state, dt_yr * YEAR_SECONDS)
+            assert state.operator.factorizations == 3
+        # the strict lower pattern and the reversed strict upper one
+        assert len(calls) == 2
+
+
 def counted_splu(monkeypatch):
     """Replace scipy's splu, which a step calls only in the direct fallback,
     with a counting wrapper."""
@@ -500,16 +546,29 @@ def assert_sweeps_triangle(parts, step):
     """The split was built from exactly the step matrix step: the same
     diagonal, and both strict triangles with each row scaled by -1/diagonal,
     bit for bit, in int32 CSR with each row's columns sorted, the upper one
-    with its rows and columns numbered backwards."""
+    with its rows and columns numbered backwards.  Each triangle's rows are
+    padded as flow.pad_rows pads them: every row holds at least k entries,
+    k = min(upper median row length + 1, longest row), and each padding
+    entry is exactly 0.0 on its row's own column; without them nothing is
+    on or above the diagonal."""
     *triangles, diagonal = parts
     *want_triangles, want_diagonal = gauss_seidel_parts(step)
     n = len(diagonal)
     assert np.array_equal(diagonal, want_diagonal)
     for (indptr, indices, strict), want in zip(triangles, want_triangles):
         assert indptr.dtype == indices.dtype == np.int32
-        got = sp.csr_matrix((strict, indices, indptr), shape=(n, n))
-        assert got.has_sorted_indices and sp.triu(got).nnz == 0
+        assert sp.csr_matrix((strict, indices, indptr), shape=(n, n)).has_sorted_indices
         want_indptr, want_indices, want_strict = want
+        lengths = np.diff(want_indptr)
+        k = min(np.sort(lengths)[n // 2] + 1, lengths.max())
+        assert np.array_equal(np.diff(indptr), np.maximum(lengths, k))
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        padding = indices == rows
+        assert np.all(strict[padding] == 0.0)
+        got_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows[~padding], minlength=n), out=got_indptr[1:])
+        got = sp.csr_matrix((strict[~padding], indices[~padding], got_indptr), shape=(n, n))
+        assert got.has_sorted_indices and sp.triu(got).nnz == 0
         want = sp.csr_matrix((want_strict, want_indices, want_indptr), shape=(n, n))
         assert (got != want).nnz == 0
 
