@@ -18,10 +18,13 @@ The preconditioner is SymmetricGaussSeidel: symmetric Gauss-Seidel split
 into its backward and forward triangles, each solved by one in-place pass
 of the CSR product kernel (no factorization), applied with the step matrix
 by Eisenstat's trick, two sweeps and no matrix product per iteration, and
-followed after each cycle by a few forward Gauss-Seidel steps.  pad_rows
-pads the triangles' patterns with zeros on each short row's own column, so
-that most rows hold one number of entries and the kernel's row loop keeps
-one trip count; the sweeps give the same bits with or without them.
+followed after each cycle by a few forward Gauss-Seidel steps, and
+started from M^-1 b.  GaussSeidelTriangles owns the sweeps' layout: it
+gathers a matrix's two strict triangles once, their patterns padded by
+pad_rows with zeros on each short row's own column, so that most rows hold
+one number of entries and the kernel's row loop keeps one trip count (the
+sweeps give the same bits with or without them), and splits every matrix
+that differs from it only on the diagonal by one scaling of each triangle.
 """
 
 from __future__ import annotations
@@ -123,25 +126,23 @@ def face_operator(faces, w_ab, w_ba, w_out) -> tuple[np.ndarray, np.ndarray, np.
     return rows, cols, vals
 
 
-def gmres(A, b, M, *, rtol, maxiter, x0=None, restart):
+def gmres(A, b, M, *, rtol, maxiter, restart):
     """Restarted GMRES(restart) on M1^-1 A M2^-1 y = M1^-1 b, x = M2^-1 y
-    (split preconditioning).
+    (split preconditioning), started from x = M^-1 b = M2^-1 M1^-1 b.
 
-    M gives the preconditioned products: M.product(v) = M1^-1 A M2^-1 v,
-    M.left(r) = M1^-1 r and M.right(u) = M2^-1 u, with M.left None for
-    M1 = I (preconditioning on the right only); M.smooth(b, x), unless None,
-    maps each cycle's new x to the x the next cycle starts from.  Arnoldi
-    orthogonalises by classical Gram-Schmidt applied twice, each pass one
-    product with the basis (Giraud, Langou & Rozlozník 2005), and Givens
-    rotations keep the Hessenberg least-squares residual, which a cycle
-    stops on once it is <= rtol ||M1^-1 b||.  The verdict is the true
-    residual: a cycle starts only while ||b - A x|| > rtol ||b||, checked
-    before each of at most maxiter cycles and after the last.  b is scaled
-    by the power of two at max|b|, exactly, so norms of tiny fields do not
-    underflow.  x0 is the start, scaled with b, or a function giving the
-    start from M1^-1 b of the scaled b (b itself for M1 = I), so that the
-    start scales exactly with b too and M1^-1 b is applied once: with
-    M.right as x0 the start is M^-1 b = M2^-1 M1^-1 b.
+    M gives the preconditioned products, as SymmetricGaussSeidel does:
+    M.product(v) = M1^-1 A M2^-1 v, M.left(r) = M1^-1 r, M.right(u) =
+    M2^-1 u, and M.smooth(b, x), which maps each cycle's new x to the x the
+    next cycle starts from.  Arnoldi orthogonalises by classical
+    Gram-Schmidt applied twice, each pass one product with the basis
+    (Giraud, Langou & Rozlozník 2005), and Givens rotations keep the
+    Hessenberg least-squares residual, which a cycle stops on once it is
+    <= rtol ||M1^-1 b||.  The verdict is the true residual: a cycle starts
+    only while ||b - A x|| > rtol ||b||, checked before each of at most
+    maxiter cycles and after the last.  b is scaled by the power of two at
+    max|b|, exactly, so norms of tiny fields do not underflow; M1^-1 b is
+    applied once, to the scaled b, and serves both the start and the cycle
+    stop, so the start scales exactly with b too.
     Returns (x, Arnoldi steps, cycles, converged).
     """
     bmax = np.abs(b).max()
@@ -149,12 +150,8 @@ def gmres(A, b, M, *, rtol, maxiter, x0=None, restart):
         return np.zeros(len(b)), 0, 0, True
     exponent = np.frexp(bmax)[1]
     b = np.ldexp(b, -exponent)
-    left = M.left or (lambda r: r)
-    left_b = left(b)
-    if x0 is None:
-        x = np.zeros(len(b))
-    else:
-        x = x0(left_b) if callable(x0) else np.ldexp(x0, -exponent)
+    left_b = M.left(b)
+    x = M.right(left_b)
     tol = rtol * np.linalg.norm(b)
     cycle_tol = rtol * np.linalg.norm(left_b)
     m = min(restart, len(b))
@@ -166,7 +163,7 @@ def gmres(A, b, M, *, rtol, maxiter, x0=None, restart):
         converged = np.linalg.norm(r) <= tol
         if converged or cycle == maxiter:
             break
-        r = left(r)
+        r = M.left(r)
         beta = np.linalg.norm(r)
         basis[0] = r / beta
         g = [beta] + [0.0] * m
@@ -196,8 +193,7 @@ def gmres(A, b, M, *, rtol, maxiter, x0=None, restart):
         k = j + 1
         y = la.solve_triangular(hess[:k, :k], g[:k], check_finite=False)
         x += M.right(y @ basis[:k])
-        if M.smooth is not None:
-            x = M.smooth(b, x)
+        x = M.smooth(b, x)
     return np.ldexp(x, exponent), steps, cycle, bool(converged)
 
 
@@ -231,7 +227,8 @@ class SymmetricGaussSeidel:
     """Symmetric Gauss-Seidel for A = D + L + U as gmres takes it, split as
     M1 = D + U and M2 = I + D^-1 L, so that M1 M2 = (D + U) D^-1 (D + L):
     built from A's diagonal D and its two strict triangles, with nothing
-    factorized.
+    factorized.  GaussSeidelTriangles.split builds one from the triangles it
+    gathered and a diagonal.
 
     lower = (indptr, indices, strict) is L in CSR, each row scaled by -1/D.
     upper is U the same way with its rows and columns numbered backwards
@@ -311,7 +308,67 @@ class SymmetricGaussSeidel:
         return x
 
 
-def krylov_solve(A, b, M, *, rtol, maxiter, x0=None, restart=None):
+class GaussSeidelTriangles:
+    """The two strict triangles of a square CSR matrix, laid out once for
+    the sweeps of SymmetricGaussSeidel, so that every matrix that differs
+    from it only on the diagonal splits by one scaling of each triangle.
+
+    indptr, indices and data are the matrix in CSR with sorted rows and
+    every diagonal entry stored (an explicit zero where it is 0); diagonal
+    holds the positions of those entries in data.  lower = (indptr,
+    indices, values) is the strict lower triangle in CSR order, upper the
+    strict upper one with its rows and columns numbered backwards
+    (i -> n-1-i), which makes it strictly lower too.  Both patterns are
+    padded by pad_rows, the padding values 0, and lower_rows and upper_rows
+    give the row of each slot, padding included, in the matrix's own
+    numbering.
+    """
+
+    def __init__(self, indptr, indices, data):
+        n = len(indptr) - 1
+        rows = np.arange(n, dtype=np.int32)
+        row_of = np.repeat(rows, np.diff(indptr))
+        self.diagonal = np.flatnonzero(indices == row_of)
+        if len(self.diagonal) != n:
+            raise ValueError("the matrix does not store every diagonal entry")
+        # the strict lower triangle in CSR order: the entries of each sorted
+        # row before its diagonal
+        strict = np.flatnonzero(indices < row_of)
+        lower_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(self.diagonal - indptr[:-1], out=lower_indptr[1:])
+        self.lower = self._padded(lower_indptr, indices[strict], data[strict])
+        self.lower_rows = np.repeat(rows, np.diff(self.lower[0]))
+        # the strict upper triangle numbered backwards: its CSR order is the
+        # forward CSR order reversed, rows and sorted columns both descending
+        upper = np.flatnonzero(indices > row_of)[::-1]
+        upper_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum((indptr[1:] - self.diagonal - 1)[::-1], out=upper_indptr[1:])
+        last = np.int32(n - 1)
+        self.upper = self._padded(upper_indptr, last - indices[upper], data[upper])
+        self.upper_rows = last - np.repeat(rows, np.diff(self.upper[0]))
+
+    @staticmethod
+    def _padded(indptr, indices, values):
+        indptr, indices, slots = pad_rows(indptr, indices)
+        padded = np.zeros(len(indices))
+        padded[slots] = values
+        return indptr, indices, padded
+
+    def split(self, diagonal):
+        """The SymmetricGaussSeidel of the matrix with these triangles and
+        the float64 diagonal values diagonal, one per row: each row of both
+        triangles scaled by -1 over its diagonal, the padding staying 0."""
+        scale = -1.0 / diagonal
+        (lower_indptr, lower_indices, lower), (upper_indptr, upper_indices, upper) = (
+            self.lower, self.upper)
+        return SymmetricGaussSeidel(
+            (lower_indptr, lower_indices, lower * scale.take(self.lower_rows)),
+            (upper_indptr, upper_indices, upper * scale.take(self.upper_rows)),
+            diagonal,
+        )
+
+
+def krylov_solve(A, b, M, *, rtol, maxiter, restart=None):
     """Solve A x = b by preconditioned CG, or by gmres(restart) if restart is set.
 
     Stops once ||b - A x|| <= rtol ||b||.  If the iteration hits maxiter (CG
@@ -327,11 +384,11 @@ def krylov_solve(A, b, M, *, rtol, maxiter, x0=None, restart=None):
             nonlocal iterations
             iterations += 1
 
-        x, info = spla.cg(A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=count)
+        x, info = spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=count)
         converged = info == 0
     else:
         x, iterations, cycles, converged = gmres(
-            A, b, M, rtol=rtol, maxiter=maxiter, x0=x0, restart=restart)
+            A, b, M, rtol=rtol, maxiter=maxiter, restart=restart)
     if converged:
         return x, iterations, cycles, False
     name = "CG" if restart is None else "GMRES"

@@ -18,26 +18,22 @@ cell and the advective part of A is lower triangular (Natvig & Lie 2008;
 Kwok & Tchelepi 2007).  The permuted spatial operator is assembled once per
 flow field and diffusion coefficient, with every diagonal entry stored, and
 kept on the field, so the three tracers run on it share one assembly (see
-SpatialOperator).  A tracer keeps its step values in one array, the decay
-diagonal added, and gathers their strict lower and upper triangles once:
-dt moves only the diagonal, which is rewritten when dt changes.  The
+SpatialOperator).  Tracers differ only on the diagonal (decay, and
+storage/dt, rewritten when dt changes), so the operator also keeps its
+strict triangles, gathered once in the sweeps' padded layout
+(flow.GaussSeidelTriangles), and a tracer passes them only a diagonal.  The
 preconditioner is symmetric Gauss-Seidel, split into a backward and a
 forward sweep of the permuted A (flow.SymmetricGaussSeidel, each sweep one
-in-place pass of scipy's CSR product kernel, which factorizes nothing) whose
-triangles are scaled by the diagonal once per distinct dt.  Their patterns
-are padded once per spatial operator (flow.pad_rows: zeros on each short
-row's own column, which leave every sweep's bits as they were), so that the
-kernel's row loop mostly runs one trip count; each tracer scatters its
-gathered values into the padded slots once.  GMRES runs on the
-split-preconditioned step, each iteration by Eisenstat's trick (two sweeps
-and no product with A), starts from one symmetric Gauss-Seidel sweep of the
-right-hand side, and follows each cycle with a few forward
-Gauss-Seidel steps, which keep the small entries downstream of the pulse
-accurate relative to themselves.  The GMRES is flow.gmres through
-flow.krylov_solve, the iterative solve flow shares: orthogonalising by
-classical Gram-Schmidt applied twice, on the right-hand side scaled by a
-power of two, so fields decayed to ~1e-170 solve as well as the pulse, and
-judged by the true residual.  A step that hits the cap falls back to one
+in-place pass of scipy's CSR product kernel, which factorizes nothing),
+split once per distinct dt.  GMRES runs on the split-preconditioned step,
+each iteration by Eisenstat's trick (two sweeps and no product with A),
+starts from one symmetric Gauss-Seidel sweep of the right-hand side, and
+follows each cycle with a few forward Gauss-Seidel steps, which keep the
+small entries downstream of the pulse accurate relative to themselves.
+The GMRES is flow.gmres through flow.krylov_solve, the iterative solve
+flow shares: orthogonalising by classical Gram-Schmidt applied twice, on
+the right-hand side scaled by a power of two, so fields decayed to
+~1e-170 solve as well as the pulse, and judged by the true residual.  A step that hits the cap falls back to one
 direct sparse LU of the permuted step, as a capped pressure solve does;
 that is the only LU transport runs.
 """
@@ -50,9 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .flow import (
-    SymmetricGaussSeidel, face_conductance, face_operator, krylov_solve, pad_rows,
-)
+from .flow import GaussSeidelTriangles, face_conductance, face_operator, krylov_solve
 
 logger = logging.getLogger(__name__)
 
@@ -145,19 +139,10 @@ class SpatialOperator:
     and porosity are what it was built from, and a tracer on another mesh
     (by identity) or another porosity (by value) rebuilds it.  data holds
     the CSR values with every diagonal entry stored (an explicit zero in a
-    cell without flux or diffusion) and diagonal their positions.  strict
-    holds the positions of the strict lower triangle, in CSR order: what
-    the forward Gauss-Seidel sweep gathers.  strict_indices and
-    strict_indptr are its pattern padded by flow.pad_rows, zeros on each
-    short row's own column, so that most rows hold one number of entries;
-    strict_slots is the slot of each gathered entry in that pattern and
-    strict_rows the row of each slot, padding included.  upper,
-    upper_indices, upper_indptr, upper_slots and upper_rows are the same
-    for the strict upper triangle with rows and columns numbered backwards
-    (i -> n-1-i), which makes it strictly lower, its rows padded after that
-    numbering and upper_rows the row of each slot before it: what the
-    backward sweep gathers.  Only the sweeps read the padded patterns; the
-    step matrix keeps data's pattern.
+    cell without flux or diffusion).  triangles holds the positions of the
+    diagonal entries and both strict triangles in the sweeps' layout, which
+    every tracer on the field splits with its own diagonal; the step matrix
+    keeps data's pattern.
     """
 
     mesh: object
@@ -166,17 +151,7 @@ class SpatialOperator:
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    diagonal: np.ndarray
-    strict: np.ndarray
-    strict_indices: np.ndarray
-    strict_indptr: np.ndarray
-    strict_slots: np.ndarray
-    strict_rows: np.ndarray
-    upper: np.ndarray
-    upper_indices: np.ndarray
-    upper_indptr: np.ndarray
-    upper_slots: np.ndarray
-    upper_rows: np.ndarray
+    triangles: GaussSeidelTriangles
     outflow_weight: np.ndarray      # outward flux through x = +L/2, per cell
     other_exit_weight: np.ndarray   # outward flux through any other boundary
 
@@ -194,10 +169,9 @@ class TransportOperator:
         else:
             r_cell = np.full(mesh.num_cells, params.retardation)
 
-        self.pore_volume = phi * vol
-        self.storage = r_cell * self.pore_volume
-        self.decay_diag = params.decay * self.pore_volume
-        self.params = params
+        pore_volume = phi * vol
+        self.storage = r_cell * pore_volume
+        self.decay_diag = params.decay * pore_volume
 
         spatial = flow.transport_operators.get(params.diffusion)
         if spatial is None or spatial.mesh is not mesh or not np.array_equal(spatial.porosity, phi):
@@ -206,20 +180,13 @@ class TransportOperator:
         self._spatial = spatial
         self.outflow_weight = spatial.outflow_weight
         self.other_exit_weight = spatial.other_exit_weight
-        # this tracer's step values: the decay diagonal added to the stored
-        # one, and storage/dt added to that diagonal whenever dt changes.
-        # dt moves only the diagonal, so the strict triangles the sweeps
-        # read are gathered once, into their padded slots; the padding
-        # stays zero under solve_step's scaling
-        data = spatial.data.copy()
-        data[spatial.diagonal] += self.decay_diag[spatial.order]
+        # this tracer's diagonal: the decay diagonal added to the stored one,
+        # and storage/dt added to that whenever dt changes, when solve_step
+        # writes it into the step matrix and splits the shared triangles
         n = mesh.num_cells
-        self._step = sp.csr_matrix((data, spatial.indices, spatial.indptr), shape=(n, n))
-        self._diagonal = data[spatial.diagonal]
-        self._lower = np.zeros(len(spatial.strict_indices))
-        self._lower[spatial.strict_slots] = data[spatial.strict]
-        self._upper = np.zeros(len(spatial.upper_indices))
-        self._upper[spatial.upper_slots] = data[spatial.upper]
+        self._step = sp.csr_matrix(
+            (spatial.data.copy(), spatial.indices, spatial.indptr), shape=(n, n))
+        self._diagonal = spatial.data[spatial.triangles.diagonal] + self.decay_diag[spatial.order]
         self._storage_perm = self.storage[spatial.order]
         self._gs_dt = None
         self._gs = None
@@ -261,30 +228,9 @@ class TransportOperator:
              (np.concatenate([rank[rows[off]], rank]), np.concatenate([rank[cols[off]], rank]))),
             shape=(n, n),
         ).tocsr()
-        row_of = np.repeat(np.arange(n, dtype=np.int32), np.diff(system.indptr))
-        diagonal_at = np.flatnonzero(system.indices == row_of)
-        # the strict lower triangle in CSR order: the entries of each sorted
-        # row before its diagonal
-        strict = np.flatnonzero(system.indices < row_of)
-        strict_indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(diagonal_at - system.indptr[:-1], out=strict_indptr[1:])
-        strict_indptr, strict_indices, strict_slots = pad_rows(
-            strict_indptr, system.indices[strict])
-        # the strict upper triangle numbered backwards: its CSR order is the
-        # forward CSR order reversed, rows and sorted columns both descending
-        upper = np.flatnonzero(system.indices > row_of)[::-1]
-        upper_indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum((system.indptr[1:] - diagonal_at - 1)[::-1], out=upper_indptr[1:])
-        last = np.int32(n - 1)
-        upper_indptr, upper_indices, upper_slots = pad_rows(
-            upper_indptr, last - system.indices[upper])
-        rows = np.arange(n, dtype=np.int32)
         return SpatialOperator(
-            mesh, phi.copy(), order, system.data, system.indices, system.indptr, diagonal_at,
-            strict, strict_indices, strict_indptr, strict_slots,
-            np.repeat(rows, np.diff(strict_indptr)),
-            upper, upper_indices, upper_indptr, upper_slots,
-            last - np.repeat(rows, np.diff(upper_indptr)),
+            mesh, phi.copy(), order, system.data, system.indices, system.indptr,
+            GaussSeidelTriangles(system.indptr, system.indices, system.data),
             outflow_weight, other_exit_weight,
         )
 
@@ -306,8 +252,8 @@ class TransportOperator:
         spatial = self._spatial
         n = len(spatial.order)
         rows = np.repeat(spatial.order, np.diff(spatial.indptr))
-        data = self._step.data.copy()
-        data[spatial.diagonal] = self._diagonal
+        data = spatial.data.copy()
+        data[spatial.triangles.diagonal] = self._diagonal
         matrix = sp.coo_matrix(
             (data, (rows, spatial.order[spatial.indices])), shape=(n, n)).tocsc()
         matrix.eliminate_zeros()
@@ -317,36 +263,28 @@ class TransportOperator:
         """Solve (system_const + storage/dt) x = storage/dt c.
 
         GMRES on the step permuted into potential order, split-preconditioned
-        by symmetric Gauss-Seidel (its triangles scaled by -1/diagonal once
-        per distinct dt) and started from one symmetric Gauss-Seidel sweep;
-        one direct LU of the permuted step if GMRES hits GMRES_MAX_CYCLES.
+        by symmetric Gauss-Seidel (the shared triangles split by the step's
+        diagonal once per distinct dt) and started from one symmetric
+        Gauss-Seidel sweep; one direct LU of the permuted step if GMRES hits
+        GMRES_MAX_CYCLES.
         """
         spatial = self._spatial
         self.steps += 1
         if self._gs_dt != dt:
             diagonal = self._diagonal + self._storage_perm / dt
-            self._step.data[spatial.diagonal] = diagonal
-            scale = -1.0 / diagonal
-            self._gs = SymmetricGaussSeidel(
-                (spatial.strict_indptr, spatial.strict_indices,
-                 self._lower * scale.take(spatial.strict_rows)),
-                (spatial.upper_indptr, spatial.upper_indices,
-                 self._upper * scale.take(spatial.upper_rows)),
-                diagonal,
-            )
+            self._step.data[spatial.triangles.diagonal] = diagonal
+            self._gs = spatial.triangles.split(diagonal)
             self._gs_dt = dt
             self.factorizations += 1
-        gs = self._gs
-        # start from one symmetric Gauss-Seidel sweep (from zero), not from
-        # c: on the small, strongly dominant steps that sweep, which ends on
-        # the forward one, is accurate entry by entry, whereas from c the
-        # norm-wise stop leaves relative errors above 1e-12 in entries near
-        # 1e-12 of the peak.  gmres hands gs.right the backward sweep
-        # M1^-1 b it also takes its cycle stop from
+        # gmres starts from one symmetric Gauss-Seidel sweep M^-1 b (from
+        # zero), not from c: on the small, strongly dominant steps that
+        # sweep, which ends on the forward one, is accurate entry by entry,
+        # whereas from c the norm-wise stop leaves relative errors above
+        # 1e-12 in entries near 1e-12 of the peak
         b = (self.storage / dt * c)[spatial.order]
         x_perm, iterations, cycles, fell_back = krylov_solve(
-            self._step, b, gs, rtol=GMRES_RTOL, maxiter=GMRES_MAX_CYCLES,
-            x0=gs.right, restart=GMRES_RESTART,
+            self._step, b, self._gs, rtol=GMRES_RTOL, maxiter=GMRES_MAX_CYCLES,
+            restart=GMRES_RESTART,
         )
         self.krylov_iterations += iterations
         self.krylov_cycles += cycles

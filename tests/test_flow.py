@@ -11,6 +11,7 @@ from fracscale import flow as flow_module
 from fracscale import pipeline
 from fracscale.flow import (
     FlowBC,
+    GaussSeidelTriangles,
     assemble_tpfa,
     effective_permeability,
     SymmetricGaussSeidel,
@@ -177,72 +178,59 @@ def nonsymmetric_system(n=400, seed=3, density=0.02):
     return A, sp.diags(1.0 / diag), rng.standard_normal(n)
 
 
-class RightPreconditioner:
-    """M on the right only (M1 = I), as gmres takes a preconditioner."""
-
-    left = None
-    smooth = None
-
-    def __init__(self, A, M):
-        self.A, self.M = A, M
-
-    def product(self, v):
-        return self.A @ (self.M @ v)
-
-    def right(self, u):
-        return self.M @ u
+def gauss_seidel(A):
+    """The symmetric Gauss-Seidel split of A, built from scipy's triangles."""
+    return SymmetricGaussSeidel(*gauss_seidel_parts(A))
 
 
-def gmres_solve(A, M, b, **kwargs):
-    return krylov_solve(A, b, RightPreconditioner(A, M),
+def gmres_solve(A, b, **kwargs):
+    return krylov_solve(A, b, gauss_seidel(A),
                         **{"rtol": 1e-14, "maxiter": 20, "restart": 20, **kwargs})
 
 
 class TestGmres:
     def test_matches_sparse_direct_solve(self):
-        A, M, b = nonsymmetric_system()
-        x, iters, cycles, fell_back = gmres_solve(A, M, b)
+        A, _, b = nonsymmetric_system()
+        x, iters, cycles, fell_back = gmres_solve(A, b)
         want = spla.spsolve(A.tocsc(), b)
         assert iters > 0 and cycles > 0 and not fell_back
         assert np.linalg.norm(b - A @ x) <= 1e-14 * np.linalg.norm(b)
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_split_gauss_seidel_matches_sparse_direct_solve(self):
+    def test_start_is_the_split_solve_of_the_scaled_right_hand_side(self):
+        # the start M2^-1 M1^-1 b is computed from b after its scaling by a
+        # power of two, so the whole solve scales with b bit for bit
         A, _, b = nonsymmetric_system()
-        gs = SymmetricGaussSeidel(*gauss_seidel_parts(A))
-        x, iters, cycles, fell_back = krylov_solve(
-            A, b, gs, rtol=1e-14, maxiter=20, x0=gs.right, restart=20)
-        want = spla.spsolve(A.tocsc(), b)
-        assert iters > 0 and cycles > 0 and not fell_back
-        assert np.linalg.norm(b - A @ x) <= 1e-14 * np.linalg.norm(b)
-        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        gs = gauss_seidel(A)
+        calls = []
 
-    def test_start_function_sees_the_scaled_right_hand_side(self):
-        # a start given as a function is computed from M1^-1 b of b after
-        # its scaling by a power of two, so the whole solve scales with b
-        # bit for bit
-        A, _, b = nonsymmetric_system()
-        gs = SymmetricGaussSeidel(*gauss_seidel_parts(A))
-        seen = []
+        class Recorded:
+            product, smooth = gs.product, gs.smooth
 
-        def start(r):
-            seen.append(r.copy())
-            return gs.right(r)
+            @staticmethod
+            def left(r):
+                calls.append(("left", r.copy()))
+                return gs.left(r)
 
-        def solve(b):
-            return krylov_solve(A, b, gs, rtol=1e-14, maxiter=20, x0=start, restart=20)[0]
+            @staticmethod
+            def right(u):
+                calls.append(("right", u.copy()))
+                return gs.right(u)
 
-        got = solve(b)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], gs.left(np.ldexp(b, -np.frexp(np.abs(b).max())[1])))
-        assert np.array_equal(solve(np.ldexp(b, -560)), np.ldexp(got, -560))
+        got = krylov_solve(A, b, Recorded, rtol=1e-14, maxiter=20, restart=20)[0]
+        scaled = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
+        (first, seen_b), (second, seen_left_b) = calls[:2]
+        assert (first, second) == ("left", "right")
+        assert np.array_equal(seen_b, scaled)
+        assert np.array_equal(seen_left_b, gs.left(scaled))
+        assert np.array_equal(gmres_solve(A, np.ldexp(b, -560))[0], np.ldexp(got, -560))
 
     def test_right_hand_side_is_swept_backward_once(self):
         # the cycle stop and the start M^-1 b = M2^-1 M1^-1 b share one
         # M1^-1 b; every other backward sweep outside the products is a
         # cycle's residual
         A, _, b = nonsymmetric_system()
-        gs = SymmetricGaussSeidel(*gauss_seidel_parts(A))
+        gs = gauss_seidel(A)
         calls = []
 
         class Counted:
@@ -254,43 +242,47 @@ class TestGmres:
                 return gs.left(r)
 
         x, iters, cycles, fell_back = krylov_solve(
-            A, b, Counted, rtol=1e-14, maxiter=20, x0=gs.right, restart=20)
+            A, b, Counted, rtol=1e-14, maxiter=20, restart=20)
         assert cycles > 0 and not fell_back
         assert len(calls) == cycles + 1
-        assert np.array_equal(x, krylov_solve(
-            A, b, gs, rtol=1e-14, maxiter=20, x0=gs.right, restart=20)[0])
+        assert np.array_equal(x, gmres_solve(A, b)[0])
 
     def test_zero_right_hand_side(self):
-        A, M, b = nonsymmetric_system()
-        x, iters, cycles, fell_back = gmres_solve(A, M, np.zeros_like(b))
+        A, _, b = nonsymmetric_system()
+        x, iters, cycles, fell_back = gmres_solve(A, np.zeros_like(b))
         assert (iters, cycles, fell_back) == (0, 0, False)
         assert np.all(x == 0.0)
 
     def test_start_that_meets_rtol_takes_no_iteration(self):
-        A, M, b = nonsymmetric_system()
-        x0 = spla.spsolve(A.tocsc(), b)
-        x, iters, cycles, fell_back = gmres_solve(A, M, b, rtol=1e-10, x0=x0)
+        # on a lower triangle U = 0, so M1 M2 = D + L = A and the start
+        # M^-1 b solves the system
+        A, _, b = nonsymmetric_system()
+        lower = sp.tril(A, format="csr")
+        gs = gauss_seidel(lower)
+        x, iters, cycles, fell_back = gmres_solve(lower, b, rtol=1e-10)
         assert (iters, cycles, fell_back) == (0, 0, False)
-        assert np.array_equal(x, x0)
+        assert np.array_equal(x, gs.right(gs.left(b)))
 
     def test_cap_falls_back_to_direct(self, caplog):
-        A, M, b = nonsymmetric_system()
+        A, _, b = nonsymmetric_system()
         with caplog.at_level(logging.WARNING, logger=flow_module.__name__):
-            x, iters, cycles, fell_back = gmres_solve(A, M, b, maxiter=1, restart=2)
+            x, iters, cycles, fell_back = gmres_solve(A, b, maxiter=1, restart=2)
         assert (iters, cycles, fell_back) == (2, 1, True)
         assert len(caplog.records) == 1 and "GMRES hit its cap" in caplog.text
         assert np.array_equal(x, spla.splu(A.tocsc()).solve(b))
 
     def test_tiny_right_hand_side_is_solved(self):
         # ||b||^2 underflows for b ~ 1e-170; the solve scales b by a power of
-        # two first, so it is the solve of 2^560 b scaled back, bit for bit
-        A, M, b = nonsymmetric_system(n=5, seed=1)
+        # two first, so it is the solve of 2^560 b scaled back, bit for bit.
+        # Couplings above and below the diagonal, so that the Gauss-Seidel
+        # start does not solve the system outright
+        A, _, b = nonsymmetric_system(n=5, seed=1, density=0.5)
         tiny = np.full(5, 1e-170)
-        x, iters, _, fell_back = gmres_solve(A, M, tiny)
+        x, iters, _, fell_back = gmres_solve(A, tiny)
         want = spla.spsolve(A.tocsc(), tiny)
         assert iters > 0 and not fell_back
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
-        big, _, _, _ = gmres_solve(A, M, np.ldexp(tiny, 560))
+        big, _, _, _ = gmres_solve(A, np.ldexp(tiny, 560))
         assert np.array_equal(x, np.ldexp(big, -560))
 
 
@@ -450,6 +442,38 @@ class TestPaddedRows:
         for method, args in (("right", (b,)), ("left", (b,)), ("product", (b,)),
                              ("smooth", (b, x))):
             assert np.array_equal(getattr(pad, method)(*args), getattr(plain, method)(*args))
+
+
+class TestGaussSeidelTriangles:
+    @pytest.mark.parametrize("system", ["random", "chained"])
+    def test_split_sweeps_as_scipys_triangles_of_that_diagonal(self, system):
+        # gathered once from A, split by another diagonal: the sweeps of A
+        # with that diagonal, built from scipy's triangles, bit for bit
+        if system == "random":
+            A, _, b = nonsymmetric_system(density=0.005)
+        else:
+            A, b = chained_system()
+        assert A.has_sorted_indices
+        triangles = GaussSeidelTriangles(A.indptr, A.indices, A.data)
+        assert np.array_equal(A.data[triangles.diagonal], A.diagonal())
+        diagonal = A.diagonal() * 1.5 + 0.25
+        stepped = A.copy()
+        stepped.setdiag(diagonal)
+        got = triangles.split(diagonal)
+        want = gauss_seidel(stepped)
+        x = np.random.default_rng(5).standard_normal(len(b))
+        for method, args in (("right", (b,)), ("left", (b,)), ("product", (b,)),
+                             ("smooth", (b, x))):
+            assert np.array_equal(getattr(got, method)(*args), getattr(want, method)(*args))
+
+    def test_rejects_a_diagonal_entry_not_stored(self):
+        A, _, _ = nonsymmetric_system()
+        A = A.tolil()
+        A[7, 7] = 0.0
+        A = A.tocsr()
+        A.eliminate_zeros()
+        with pytest.raises(ValueError):
+            GaussSeidelTriangles(A.indptr, A.indices, A.data)
 
 
 class TestEffectivePermeability:

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from fracscale import flow as flow_module
 from fracscale import pipeline, transport
 from fracscale.flow import FlowBC, SymmetricGaussSeidel, solve_steady_flow
 from fracscale.network import GenerationParams, generate_network
@@ -480,12 +481,14 @@ class TestPaddedSweeps:
             return btcs, fresh.transport_operators[1e-9]
 
         got, spatial = runs()
-        monkeypatch.setattr(transport, "pad_rows", lambda indptr, indices: (
+        monkeypatch.setattr(flow_module, "pad_rows", lambda indptr, indices: (
             indptr, indices, np.arange(len(indices))))
         want, unpadded = runs()
-        assert len(spatial.strict_indices) > len(spatial.strict)
-        assert len(spatial.upper_indices) > len(spatial.upper)
-        assert len(unpadded.strict_indices) == len(unpadded.strict)
+        rows = np.repeat(np.arange(len(spatial.order)), np.diff(spatial.indptr))
+        for padded, plain, entries in (
+                (spatial.triangles.lower, unpadded.triangles.lower, spatial.indices < rows),
+                (spatial.triangles.upper, unpadded.triangles.upper, spatial.indices > rows)):
+            assert len(padded[1]) > len(plain[1]) == entries.sum()
         for g, w in zip(got, want):
             for name in ("times_yr", "mass_rate_mol_per_yr", "cumulative_mol", "in_domain_mol",
                          "decayed_mol"):
@@ -497,19 +500,23 @@ class TestPaddedSweeps:
         mesh, props, flow = generated_flows[2]
         flow = dataclasses.replace(flow)
         calls = []
-        real = transport.pad_rows
+        real = flow_module.pad_rows
 
         def pad_rows(indptr, indices):
             calls.append(len(indices))
             return real(indptr, indices)
 
-        monkeypatch.setattr(transport, "pad_rows", pad_rows)
+        monkeypatch.setattr(flow_module, "pad_rows", pad_rows)
+        triangles = []
         for kind in TRACER_KINDS:
             state = prepare_transport(mesh, props, flow, desk_tracer(kind))
             for dt_yr in (1e-8, 1.0, 1.0, 1e4):
                 step_transport(state, dt_yr * YEAR_SECONDS)
             assert state.operator.factorizations == 3
-        # the strict lower pattern and the reversed strict upper one
+            triangles.append(state.operator._spatial.triangles)
+        # the three tracers split one set of triangles, gathered once: the
+        # strict lower pattern and the reversed strict upper one
+        assert triangles[0] is triangles[1] is triangles[2]
         assert len(calls) == 2
 
 
@@ -531,14 +538,14 @@ def recorded_sweeps(monkeypatch):
     """Record the (lower, upper, diagonal) of every symmetric Gauss-Seidel
     split a step builds."""
     sweeps = []
-    real = transport.SymmetricGaussSeidel
+    real = flow_module.SymmetricGaussSeidel
 
     def split(lower, upper, diagonal):
         sweeps.append((tuple(a.copy() for a in lower), tuple(a.copy() for a in upper),
                        diagonal.copy()))
         return real(lower, upper, diagonal)
 
-    monkeypatch.setattr(transport, "SymmetricGaussSeidel", split)
+    monkeypatch.setattr(flow_module, "SymmetricGaussSeidel", split)
     return sweeps
 
 
