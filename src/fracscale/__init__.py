@@ -4,7 +4,6 @@ with steady Darcy flow and tracer transport on the result."""
 from .flow import FlowBC, FlowField, effective_permeability, solve_steady_flow
 from .geometry import Box, PlanarPolygon, clip_polygon_to_box, disc_to_polygon, discs_intersect, polygon_area
 from .network import (
-    Fracture,
     FractureNetwork,
     GenerationParams,
     aperture_from_radius,

@@ -42,6 +42,8 @@ from scipy.sparse import _sparsetools
 logger = logging.getLogger(__name__)
 
 DEFAULT_VISCOSITY = 8.9e-4  # Pa s, water at 20 C
+# solve_pressure's methods (see there)
+FLOW_METHODS = ("auto", "direct")
 # forward Gauss-Seidel steps SymmetricGaussSeidel.smooth runs after each
 # GMRES cycle.  On the orl-2 transport test fixture three keep every
 # breakthrough entry above 1e-12 of its peak within 1.3e-10 of the LU path;
@@ -432,7 +434,7 @@ def solve_pressure(
     the fracture-cluster coarse correction and capped at 50 sqrt(n) + 10
     iterations) or "direct" (one sparse LU, the reference).
     """
-    if method not in ("auto", "direct"):
+    if method not in FLOW_METHODS:
         raise ValueError(f"unknown solver method {method!r}")
     A, b = system.matrix, system.rhs
     n = A.shape[0]

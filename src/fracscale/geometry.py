@@ -79,11 +79,12 @@ class PlanarPolygon:
         return len(self.vertices) < 3
 
 
-def disc_to_polygon(fracture, m_vertices: int = 32) -> PlanarPolygon:
-    """Inscribe a regular m-gon in the fracture disc (wound CCW about the normal)."""
-    n = np.asarray(fracture.normal, dtype=float)
-    verts = disc_vertices(np.asarray(fracture.center, dtype=float)[None], n[None],
-                          np.array([fracture.radius], dtype=float), m_vertices)
+def disc_to_polygon(disc, m_vertices: int = 32) -> PlanarPolygon:
+    """Inscribe a regular m-gon in a disc, any object with center, normal and
+    radius (wound CCW about the normal)."""
+    n = np.asarray(disc.normal, dtype=float)
+    verts = disc_vertices(np.asarray(disc.center, dtype=float)[None], n[None],
+                          np.array([disc.radius], dtype=float), m_vertices)
     return PlanarPolygon(verts[0], n)
 
 
@@ -220,8 +221,8 @@ def polygon_area(poly: PlanarPolygon) -> float:
 
 
 def discs_intersect(f1, f2, eps: float = 1e-9) -> bool:
-    """Exact disc-disc intersection of two fractures: the one-pair case of
-    discs_intersect_many."""
+    """Exact disc-disc intersection of two discs, each any object with center,
+    normal and radius: the one-pair case of discs_intersect_many."""
     return bool(discs_intersect_many(f1.center, f1.normal, f1.radius,
                                      f2.center, f2.normal, f2.radius, eps)[0])
 

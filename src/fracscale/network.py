@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,46 +88,52 @@ class GenerationParams:
         return Box.cube(self.L + 2.0 * self.buffer)
 
 
-@dataclass(frozen=True)
-class Fracture:
-    """Planar circular disc: center, unit normal, radius and hydraulic aperture."""
-
-    id: int
-    center: np.ndarray
-    normal: np.ndarray
-    radius: float
-    aperture: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
-        if abs(np.linalg.norm(self.normal) - 1.0) > 1e-12:
-            raise ValueError(f"fracture {self.id}: normal must be unit length")
-        if self.radius <= 0 or self.aperture <= 0:
-            raise ValueError(f"fracture {self.id}: radius and aperture must be positive")
-
-
-@dataclass
+@dataclass(eq=False)
 class FractureNetwork:
-    """Fracture list plus the cubic flow domain it was generated for.
+    """The discs of one network as columns, plus the cubic flow domain they
+    were generated for.
 
-    The fractures are not changed after construction: the disc polygons
-    are computed once per vertex count and kept.  A network made by subset()
-    remembers the network it was cut from (see origin()) and takes its
-    polygons from there, so geometry measured on the polygons of the one
-    holds for the other.  clipped_areas is where octree keeps the areas it
-    clipped from this network's polygons; only a root network's is filled.
+    Row i of center (N, 3), normal (N, 3), radius (N,) and aperture (N,) is
+    fracture i: a planar circular disc with a unit normal and a hydraulic
+    aperture.  The columns are checked once, copied and made read-only, so
+    the disc polygons are computed once per vertex count and kept.  A network
+    made by subset() remembers the network it was cut from (see origin()) and
+    takes its polygons from there, so geometry measured on the polygons of
+    the one holds for the other.  clipped_areas is where octree keeps the
+    areas it clipped from this network's polygons; only a root network's is
+    filled.  == is identity.
     """
 
-    fractures: list[Fracture]
+    center: np.ndarray
+    normal: np.ndarray
+    radius: np.ndarray
+    aperture: np.ndarray
     domain: Box
     params: GenerationParams
-    clipped_areas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _vertices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _origin: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    clipped_areas: dict = field(default_factory=dict, init=False, repr=False)
+    _vertices: dict = field(default_factory=dict, init=False, repr=False)
+    _origin: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.radius)
+        for name, shape in (("center", (n, 3)), ("normal", (n, 3)),
+                            ("radius", (n,)), ("aperture", (n,))):
+            column = np.array(getattr(self, name), dtype=float)
+            if column.shape != shape:
+                raise ValueError(f"{name} has shape {column.shape}, need {shape} for {n} fractures")
+            column.flags.writeable = False
+            setattr(self, name, column)
+        unit = np.abs(np.linalg.norm(self.normal, axis=1) - 1.0) <= 1e-12
+        positive = (self.radius > 0) & (self.aperture > 0)
+        bad = np.flatnonzero(~(unit & positive))
+        if len(bad):
+            i = bad[0]
+            if not unit[i]:
+                raise ValueError(f"fracture {i}: normal must be unit length")
+            raise ValueError(f"fracture {i}: radius and aperture must be positive")
 
     def __len__(self) -> int:
-        return len(self.fractures)
+        return len(self.radius)
 
     def polygon_vertices(self, m_vertices: int = 32) -> np.ndarray:
         """(N, m, 3) vertices of every disc's inscribed m-gon, computed once per m
@@ -137,9 +143,7 @@ class FractureNetwork:
             if root is not self:
                 verts = root.polygon_vertices(m_vertices)[ids]
             else:
-                fracs = self.fractures
-                verts = disc_vertices([f.center for f in fracs], [f.normal for f in fracs],
-                                      [f.radius for f in fracs], m_vertices)
+                verts = disc_vertices(self.center, self.normal, self.radius, m_vertices)
             verts.flags.writeable = False
             self._vertices[m_vertices] = verts
         return self._vertices[m_vertices]
@@ -152,14 +156,11 @@ class FractureNetwork:
 
     def subset(self, keep_ids) -> "FractureNetwork":
         """New network containing the given fractures, re-indexed contiguously."""
-        keep = sorted(keep_ids)
-        fracs = [
-            replace(self.fractures[i], id=new_id)
-            for new_id, i in enumerate(keep)
-        ]
-        out = FractureNetwork(fracs, self.domain, self.params)
+        keep = np.array(sorted(keep_ids), dtype=int)
+        out = FractureNetwork(self.center[keep], self.normal[keep], self.radius[keep],
+                              self.aperture[keep], self.domain, self.params)
         root, ids = self.origin()
-        out._origin = (root, ids[np.array(keep, dtype=int)])
+        out._origin = (root, ids[keep])
         return out
 
     def origin(self) -> tuple["FractureNetwork", np.ndarray]:
@@ -252,15 +253,15 @@ def generate_network(
     span = gen.hi - gen.lo
     frame = _orientation_frame(params.mean_dir)
 
-    fractures: list[Fracture] = []
+    # (centers, normals, radii) of each batch's discs that touch the domain
+    kept = [(np.empty((0, 3)), np.empty((0, 3)), np.empty(0))]
     attempts = 0
     placed = 0
     cap = max(1, max_attempts_factor) * max(1, params.n_fractures)
     while placed < params.n_fractures:
         if attempts >= cap:
             raise GenerationError(
-                f"placed {len(fractures)}/{params.n_fractures} fractures "
-                f"after {attempts} attempts"
+                f"placed {placed}/{params.n_fractures} fractures after {attempts} attempts"
             )
         # every fracture still missing takes at least one more attempt, so
         # that many candidates are drawn, in order, and tested in one batch
@@ -274,22 +275,15 @@ def generate_network(
         centers, normals, radii = map(np.array, zip(*draws))
         _, count = geometry.clip_vertices(disc_vertices(centers, normals, radii, m_vertices),
                                           np.full(batch, m_vertices), domain.lo, domain.hi)
-        for (center, normal, radius), touches in zip(draws, count > 0):
-            if touches:
-                fractures.append(Fracture(
-                    id=len(fractures),
-                    center=center,
-                    normal=normal,
-                    radius=radius,
-                    aperture=float(aperture_from_radius(radius)),
-                ))
-            if touches or count_in_expanded_domain:
-                placed += 1
+        touches = count > 0
+        kept.append((centers[touches], normals[touches], radii[touches]))
+        placed += batch if count_in_expanded_domain else int(touches.sum())
 
+    center, normal, radius = map(np.concatenate, zip(*kept))
     logger.info(
-        "generated %d fractures (%d attempts, seed %d)", len(fractures), attempts, params.seed
+        "generated %d fractures (%d attempts, seed %d)", len(radius), attempts, params.seed
     )
-    return FractureNetwork(fractures, domain, params)
+    return FractureNetwork(center, normal, radius, aperture_from_radius(radius), domain, params)
 
 
 # ---------------------------------------------------------------------------
@@ -365,24 +359,24 @@ def save_network(network: FractureNetwork, path) -> None:
     p = network.params
     header = {
         "record": "header",
-        "n_fractures_stored": len(network.fractures),
+        "n_fractures_stored": len(network),
         "params": {
             "alpha": p.alpha, "r0": p.r0, "ru": p.ru, "kappa": p.kappa,
             "mean_dir": list(p.mean_dir), "L": p.L, "buffer": p.buffer,
             "n_fractures": p.n_fractures, "seed": p.seed,
         },
     }
+    rows = zip(network.center.tolist(), network.normal.tolist(),
+               network.radius.tolist(), network.aperture.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for f in network.fractures:
-            rec = dict(zip(_FRACTURE_KEYS, (
-                f.id, f.center[0], f.center[1], f.center[2],
-                f.normal[0], f.normal[1], f.normal[2], f.radius, f.aperture,
-            )))
+        for i, (center, normal, radius, aperture) in enumerate(rows):
+            rec = dict(zip(_FRACTURE_KEYS, (i, *center, *normal, radius, aperture)))
             fh.write(json.dumps(rec) + "\n")
 
 
 def load_network(path) -> FractureNetwork:
+    """The network save_network wrote; the fracture ids must be 0, 1, 2, ... in order."""
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         if header.get("record") != "header":
@@ -390,16 +384,12 @@ def load_network(path) -> FractureNetwork:
         params = GenerationParams(**{
             **header["params"], "mean_dir": tuple(header["params"]["mean_dir"]),
         })
-        fractures = []
-        for line in fh:
-            rec = json.loads(line)
-            fractures.append(Fracture(
-                id=int(rec["id"]),
-                center=np.array([rec["cx"], rec["cy"], rec["cz"]]),
-                normal=np.array([rec["nx"], rec["ny"], rec["nz"]]),
-                radius=float(rec["radius"]),
-                aperture=float(rec["aperture"]),
-            ))
-    if len(fractures) != header["n_fractures_stored"]:
+        records = [json.loads(line) for line in fh]
+    if len(records) != header["n_fractures_stored"]:
         raise ValueError(f"{path}: header promises {header['n_fractures_stored']} records")
-    return FractureNetwork(fractures, params.domain, params)
+    table = np.array([[rec[key] for key in _FRACTURE_KEYS] for rec in records],
+                     dtype=float).reshape(-1, len(_FRACTURE_KEYS))
+    if not np.array_equal(table[:, 0], np.arange(len(table))):
+        raise ValueError(f"{path}: fracture ids are not 0, 1, 2, ... in order")
+    return FractureNetwork(table[:, 1:4], table[:, 4:7], table[:, 7], table[:, 8],
+                           params.domain, params)

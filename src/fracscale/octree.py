@@ -105,8 +105,7 @@ class _Polygons:
         self.verts = network.polygon_vertices(m_vertices)
         self.lo = self.verts.min(axis=1)
         self.hi = self.verts.max(axis=1)
-        self.point = np.array([f.center for f in network.fractures], dtype=float).reshape(-1, 3)
-        self.normal = np.array([f.normal for f in network.fractures], dtype=float).reshape(-1, 3)
+        self.point, self.normal = network.center, network.normal
         self.root, self.root_ids = network.origin()
 
     def areas(self, fid, lo, hi, edge, top) -> np.ndarray:

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .flow import FlowBC, solve_steady_flow
+from .flow import FLOW_METHODS, FlowBC, solve_steady_flow
 from .network import (
     GenerationParams,
     critical_fracture_count,
@@ -51,6 +51,7 @@ from .topology import (
 )
 from .transport import (
     SOLVER_COUNTS,
+    TRACER_KINDS,
     TracerParams,
     decay_constant,
     normalize_btc,
@@ -137,9 +138,9 @@ class RunConfig:
             if mode not in ISOLATED_MODES:
                 raise ValueError(f"unknown isolated mode {mode!r}")
         for kind in self.tracers:
-            if kind not in ("conservative", "decaying", "sorbing"):
+            if kind not in TRACER_KINDS:
                 raise ValueError(f"unknown tracer kind {kind!r}")
-        if self.flow_method not in ("auto", "direct"):
+        if self.flow_method not in FLOW_METHODS:
             raise ValueError(f"unknown flow method {self.flow_method!r}")
 
     def to_dict(self) -> dict:

@@ -61,17 +61,14 @@ def build_intersection_graph(
     Boundary edges attach a fracture to SOURCE/SINK when its polygon,
     clipped to the domain, reaches the respective x face.
     """
-    fracs = network.fractures
-    n = len(fracs)
+    n = len(network)
     domain = network.domain
+    centers, normals, radii = network.center, network.normal, network.radius
 
     # candidates: center distance within the largest possible radius sum,
     # then within this pair's radius sum; ascending (i, j) order
     edges: list[tuple[int, int]] = []
     if n > 1:
-        centers = np.array([f.center for f in fracs])
-        normals = np.array([f.normal for f in fracs])
-        radii = np.array([f.radius for f in fracs])
         pairs = cKDTree(centers).query_pairs(2.0 * radii.max(), output_type="ndarray")
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         a, b = pairs[:, 0], pairs[:, 1]

@@ -93,11 +93,11 @@ def upscale_mesh(
         )
     n = mesh.num_cells
     cell, fid, area = mesh.pair_cell, mesh.pair_fid, mesh.pair_area
-    fractures = network.fractures
-    aperture = np.array([f.aperture for f in fractures], dtype=float)[fid]
-    # squared one fracture at a time, as scalars; the array power can round differently
-    b2 = np.array([f.aperture**2 for f in fractures], dtype=float)[fid]
-    normal = np.array([f.normal for f in fractures], dtype=float).reshape(-1, 3)[fid]
+    aperture = network.aperture[fid]
+    # squared one fracture at a time, as Python floats: a**2 goes through
+    # libm pow, which can round differently from numpy's a*a
+    b2 = np.array([a**2 for a in network.aperture.tolist()], dtype=float)[fid]
+    normal = network.normal[fid]
 
     v_f = area * aperture
     phi_f = v_f / mesh.volume[cell]

@@ -1,26 +1,50 @@
 """Shared construction helpers for the test suite."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from fracscale.geometry import Box
-from fracscale.network import Fracture, FractureNetwork, GenerationParams, aperture_from_radius
+from fracscale.network import FractureNetwork, GenerationParams, aperture_from_radius
 from fracscale.octree import build_face_adjacency, build_initial_grid, refine, tag_fracture_cells
 from fracscale.upscale import PropertyField
 
 
-def make_disc(fid, center, normal, radius, aperture=None):
+class Disc(NamedTuple):
+    """One fracture disc: what the one-disc geometry calls read, and one row
+    of a FractureNetwork."""
+
+    center: np.ndarray
+    normal: np.ndarray
+    radius: float
+    aperture: float
+
+
+def make_disc(center, normal, radius, aperture=None):
     normal = np.asarray(normal, dtype=float)
     normal = normal / np.linalg.norm(normal)
     if aperture is None:
         aperture = float(aperture_from_radius(radius))
-    return Fracture(fid, np.asarray(center, dtype=float), normal, radius, aperture)
+    return Disc(np.asarray(center, dtype=float), normal, radius, aperture)
 
 
-def make_network(fractures, L):
-    params = GenerationParams(L=L, n_fractures=len(fractures), seed=0)
-    return FractureNetwork(list(fractures), Box.cube(L), params)
+def make_network(discs, L, domain=None):
+    """Network of the given discs, fracture i being discs[i], in the cube of edge L
+    (or in domain)."""
+    discs = list(discs)
+    params = GenerationParams(L=L, n_fractures=len(discs), seed=0)
+    center, normal, radius, aperture = (
+        [getattr(d, name) for d in discs] for name in ("center", "normal", "radius", "aperture"))
+    return FractureNetwork(np.reshape(center, (-1, 3)), np.reshape(normal, (-1, 3)), radius,
+                           aperture, domain or Box.cube(L), params)
+
+
+def disc(network, i):
+    """Fracture i of a network as a Disc."""
+    return Disc(network.center[i], network.normal[i], float(network.radius[i]),
+                float(network.aperture[i]))
 
 
 def box_mesh(extents, l, network=None, orl=0, balance=True):
@@ -29,7 +53,7 @@ def box_mesh(extents, l, network=None, orl=0, balance=True):
     domain = Box(np.zeros(3), extents)
     mesh = build_initial_grid(domain, l)
     if network is None:
-        network = FractureNetwork([], domain, GenerationParams(L=extents.max(), n_fractures=0, seed=0))
+        network = make_network([], extents.max(), domain)
     else:
         tag_fracture_cells(mesh, network)
     refine(mesh, network, orl, balance)
@@ -42,7 +66,7 @@ def cube_mesh(L, l, network=None, orl=0, balance=True):
     domain = Box.cube(L)
     mesh = build_initial_grid(domain, l)
     if network is None:
-        network = FractureNetwork([], domain, GenerationParams(L=L, n_fractures=0, seed=0))
+        network = make_network([], L)
     else:
         tag_fracture_cells(mesh, network)
     refine(mesh, network, orl, balance)
@@ -100,7 +124,7 @@ def two_plate_network(L=25.0):
     matrix layer in between.
     """
     plates = [
-        make_disc(0, (-5.0, 0.0, 0.3), (0, 0, 1), 10.0),
-        make_disc(1, (5.0, 0.0, 1.6), (0, 0, 1), 10.0),
+        make_disc((-5.0, 0.0, 0.3), (0, 0, 1), 10.0),
+        make_disc((5.0, 0.0, 1.6), (0, 0, 1), 10.0),
     ]
     return make_network(plates, L)

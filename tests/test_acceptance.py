@@ -146,7 +146,7 @@ def test_criterion_03_single_fracture_upscaling():
         from conftest import make_disc, make_network
 
         network = make_network(
-            [make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), radius, aperture)], DESK_L
+            [make_disc((0.0, 0.0, 0.3), (0, 0, 1), radius, aperture)], DESK_L
         )
         exact_volume = DESK_L * DESK_L * aperture
         composite_keff = (1.0 - aperture / DESK_L) * MATRIX_K + aperture**3 / (12.0 * DESK_L)

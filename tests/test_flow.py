@@ -112,7 +112,7 @@ class TestSolvePressure:
         mesh = box_mesh((5.0, 5.0, 5.0), 5.0)
         system = assemble_tpfa(mesh, uniform_props(mesh, 1e-15, 0.01), FlowBC(1.0, 0.0))
         for method in ("gauss", "cg"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"unknown solver method '{method}'"):
                 solve_pressure(system, method=method)
 
     def test_cg_cap_falls_back_to_direct(self, caplog):

@@ -26,7 +26,7 @@ def inscribed_area(m, r=1.0):
 
 vectors = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
 normals = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda n: np.linalg.norm(n) > 0.1)
-discs = st.builds(lambda c, n, r: make_disc(0, c, n, r), vectors, normals, st.floats(0.1, 3.0))
+discs = st.builds(make_disc, vectors, normals, st.floats(0.1, 3.0))
 
 
 def square_polygon(side=1.0, z=0.0):
@@ -37,36 +37,36 @@ def square_polygon(side=1.0, z=0.0):
 
 class TestDiscToPolygon:
     def test_area_matches_inscribed_polygon_formula(self):
-        poly = disc_to_polygon(make_disc(0, (0, 0, 0), (0, 0, 1), 1.0), 32)
+        poly = disc_to_polygon(make_disc((0, 0, 0), (0, 0, 1), 1.0), 32)
         assert polygon_area(poly) == pytest.approx(inscribed_area(32), rel=1e-12)
         assert polygon_area(poly) == pytest.approx(3.1214, abs=5e-4)
 
     def test_vertices_lie_in_plane(self):
-        poly = disc_to_polygon(make_disc(0, (0, 0, 0), (0, 0, 1), 1.0), 32)
+        poly = disc_to_polygon(make_disc((0, 0, 0), (0, 0, 1), 1.0), 32)
         assert np.all(np.abs(poly.vertices[:, 2]) < 1e-15)
 
     def test_vertices_on_circle_for_tilted_disc(self):
-        f = make_disc(0, (1.0, -2.0, 3.0), (1, 1, 1), 2.5)
+        f = make_disc((1.0, -2.0, 3.0), (1, 1, 1), 2.5)
         poly = disc_to_polygon(f, 40)
         radii = np.linalg.norm(poly.vertices - f.center, axis=1)
         assert np.allclose(radii, 2.5, rtol=1e-12)
         assert np.all(np.abs((poly.vertices - f.center) @ f.normal) < 1e-12)
 
     def test_monotone_convergence_from_below(self):
-        f = make_disc(0, (0, 0, 0), (0, 0, 1), 1.0)
+        f = make_disc((0, 0, 0), (0, 0, 1), 1.0)
         a32 = polygon_area(disc_to_polygon(f, 32))
         a64 = polygon_area(disc_to_polygon(f, 64))
         assert a32 < a64 < np.pi
 
     def test_quadratic_convergence_rate(self):
-        f = make_disc(0, (0, 0, 0), (0, 1, 0), 1.0)
+        f = make_disc((0, 0, 0), (0, 1, 0), 1.0)
         err = [np.pi - polygon_area(disc_to_polygon(f, m)) for m in (32, 64, 128)]
         assert err[0] / err[1] == pytest.approx(4.0, rel=0.02)
         assert err[1] / err[2] == pytest.approx(4.0, rel=0.02)
 
     def test_rejects_too_few_vertices(self):
         with pytest.raises(ValueError):
-            disc_to_polygon(make_disc(0, (0, 0, 0), (0, 0, 1), 1.0), 4)
+            disc_to_polygon(make_disc((0, 0, 0), (0, 0, 1), 1.0), 4)
 
 
 class TestClipPolygonToBox:
@@ -74,7 +74,7 @@ class TestClipPolygonToBox:
     def test_nearly_in_plane_polygon_split_once(self, tilt):
         # a polygon within a hair of the shared face z = 0 is cut on it, not
         # kept whole on both sides
-        poly = disc_to_polygon(make_disc(0, (0.1, 0, 0), (tilt, 0.3 * tilt, 1), 1.0), 32)
+        poly = disc_to_polygon(make_disc((0.1, 0, 0), (tilt, 0.3 * tilt, 1), 1.0), 32)
         below = polygon_area(clip_polygon_to_box(poly, Box((-5, -5, -5), (5, 5, 0))))
         above = polygon_area(clip_polygon_to_box(poly, Box((-5, -5, 0), (5, 5, 5))))
         assert below + above == pytest.approx(polygon_area(poly), rel=1e-12)
@@ -97,7 +97,7 @@ class TestClipPolygonToBox:
 
     def test_idempotent(self):
         box = Box.cube(2.0)
-        poly = disc_to_polygon(make_disc(0, (0.7, 0.2, 0.1), (1, 2, 3), 1.7), 32)
+        poly = disc_to_polygon(make_disc((0.7, 0.2, 0.1), (1, 2, 3), 1.7), 32)
         once = clip_polygon_to_box(poly, box)
         twice = clip_polygon_to_box(once, box)
         assert len(once.vertices) == len(twice.vertices)
@@ -105,7 +105,7 @@ class TestClipPolygonToBox:
 
     def test_octant_area_additivity(self):
         box = Box.cube(2.0)
-        poly = disc_to_polygon(make_disc(0, (0.2, -0.1, 0.05), (1, 1, 2), 1.4), 32)
+        poly = disc_to_polygon(make_disc((0.2, -0.1, 0.05), (1, 1, 2), 1.4), 32)
         whole = polygon_area(clip_polygon_to_box(poly, box))
         total = 0.0
         for dx in (0, 1):
@@ -345,9 +345,9 @@ class TestDiscsIntersectMany:
         assert got.tolist() == [discs_intersect(f, g) for f, g in pairs]
 
     def test_parallel_rows_do_not_poison_the_batch(self):
-        flat = make_disc(0, (0, 0, 0), (0, 0, 1), 1.0)
-        parallel = make_disc(1, (0, 0, 1e-3), (0, 0, 1), 1.0)
-        crossing = make_disc(2, (0, 0, 0), (1, 0, 0), 1.0)
+        flat = make_disc((0, 0, 0), (0, 0, 1), 1.0)
+        parallel = make_disc((0, 0, 1e-3), (0, 0, 1), 1.0)
+        crossing = make_disc((0, 0, 0), (1, 0, 0), 1.0)
         got = discs_intersect_many(
             [flat.center] * 2, [flat.normal] * 2, [1.0, 1.0],
             [parallel.center, crossing.center], [parallel.normal, crossing.normal], [1.0, 1.0])
@@ -362,7 +362,7 @@ class TestPolygonArea:
         assert polygon_area(square_polygon(1.0)) == pytest.approx(1.0, rel=1e-14)
 
     def test_32gon_radius_two(self):
-        poly = disc_to_polygon(make_disc(0, (0, 0, 0), (0, 0, 1), 2.0), 32)
+        poly = disc_to_polygon(make_disc((0, 0, 0), (0, 0, 1), 2.0), 32)
         assert polygon_area(poly) == pytest.approx(inscribed_area(32, 2.0), rel=1e-12)
         assert polygon_area(poly) == pytest.approx(12.4855, abs=2e-3)
 
@@ -370,38 +370,38 @@ class TestPolygonArea:
 class TestDiscsIntersect:
     def test_nearly_parallel_planes_do_not_divide_by_zero(self):
         # 1 - cos^2 rounds to 0 here although |n1 x n2|^2 = 1e-18 is not
-        a = make_disc(0, (0, 0, 0), (0, 0, 1), 1.0)
-        b = make_disc(1, (0, 0, 0), (0, 1e-9, 1), 1.0)
+        a = make_disc((0, 0, 0), (0, 0, 1), 1.0)
+        b = make_disc((0, 0, 0), (0, 1e-9, 1), 1.0)
         assert discs_intersect(a, b)
         assert discs_intersect(b, a)
 
     def test_tangent_disc_verdict_continuous_in_eps(self):
         # b touches a's plane in one point of a: zero overlap
-        a = make_disc(0, (0, 0, 0), (0, 0, 1), 1.0)
-        b = make_disc(1, (0, 0, 1), (1, 0, 0), 1.0)
+        a = make_disc((0, 0, 0), (0, 0, 1), 1.0)
+        b = make_disc((0, 0, 1), (1, 0, 0), 1.0)
         assert not discs_intersect(a, b, 1e-9)
         assert discs_intersect(a, b, -1e-9)
 
     def test_separated_discs(self):
-        a = make_disc(0, (0, 0, 0), (1, 0, 0), 1.0)
-        b = make_disc(1, (0, 0, 3), (0, 1, 0), 1.0)
+        a = make_disc((0, 0, 0), (1, 0, 0), 1.0)
+        b = make_disc((0, 0, 3), (0, 1, 0), 1.0)
         assert not discs_intersect(a, b)
 
     def test_orthogonal_discs_through_common_center(self):
-        a = make_disc(0, (0, 0, 0), (0, 0, 1), 1.0)
-        b = make_disc(1, (0, 0, 0), (1, 0, 0), 1.0)
+        a = make_disc((0, 0, 0), (0, 0, 1), 1.0)
+        b = make_disc((0, 0, 0), (1, 0, 0), 1.0)
         assert discs_intersect(a, b)
 
     def test_chord_overlap_vanishes_at_separation_two(self):
-        a = make_disc(0, (0, 0, 0), (0, 0, 1), 1.0)
-        near = make_disc(1, (0, 1.999, 0), (1, 0, 0), 1.0)
-        far = make_disc(2, (0, 2.001, 0), (1, 0, 0), 1.0)
+        a = make_disc((0, 0, 0), (0, 0, 1), 1.0)
+        near = make_disc((0, 1.999, 0), (1, 0, 0), 1.0)
+        far = make_disc((0, 2.001, 0), (1, 0, 0), 1.0)
         assert discs_intersect(a, near)
         assert not discs_intersect(a, far)
 
     def test_parallel_planes_never_intersect(self):
-        a = make_disc(0, (0, 0, 0), (0, 0, 1), 5.0)
-        b = make_disc(1, (0, 0, 1e-6), (0, 0, 1), 5.0)
+        a = make_disc((0, 0, 0), (0, 0, 1), 5.0)
+        b = make_disc((0, 0, 1e-6), (0, 0, 1), 5.0)
         assert not discs_intersect(a, b)
 
     def test_symmetric_in_arguments(self):
@@ -409,8 +409,8 @@ class TestDiscsIntersect:
         for _ in range(200):
             c1, c2 = rng.normal(size=3), rng.normal(size=3)
             n1, n2 = rng.normal(size=3), rng.normal(size=3)
-            a = make_disc(0, c1, n1, rng.uniform(0.2, 2.0))
-            b = make_disc(1, c2, n2, rng.uniform(0.2, 2.0))
+            a = make_disc(c1, n1, rng.uniform(0.2, 2.0))
+            b = make_disc(c2, n2, rng.uniform(0.2, 2.0))
             assert discs_intersect(a, b) == discs_intersect(b, a)
 
     @settings(max_examples=200, deadline=None)
@@ -423,7 +423,7 @@ class TestDiscsIntersect:
         rotation = Rotation.from_quat(q).as_matrix()
 
         def moved(f):
-            return make_disc(f.id, rotation @ f.center + np.asarray(shift),
+            return make_disc(rotation @ f.center + np.asarray(shift),
                              rotation @ f.normal, f.radius, f.aperture)
 
         verdict = discs_intersect(a, b, eps)

@@ -12,7 +12,7 @@ import fracscale
 from fracscale import network as network_module
 from fracscale.geometry import clip_polygon_to_box, disc_to_polygon, polygon_area
 from fracscale.network import (
-    Fracture,
+    FractureNetwork,
     GenerationParams,
     GenerationError,
     aperture_from_radius,
@@ -30,7 +30,9 @@ from fracscale.network import (
     save_network,
 )
 
-from conftest import make_disc, make_network
+from conftest import disc, make_disc, make_network
+
+COLUMNS = ("center", "normal", "radius", "aperture")
 
 
 def bisect_inverse_cdf(u, params, tol=1e-10):
@@ -120,10 +122,14 @@ class TestGenerateNetwork:
         params = GenerationParams(L=20.0, n_fractures=40, seed=77)
         a = generate_network(params)
         b = generate_network(params)
-        for fa, fb in zip(a.fractures, b.fractures):
-            assert np.array_equal(fa.center, fb.center)
-            assert np.array_equal(fa.normal, fb.normal)
-            assert fa.radius == fb.radius and fa.aperture == fb.aperture
+        for name in COLUMNS:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_apertures_equal_the_one_radius_law(self):
+        # one array call gives each disc the bits of its own scalar call
+        net = generate_network(GenerationParams(L=20.0, n_fractures=200, seed=5))
+        one_at_a_time = [float(aperture_from_radius(r)) for r in net.radius.tolist()]
+        assert np.array_equal(net.aperture, one_at_a_time)
 
     @pytest.mark.parametrize("mean_dir", [(0.6, 0.0, 0.8), (1.0, 0.0, 0.0)])
     def test_normals_equal_sample_orientation_draws(self, mean_dir):
@@ -139,10 +145,10 @@ class TestGenerateNetwork:
             drawn.append((center, sample_orientation(rng, params.kappa, mean_dir)))
         net = generate_network(params)
         matched = 0
-        for f in net.fractures:
+        for i in range(len(net)):
             for center, normal in drawn:
-                if np.array_equal(f.center, center):
-                    assert np.array_equal(f.normal, normal)
+                if np.array_equal(net.center[i], center):
+                    assert np.array_equal(net.normal[i], normal)
                     matched += 1
         assert 0 < matched <= len(net)
 
@@ -231,22 +237,22 @@ class TestFractureIntensity:
         assert fracture_intensity(make_network([], 50.0)) == 0.0
 
     def test_single_interior_disc(self):
-        net = make_network([make_disc(0, (0, 0, 0.3), (0, 0, 1), 1.0)], 50.0)
+        net = make_network([make_disc((0, 0, 0.3), (0, 0, 1), 1.0)], 50.0)
         assert fracture_intensity(net) == pytest.approx(np.pi / 125000.0, rel=0.01)
 
     def test_half_disc_on_domain_face(self):
         # disc centered on the inflow face, plane cutting across it
-        net = make_network([make_disc(0, (-25.0, 0.0, 0.0), (0, 0, 1), 2.0)], 50.0)
+        net = make_network([make_disc((-25.0, 0.0, 0.0), (0, 0, 1), 2.0)], 50.0)
         assert fracture_intensity(net) == pytest.approx(2.0 * np.pi / 125000.0, rel=0.01)
 
     def test_additive_over_partitions(self):
         discs = [
-            make_disc(i, c, n, r)
-            for i, (c, n, r) in enumerate([
+            make_disc(c, n, r)
+            for c, n, r in [
                 ((0, 0, 1.0), (0, 0, 1), 2.0),
                 ((3, -2, 0.0), (1, 1, 0), 1.5),
                 ((-20, 10, 5.0), (1, 0, 1), 3.0),
-            ])
+            ]
         ]
         whole = fracture_intensity(make_network(discs, 50.0))
         parts = sum(fracture_intensity(make_network([d], 50.0)) for d in discs)
@@ -260,8 +266,8 @@ class TestPolygonVertices:
         assert verts.shape == (25, 32, 3) and not verts.flags.writeable
         assert net.polygon_vertices(32) is verts
         assert net.polygon_vertices(16).shape == (25, 16, 3)
-        for f, row in zip(net.fractures, verts):
-            assert np.array_equal(row, disc_to_polygon(f, 32).vertices)
+        for i, row in enumerate(verts):
+            assert np.array_equal(row, disc_to_polygon(disc(net, i), 32).vertices)
 
     def test_empty_network(self):
         net = make_network([], 50.0)
@@ -274,8 +280,9 @@ class TestPolygonVertices:
         # polygon at a time was
         net = generate_network(GenerationParams(L=20.0, n_fractures=40, seed=3))
         total = 0.0
-        for f in net.fractures:
-            total += polygon_area(clip_polygon_to_box(disc_to_polygon(f, 32), net.domain))
+        for i in range(len(net)):
+            polygon = disc_to_polygon(disc(net, i), 32)
+            total += polygon_area(clip_polygon_to_box(polygon, net.domain))
         assert fracture_intensity(net) == total / net.domain.volume
 
 
@@ -289,8 +296,8 @@ class TestSubset:
         for child, expected in ((sub, [3, 5, 11, 20, 27]), (subsub, [5, 11, 27])):
             root, ids = child.origin()
             assert root is net and ids.tolist() == expected
-            for f, i in zip(child.fractures, ids):
-                assert np.array_equal(f.center, net.fractures[i].center)
+            for name in COLUMNS:
+                assert np.array_equal(getattr(child, name), getattr(net, name)[ids])
         assert net.subset([]).origin()[1].shape == (0,)
 
     def test_polygons_are_the_roots(self, monkeypatch):
@@ -310,11 +317,8 @@ class TestSerialization:
         save_network(net, path)
         loaded = load_network(path)
         assert len(loaded) == len(net)
-        for fa, fb in zip(net.fractures, loaded.fractures):
-            assert fa.id == fb.id
-            assert np.array_equal(fa.center, fb.center)
-            assert np.array_equal(fa.normal, fb.normal)
-            assert fa.radius == fb.radius and fa.aperture == fb.aperture
+        for name in COLUMNS:
+            assert np.array_equal(getattr(net, name), getattr(loaded, name))
         second = tmp_path / "net2.jsonl"
         save_network(loaded, second)
         assert path.read_bytes() == second.read_bytes()
@@ -326,6 +330,31 @@ class TestSerialization:
         header = json.loads(path.read_text().splitlines()[0])
         assert header["params"]["seed"] == 21
         assert header["params"]["L"] == 20.0
+
+    def rewritten(self, tmp_path, row, **changes):
+        """Path of a saved 5-fracture network whose fracture record row has the
+        given fields changed."""
+        path = tmp_path / "net.jsonl"
+        save_network(generate_network(GenerationParams(L=20.0, n_fractures=5, seed=2)), path)
+        lines = path.read_text().splitlines()
+        lines[1 + row] = json.dumps({**json.loads(lines[1 + row]), **changes})
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("row,fid", [(0, 1), (2, 3), (4, 5), (3, 3.5)])
+    def test_ids_out_of_order_rejected(self, tmp_path, row, fid):
+        with pytest.raises(ValueError, match="ids are not 0, 1, 2"):
+            load_network(self.rewritten(tmp_path, row, id=fid))
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"nz": 2.0}, "fracture 3: normal must be unit length"),
+        ({"radius": 0.0}, "fracture 3: radius and aperture must be positive"),
+        ({"radius": -1.0}, "fracture 3: radius and aperture must be positive"),
+        ({"aperture": 0.0}, "fracture 3: radius and aperture must be positive"),
+    ])
+    def test_invalid_disc_rejected(self, tmp_path, changes, message):
+        with pytest.raises(ValueError, match=message):
+            load_network(self.rewritten(tmp_path, 3, **changes))
 
     def test_truncated_file_rejected(self, tmp_path):
         net = generate_network(GenerationParams(L=20.0, n_fractures=5, seed=2))
@@ -348,8 +377,56 @@ class TestValidation:
         with pytest.raises(ValueError):
             GenerationParams(mean_dir=(0.0, 0.0, 2.0))
 
-    def test_fracture_invariants(self):
-        with pytest.raises(ValueError):
-            Fracture(0, np.zeros(3), np.array([0.0, 0.0, 0.5]), 1.0, 1e-4)
-        with pytest.raises(ValueError):
-            Fracture(0, np.zeros(3), np.array([0.0, 0.0, 1.0]), -1.0, 1e-4)
+    @staticmethod
+    def columns(n=4):
+        """center, normal, radius and aperture of n valid discs, as lists."""
+        return ([[float(i), 0.0, 0.0] for i in range(n)], [[0.0, 0.0, 1.0]] * n,
+                [1.0] * n, [1e-4] * n)
+
+    def network(self, center, normal, radius, aperture):
+        params = GenerationParams(L=10.0, n_fractures=len(radius), seed=0)
+        return FractureNetwork(center, normal, radius, aperture, params.domain, params)
+
+    def test_columns_are_read_only_copies(self):
+        center, normal, radius, aperture = map(np.array, self.columns())
+        net = self.network(center, normal, radius, aperture)
+        center[0, 0] = 9.0
+        assert net.center[0, 0] == 0.0 and len(net) == 4
+        for name in COLUMNS:
+            assert not getattr(net, name).flags.writeable
+
+    @pytest.mark.parametrize("column,value", [
+        (0, [[0.0, 0.0, 0.0]] * 3), (1, [[0.0, 0.0, 1.0]] * 5), (3, [1e-4] * 3),
+        (0, [0.0] * 12), (1, [[0.0, 1.0]] * 4),
+    ])
+    def test_one_row_per_fracture(self, column, value):
+        columns = list(self.columns())
+        columns[column] = value
+        with pytest.raises(ValueError, match="for 4 fractures"):
+            self.network(*columns)
+
+    @pytest.mark.parametrize("column,value,message", [
+        (1, [0.0, 0.0, 0.5], "normal must be unit length"),
+        (1, [0.0, 0.0, 1.0 + 2e-12], "normal must be unit length"),
+        (1, [np.nan, 0.0, 1.0], "normal must be unit length"),
+        (2, -1.0, "radius and aperture must be positive"),
+        (2, 0.0, "radius and aperture must be positive"),
+        (3, 0.0, "radius and aperture must be positive"),
+        (3, np.nan, "radius and aperture must be positive"),
+    ])
+    def test_disc_invariants_name_the_first_bad_row(self, column, value, message):
+        columns = [list(c) for c in self.columns()]
+        columns[column][2] = columns[column][3] = value
+        with pytest.raises(ValueError, match=f"^fracture 2: {message}$"):
+            self.network(*columns)
+
+    def test_normal_within_rounding_of_unit_length_accepted(self):
+        columns = list(self.columns())
+        columns[1] = [[0.0, 0.0, 1.0 + 5e-13]] * 4
+        assert len(self.network(*columns)) == 4
+
+    def test_equality_is_identity(self):
+        a = generate_network(GenerationParams(L=20.0, n_fractures=10, seed=4))
+        b = generate_network(GenerationParams(L=20.0, n_fractures=10, seed=4))
+        assert a == a and a != b and a.subset(range(10)) != a
+        assert len({a, b}) == 2

@@ -23,7 +23,7 @@ from fracscale.octree import (
 from fracscale.topology import build_intersection_graph, remove_isolated
 from fracscale.upscale import upscale_mesh
 
-from conftest import box_mesh, cube_mesh, make_disc, make_network
+from conftest import box_mesh, cube_mesh, disc, make_disc, make_network
 
 
 class TestInitialGrid:
@@ -52,14 +52,14 @@ class TestTagging:
         assert not mesh.is_fracture.any()
 
     def test_interior_disc_tags_exactly_one_cell(self):
-        net = make_network([make_disc(0, (2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
+        net = make_network([make_disc((2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
         mesh = build_initial_grid(Box.cube(50.0), 5.0)
         tag_fracture_cells(mesh, net)
         assert mesh.is_fracture.sum() == 1
         assert len(mesh.pair_cell) == 1
 
     def test_disc_spanning_face_tags_both_cells(self):
-        net = make_network([make_disc(0, (0.0, 2.5, 2.2), (0, 0, 1), 1.0)], 50.0)
+        net = make_network([make_disc((0.0, 2.5, 2.2), (0, 0, 1), 1.0)], 50.0)
         mesh = build_initial_grid(Box.cube(50.0), 5.0)
         tag_fracture_cells(mesh, net)
         assert mesh.is_fracture.sum() == 2
@@ -70,15 +70,15 @@ class TestTagging:
     def test_disc_in_cell_face_stored_once(self, z, orl):
         # z = 0 is a level-0 face, z = 2.5 a level-1 face; the other two lie
         # within rounding of z = 0
-        net = make_network([make_disc(0, (0.0, 0.0, z), (0, 0, 1), 1.0)], 20.0)
+        net = make_network([make_disc((0.0, 0.0, z), (0, 0, 1), 1.0)], 20.0)
         mesh = cube_mesh(20.0, 5.0, net, orl=orl)
-        poly = disc_to_polygon(net.fractures[0], 32)
+        poly = disc_to_polygon(disc(net, 0), 32)
         assert mesh.pair_area.sum() == pytest.approx(polygon_area(poly), rel=1e-12)
 
     def test_disc_in_domain_top_face_is_kept(self):
-        net = make_network([make_disc(0, (0.0, 0.0, 10.0), (0, 0, 1), 1.0)], 20.0)
+        net = make_network([make_disc((0.0, 0.0, 10.0), (0, 0, 1), 1.0)], 20.0)
         mesh = cube_mesh(20.0, 5.0, net, orl=1)
-        poly = disc_to_polygon(net.fractures[0], 32)
+        poly = disc_to_polygon(disc(net, 0), 32)
         assert mesh.pair_area.sum() == pytest.approx(polygon_area(poly), rel=1e-12)
 
     def test_candidates_equal_per_fracture_enumeration(self, monkeypatch):
@@ -86,11 +86,11 @@ class TestTagging:
         # box is empty: beyond one face, and beyond a domain edge (two axes
         # empty, whose sizes multiply to a positive count)
         gen = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=4))
-        net = make_network(gen.fractures + [
-            make_disc(30, (16.0, 0.0, 0.0), (0, 0, 1), 2.0),
-            make_disc(31, (-22.0, 22.0, 0.0), (1, 1, 0), 2.0),
-            make_disc(32, (0.0, -22.0, 22.0), (0, 1, 1), 2.0),
-            make_disc(33, (9.5, -9.5, 0.0), (1, 0, 1), 2.0),
+        net = make_network([disc(gen, i) for i in range(len(gen))] + [
+            make_disc((16.0, 0.0, 0.0), (0, 0, 1), 2.0),
+            make_disc((-22.0, 22.0, 0.0), (1, 1, 0), 2.0),
+            make_disc((0.0, -22.0, 22.0), (0, 1, 1), 2.0),
+            make_disc((9.5, -9.5, 0.0), (1, 0, 1), 2.0),
         ], 20.0)
         seen = []
         measure = octree.OctreeMesh._measure
@@ -118,7 +118,7 @@ class TestTagging:
         assert fid.dtype == np.int64 and ijk.dtype == mesh.ijk.dtype
 
     def test_tagging_requires_initial_grid(self):
-        net = make_network([make_disc(0, (2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
+        net = make_network([make_disc((2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
         mesh = cube_mesh(50.0, 5.0, net, orl=1)
         with pytest.raises(MeshError):
             tag_fracture_cells(mesh, net)
@@ -126,13 +126,13 @@ class TestTagging:
 
 class TestRefine:
     def test_orl_zero_leaves_mesh_unchanged(self):
-        net = make_network([make_disc(0, (2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
+        net = make_network([make_disc((2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
         mesh = cube_mesh(50.0, 5.0, net, orl=0)
         assert mesh.num_cells == 1000
 
     def test_single_interior_disc_oracle_count(self):
         # one fracture cell and its 6 face neighbors split: 1000 - 7 + 56
-        net = make_network([make_disc(0, (2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
+        net = make_network([make_disc((2.5, 2.5, 2.2), (0, 0, 1), 0.5)], 50.0)
         mesh = cube_mesh(50.0, 5.0, net, orl=1)
         assert mesh.num_cells == 1049
 
@@ -142,7 +142,7 @@ class TestRefine:
         assert counts[0] < counts[1] < counts[2]
 
     def test_fracture_leaves_reach_finest_level(self):
-        net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 3.0)], 20.0)
+        net = make_network([make_disc((0.0, 0.0, 0.3), (0, 0, 1), 3.0)], 20.0)
         for orl in (1, 2):
             mesh = cube_mesh(20.0, 5.0, net, orl=orl)
             assert np.all(mesh.level[mesh.is_fracture] == orl)
@@ -155,7 +155,7 @@ class TestRefine:
             assert mesh.volume.sum() == pytest.approx(20.0**3, rel=1e-9)
 
     def test_leaves_do_not_overlap(self):
-        net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 4.0)], 20.0)
+        net = make_network([make_disc((0.0, 0.0, 0.3), (0, 0, 1), 4.0)], 20.0)
         mesh = cube_mesh(20.0, 5.0, net, orl=2)
         # project every leaf onto the finest index lattice and count coverage
         finest = mesh.level.max()
@@ -167,10 +167,10 @@ class TestRefine:
         assert np.all(coverage == 1)
 
     def test_fracture_polygons_covered_by_fracture_leaves(self):
-        net = make_network([make_disc(0, (0.1, -0.2, 0.3), (1, 2, 3), 4.0)], 20.0)
+        net = make_network([make_disc((0.1, -0.2, 0.3), (1, 2, 3), 4.0)], 20.0)
         for orl in (1, 2):
             mesh = cube_mesh(20.0, 5.0, net, orl=orl)
-            poly = disc_to_polygon(net.fractures[0], 32)
+            poly = disc_to_polygon(disc(net, 0), 32)
             domain_area = polygon_area(clip_polygon_to_box(poly, mesh.domain))
             tagged_area = sum(
                 polygon_area(clip_polygon_to_box(poly, mesh.cell_box(i)))
@@ -190,17 +190,18 @@ class TestRefine:
     ))
     def test_leaf_areas_sum_to_domain_clipped_area(self, discs):
         net = make_network(
-            [make_disc(i, c, n, r) for i, (c, n, r) in enumerate(discs)], 20.0)
+            [make_disc(c, n, r) for c, n, r in discs], 20.0)
         for orl in (0, 1, 2):
             mesh = cube_mesh(20.0, 5.0, net, orl=orl)
             stored = np.bincount(mesh.pair_fid, mesh.pair_area, len(net))
-            for fid, f in enumerate(net.fractures):
-                domain_area = polygon_area(clip_polygon_to_box(disc_to_polygon(f, 32), mesh.domain))
+            for fid in range(len(net)):
+                domain_area = polygon_area(
+                    clip_polygon_to_box(disc_to_polygon(disc(net, fid), 32), mesh.domain))
                 # cells cut by a sliver of at most AREA_EPS store nothing
                 assert stored[fid] == pytest.approx(domain_area, rel=1e-9, abs=1e-9)
 
     def test_two_to_one_balance_holds(self):
-        net = make_network([make_disc(0, (0.3, -0.4, 0.3), (0, 0, 1), 2.0)], 20.0)
+        net = make_network([make_disc((0.3, -0.4, 0.3), (0, 0, 1), 2.0)], 20.0)
         mesh = cube_mesh(20.0, 5.0, net, orl=3, balance=True)
         faces = mesh.faces
         interior = faces.cell_b >= 0
@@ -208,7 +209,7 @@ class TestRefine:
         assert jump.max() <= 1
 
     def test_faces_from_the_balance_contacts_equal_fresh_faces(self):
-        net = make_network([make_disc(0, (0.3, -0.4, 0.3), (0, 0, 1), 2.0)], 20.0)
+        net = make_network([make_disc((0.3, -0.4, 0.3), (0, 0, 1), 2.0)], 20.0)
         mesh = cube_mesh(20.0, 5.0, net, orl=2)
         reused = mesh.faces
         assert mesh._contacts is None   # dropped once the faces are built
@@ -217,7 +218,7 @@ class TestRefine:
             assert np.array_equal(getattr(reused, f.name), getattr(fresh, f.name))
 
     def test_unbalanced_mesh_rejected_by_face_builder(self):
-        net = make_network([make_disc(0, (0.3, -0.4, 0.3), (0, 0, 1), 2.0)], 20.0)
+        net = make_network([make_disc((0.3, -0.4, 0.3), (0, 0, 1), 2.0)], 20.0)
         mesh = build_initial_grid(Box.cube(20.0), 5.0)
         tag_fracture_cells(mesh, net)
         refine(mesh, net, 3, balance=False)
@@ -255,7 +256,8 @@ class TestPolygonAreas:
     def test_blocks_do_not_change_areas(self, monkeypatch, counted):
         # a generated network plus a disc lying in the domain's top face
         net = generate_network(GenerationParams(L=20.0, n_fractures=30, seed=4))
-        net = make_network(net.fractures + [make_disc(30, (1.0, 2.0, 10.0), (0, 0, 1), 3.0)], 20.0)
+        net = make_network([disc(net, i) for i in range(len(net))]
+                           + [make_disc((1.0, 2.0, 10.0), (0, 0, 1), 3.0)], 20.0)
         mesh = build_initial_grid(net.domain, 5.0)
         args = _level_candidates(mesh, net, 1)
         polys = octree._Polygons(net, 32)
@@ -263,7 +265,7 @@ class TestPolygonAreas:
         survivors = counted.pop()
         assert counted == [] and survivors % 7 and survivors > 7
         assert whole[args[0] == 30].sum() == pytest.approx(
-            polygon_area(disc_to_polygon(net.fractures[30], 32)), rel=1e-12)
+            polygon_area(disc_to_polygon(disc(net, 30), 32)), rel=1e-12)
         for block in (7, 1):
             monkeypatch.setattr(octree, "CLIP_BLOCK", block)
             assert np.array_equal(polys.areas(*args), whole)
@@ -271,7 +273,7 @@ class TestPolygonAreas:
             counted.clear()
 
     def test_no_survivors_make_no_kernel_call(self, counted):
-        net = make_network([make_disc(0, (7.5, 7.5, 7.5), (0, 0, 1), 0.5)], 20.0)
+        net = make_network([make_disc((7.5, 7.5, 7.5), (0, 0, 1), 0.5)], 20.0)
         mesh = build_initial_grid(net.domain, 5.0)
         fid, lo, hi, edge, top = _level_candidates(mesh, net, 0)
         far = np.all(hi <= 5.0, axis=1)
@@ -302,7 +304,7 @@ class _Forgetful(dict):
 
 def _fresh(net, forgetful=False):
     """A copy of net with nothing measured on it and no root but itself."""
-    out = FractureNetwork(list(net.fractures), net.domain, net.params)
+    out = FractureNetwork(net.center, net.normal, net.radius, net.aperture, net.domain, net.params)
     if forgetful:
         out.clipped_areas = _Forgetful()
     return out
@@ -448,7 +450,7 @@ class TestFaceAdjacency:
         assert coarse_fine.sum() == pytest.approx(25.0)
 
     def test_every_contact_appears_exactly_once(self):
-        net = make_network([make_disc(0, (0.3, 0.2, 0.3), (0, 0, 1), 2.0)], 20.0)
+        net = make_network([make_disc((0.3, 0.2, 0.3), (0, 0, 1), 2.0)], 20.0)
         mesh = cube_mesh(20.0, 5.0, net, orl=2)
         faces = mesh.faces
         interior = faces.cell_b >= 0
@@ -458,7 +460,7 @@ class TestFaceAdjacency:
 
     def test_cell_surface_area_closes(self):
         # faces referencing each cell (either side) must tile its whole surface
-        net = make_network([make_disc(0, (0.3, 0.2, 0.3), (1, 1, 1), 2.0)], 20.0)
+        net = make_network([make_disc((0.3, 0.2, 0.3), (1, 1, 1), 2.0)], 20.0)
         mesh = cube_mesh(20.0, 5.0, net, orl=2)
         faces = mesh.faces
         per_cell = np.zeros(mesh.num_cells)
@@ -491,7 +493,7 @@ class TestEquivalentHexCount:
 
 class TestExport:
     def test_vtk_output_structure(self, tmp_path):
-        net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 2.0)], 10.0)
+        net = make_network([make_disc((0.0, 0.0, 0.3), (0, 0, 1), 2.0)], 10.0)
         mesh = cube_mesh(10.0, 5.0, net, orl=1)
         props = upscale_mesh(mesh, net, 1e-16, 0.01)
         path = tmp_path / "mesh.vtk"

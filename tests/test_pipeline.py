@@ -10,6 +10,7 @@ import pytest
 
 from fracscale import pipeline
 from fracscale.cli import main as cli_main
+from fracscale.flow import FLOW_METHODS
 from fracscale.pipeline import (
     GRID_AXES,
     RunConfig,
@@ -20,6 +21,7 @@ from fracscale.pipeline import (
     run_pipeline,
     save_config,
 )
+from fracscale.transport import TRACER_KINDS
 
 
 def tiny_config(out_dir, **overrides) -> RunConfig:
@@ -57,7 +59,7 @@ class TestRunConfig:
             tiny_config("x", orls=())
         with pytest.raises(ValueError):
             tiny_config("x", isolated_modes=("kept",))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown tracer kind 'magic'"):
             tiny_config("x", tracers=("magic",))
 
     @pytest.mark.parametrize("axis", GRID_AXES)
@@ -74,10 +76,15 @@ class TestRunConfig:
 
     def test_flow_method_validated_up_front(self):
         data = tiny_config("x").to_dict()
-        for method in ("auto", "direct"):
+        assert FLOW_METHODS == ("auto", "direct")
+        for method in FLOW_METHODS:
             assert RunConfig.from_dict({**data, "flow_method": method}).flow_method == method
         with pytest.raises(ValueError, match="flow method 'cg'"):
             RunConfig.from_dict({**data, "flow_method": "cg"})
+
+    def test_every_tracer_kind_accepted(self):
+        assert TRACER_KINDS == ("conservative", "decaying", "sorbing")
+        assert tiny_config("x", tracers=TRACER_KINDS).tracers == TRACER_KINDS
 
     def test_hash_tracks_content(self):
         a = tiny_config("x")

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +15,7 @@ from fracscale.topology import (
     remove_isolated,
 )
 
-from conftest import cube_mesh, make_disc, make_network, two_plate_network
+from conftest import cube_mesh, disc, make_disc, make_network, two_plate_network
 
 
 def chain_network(L=10.0, with_bridge=True, with_outlier=False):
@@ -26,14 +25,14 @@ def chain_network(L=10.0, with_bridge=True, with_outlier=False):
     planes so the chain is connected only through it.
     """
     discs = [
-        make_disc(0, (-3.5, 0.0, 0.1), (0, 0, 1), 2.0),     # touches inflow
-        make_disc(2, (3.2, 0.0, -0.1), (0, 0, 1), 2.0),     # touches outflow
+        make_disc((-3.5, 0.0, 0.1), (0, 0, 1), 2.0),     # touches inflow
+        make_disc((3.2, 0.0, -0.1), (0, 0, 1), 2.0),     # touches outflow
     ]
     if with_bridge:
-        discs.insert(1, make_disc(1, (-1.0, 0.0, 0.0), (0, 1, 0), 3.0))
+        discs.insert(1, make_disc((-1.0, 0.0, 0.0), (0, 1, 0), 3.0))
     if with_outlier:
-        discs.append(make_disc(9, (0.0, 3.0, 3.0), (0, 0, 1), 0.5))
-    return make_network([make_disc(i, f.center, f.normal, f.radius) for i, f in enumerate(discs)], L)
+        discs.append(make_disc((0.0, 3.0, 3.0), (0, 0, 1), 0.5))
+    return make_network(discs, L)
 
 
 class TestIntersectionGraph:
@@ -51,8 +50,8 @@ class TestIntersectionGraph:
 
     def test_disjoint_discs_have_no_edge(self):
         net = make_network([
-            make_disc(0, (-2.0, 0.0, 1.0), (0, 0, 1), 1.0),
-            make_disc(1, (2.0, 0.0, -1.0), (0, 0, 1), 1.0),
+            make_disc((-2.0, 0.0, 1.0), (0, 0, 1), 1.0),
+            make_disc((2.0, 0.0, -1.0), (0, 0, 1), 1.0),
         ], 10.0)
         graph = build_intersection_graph(net)
         assert graph.edges == []
@@ -70,7 +69,7 @@ class TestIntersectionGraph:
             (i, j)
             for i in range(len(net))
             for j in range(i + 1, len(net))
-            if discs_intersect(net.fractures[i], net.fractures[j])
+            if discs_intersect(disc(net, i), disc(net, j))
         }
         assert set(graph.edges) == brute
 
@@ -82,12 +81,12 @@ class TestIntersectionGraph:
         net = generate_network(GenerationParams(L=15.0, n_fractures=60, seed=7))
         if corner:
             shift = -net.domain.lo
-            net = FractureNetwork([replace(f, center=f.center + shift) for f in net.fractures],
+            net = FractureNetwork(net.center + shift, net.normal, net.radius, net.aperture,
                                   Box(np.zeros(3), net.domain.hi + shift), net.params)
         graph = build_intersection_graph(net)
         source, sink = [], []
-        for idx, f in enumerate(net.fractures):
-            clipped = clip_polygon_to_box(disc_to_polygon(f, 32), net.domain)
+        for idx in range(len(net)):
+            clipped = clip_polygon_to_box(disc_to_polygon(disc(net, idx), 32), net.domain)
             if clipped.is_empty:
                 continue
             x = clipped.vertices[:, 0]
@@ -125,7 +124,7 @@ class TestRemoveIsolated:
         graph = build_intersection_graph(net)
         kept = remove_isolated(net, graph)
         assert len(kept) == 3
-        radii = sorted(f.radius for f in kept.fractures)
+        radii = sorted(kept.radius.tolist())
         assert radii == [2.0, 2.0, 3.0]
 
     def test_idempotent(self):
@@ -181,8 +180,8 @@ class TestFalseConnections:
         # two non-intersecting parallel plates 0.4 m apart, 2.5 m cells
         L = 10.0
         net = make_network([
-            make_disc(0, (0.6, 0.6, 0.55), (0, 0, 1), 1.0),
-            make_disc(1, (0.6, 0.6, 0.95), (0, 0, 1), 1.0),
+            make_disc((0.6, 0.6, 0.55), (0, 0, 1), 1.0),
+            make_disc((0.6, 0.6, 0.95), (0, 0, 1), 1.0),
         ], L)
         graph = build_intersection_graph(net)
         assert graph.edges == []
@@ -193,7 +192,7 @@ class TestFalseConnections:
         )
         assert report.num_false_pairs == 1
         # oracle: enumerate cells both discs reach with positive area
-        polys = [disc_to_polygon(f) for f in net.fractures]
+        polys = [disc_to_polygon(disc(net, i)) for i in range(len(net))]
         shared = 0
         for idx in range(mesh.num_cells):
             box = mesh.cell_box(idx)
@@ -206,8 +205,8 @@ class TestFalseConnections:
         # same plates, 0.15625 m cells: no cell can hold both
         L = 5.0
         net = make_network([
-            make_disc(0, (0.0, 0.0, -2.43), (0, 0, 1), 1.0),
-            make_disc(1, (0.0, 0.0, -2.03), (0, 0, 1), 1.0),
+            make_disc((0.0, 0.0, -2.43), (0, 0, 1), 1.0),
+            make_disc((0.0, 0.0, -2.03), (0, 0, 1), 1.0),
         ], L)
         graph = build_intersection_graph(net)
         mesh = cube_mesh(L, 5.0, net, orl=5)
@@ -264,7 +263,7 @@ class TestMeshPercolation:
         assert not mesh_percolates(mesh)
 
     def test_single_through_going_fracture(self):
-        net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 10.0)], 10.0)
+        net = make_network([make_disc((0.0, 0.0, 0.3), (0, 0, 1), 10.0)], 10.0)
         mesh = cube_mesh(10.0, 2.5, net, orl=1)
         assert mesh_percolates(mesh)
 
@@ -278,7 +277,7 @@ class TestMeshPercolation:
         assert not mesh_percolates(fine)
 
     def test_invariant_to_cell_relabeling(self):
-        net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 10.0)], 10.0)
+        net = make_network([make_disc((0.0, 0.0, 0.3), (0, 0, 1), 10.0)], 10.0)
         mesh = cube_mesh(10.0, 2.5, net, orl=1)
         verdict = mesh_percolates(mesh)
         # relabel by reversing the cell order

@@ -1,9 +1,11 @@
 """The traced benchmark (bench/run.py --trace 1) wraps fracscale functions by name.
 
 These tests build its patch list against the live modules and run a small
-flow and transport under it, so renaming or removing a wrapped name, or
-calling the sparse LU other than as ``scipy.sparse.linalg.splu``, fails
-here instead of breaking the traced benchmark.  bench/ is only read.
+flow and transport, and one desk mesh point, under it, so renaming or
+removing a wrapped name, calling the sparse LU other than as
+``scipy.sparse.linalg.splu``, or changing what the workloads read of a
+network fails here instead of breaking the traced benchmark.  bench/ is
+only read.
 """
 
 import sys
@@ -23,6 +25,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import layers  # noqa: E402
+import workloads  # noqa: E402
 from tracing import Tracer, installed  # noqa: E402
 
 
@@ -92,3 +95,16 @@ def test_traced_default_flow_solves_by_cg(fs):
     m = layers.metrics(tracer, None)
     assert m["flow.direct_solves"] == 0
     assert m["flow.cg_iterations"] > 0
+
+
+def test_traced_desk_mesh_point_passes_its_checks(fs):
+    config = workloads.desk_config(BENCH.parent, fs)
+    tracer = Tracer()
+    with installed(layers.patches(tracer, fs)):
+        fields, _ = workloads._mesh_point(config, fs, orl=1, p_prime=0.5)
+    assert workloads.point_problems("p0.5/orl1", fields, None) == []
+    params = config.generation_params(config.seeds[0], config.fracture_counts()[0.5])
+    n = len(fs.network.generate_network(params, m_vertices=config.m_vertices))
+    m = layers.metrics(tracer, None)
+    assert m["network.fractures"] == fields["fractures"] == n > 0
+    assert fields["fracture_cells"] > 0 and m["topology.graph_calls"] == 1

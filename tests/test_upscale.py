@@ -5,7 +5,7 @@ from fracscale.geometry import AREA_EPS, clip_polygon_to_box, disc_to_polygon, p
 from fracscale.network import GenerationParams, generate_network
 from fracscale.upscale import UpscaleError, spectral_radius, transformation_tensor, upscale_mesh
 
-from conftest import box_mesh, cube_mesh, make_disc, make_network, two_plate_network
+from conftest import box_mesh, cube_mesh, disc, make_disc, make_network, two_plate_network
 
 # one cell of edge 15.625 m cut across by a disc of aperture 5e-4 m holds
 # fracture porosity 15.625^2 * 5e-4 / 15.625^3 = 3.2e-5
@@ -20,9 +20,9 @@ def one_cell(discs, edge=EDGE):
     return box_mesh((edge, edge, edge), edge, net), net
 
 
-def cross_disc(fid=0, normal=(0, 0, 1), aperture=APERTURE, edge=EDGE):
+def cross_disc(normal=(0, 0, 1), aperture=APERTURE, edge=EDGE):
     """A disc through the cell center wide enough to cut the whole cell."""
-    return make_disc(fid, (0.5 * edge,) * 3, normal, 2.0 * edge, aperture=aperture)
+    return make_disc((0.5 * edge,) * 3, normal, 2.0 * edge, aperture=aperture)
 
 
 def fracture_permeability(discs):
@@ -42,7 +42,7 @@ def reference_upscale(mesh, network, k_m, phi_m, *, m_vertices=32,
         v_c = cell.volume
         v_F, K = 0.0, np.zeros((3, 3))
         for fid in mesh.fracture_ids[idx]:
-            f = network.fractures[fid]
+            f = disc(network, fid)
             a_f = polygon_area(clip_polygon_to_box(disc_to_polygon(f, m_vertices), cell))
             if a_f <= AREA_EPS:
                 continue
@@ -98,7 +98,7 @@ class TestTransformationTensor:
 
 class TestCellFractureData:
     def test_volume_and_porosity_arithmetic(self):
-        disc = make_disc(0, (1.25, 1.25, 1.2), (0, 0, 1), 0.8, aperture=5e-4)
+        disc = make_disc((1.25, 1.25, 1.2), (0, 0, 1), 0.8, aperture=5e-4)
         mesh, net = one_cell([disc], edge=2.5)
         props = upscale_mesh(mesh, net, 1e-16, 0.01)
         poly_area = polygon_area(disc_to_polygon(disc, 32))
@@ -115,7 +115,7 @@ class TestCellFractureData:
         assert len(mesh.pair_cell) == len(mesh.pair_area) == 0
 
     def test_disc_spanning_two_cells_conserves_area(self):
-        disc = make_disc(0, (2.5, 1.0, 1.2), (0, 0, 1), 0.8)
+        disc = make_disc((2.5, 1.0, 1.2), (0, 0, 1), 0.8)
         mesh = box_mesh((5.0, 2.5, 2.5), 2.5, make_network([disc], 5.0))
         assert [list(ids) for ids in mesh.fracture_ids] == [[0], [0]]
         assert mesh.pair_cell.tolist() == [0, 1]
@@ -133,15 +133,15 @@ class TestPermeabilityTensor:
         assert fracture_permeability([]) == 0.0
 
     def test_coincident_fractures_add_linearly(self):
-        one = fracture_permeability([cross_disc(0, (0, 1, 0), 4e-4)])
+        one = fracture_permeability([cross_disc((0, 1, 0), 4e-4)])
         two = fracture_permeability(
-            [cross_disc(0, (0, 1, 0), 4e-4), cross_disc(1, (0, 1, 0), 4e-4)])
+            [cross_disc((0, 1, 0), 4e-4), cross_disc((0, 1, 0), 4e-4)])
         assert two == pytest.approx(2.0 * one, rel=1e-14)
 
     def test_aperture_cubed_scaling(self):
         # porosity tracks aperture, so doubling b multiplies the tensor by 8
-        base = fracture_permeability([cross_disc(0, (1, 0, 0), 4e-4)])
-        doubled = fracture_permeability([cross_disc(0, (1, 0, 0), 8e-4)])
+        base = fracture_permeability([cross_disc((1, 0, 0), 4e-4)])
+        doubled = fracture_permeability([cross_disc((1, 0, 0), 8e-4)])
         assert doubled == pytest.approx(8.0 * base, rel=1e-14)
 
 
@@ -203,6 +203,15 @@ class TestUpscaleCell:
         assert props.permeability[0] == pytest.approx(6.668e-13, rel=1e-3)
         assert props.is_fracture[0]
 
+    def test_aperture_squared_as_a_python_float(self):
+        # Python's a**2 goes through libm pow; with glibc it is one bit off
+        # numpy's a*a for this aperture, and the permeability must keep it
+        a = 0.001103708361335831
+        mesh, net = one_cell([cross_disc(aperture=a)])
+        props = upscale_mesh(mesh, net, 1e-16, 0.01)
+        k_F = mesh.pair_area[0] * a / mesh.volume[0] * a**2 / 12.0
+        assert props.permeability[0] == (1.0 - props.fracture_porosity[0]) * 1e-16 + k_F
+
     def test_porosity_blend_and_strict_mode(self):
         mesh, net = one_cell([cross_disc()])
         blended = upscale_mesh(mesh, net, 1e-16, 0.01)
@@ -235,13 +244,13 @@ class TestUpscaleMesh:
         assert not props.is_fracture.any()
 
     def test_fracture_volume_conserved_across_refinement(self):
-        net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 20.0)], 10.0)
+        net = make_network([make_disc((0.0, 0.0, 0.3), (0, 0, 1), 20.0)], 10.0)
         volumes = []
         for orl in (1, 2, 3):
             mesh = cube_mesh(10.0, 2.5, net, orl=orl)
             props = upscale_mesh(mesh, net, 1e-16, 0.01)
             volumes.append(float((props.fracture_porosity * mesh.volume).sum()))
-        exact = 10.0 * 10.0 * net.fractures[0].aperture
+        exact = 10.0 * 10.0 * net.aperture[0]
         for v in volumes:
             assert v == pytest.approx(exact, rel=1e-6)
 
@@ -255,7 +264,7 @@ class TestUpscaleMesh:
         assert np.all(props.permeability[~frac] == 1e-16)
 
     def test_summary_and_cell_accessors(self):
-        net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 2.0)], 10.0)
+        net = make_network([make_disc((0.0, 0.0, 0.3), (0, 0, 1), 2.0)], 10.0)
         mesh = cube_mesh(10.0, 2.5, net, orl=1)
         props = upscale_mesh(mesh, net, 1e-16, 0.01)
         stats = props.summary()
@@ -267,7 +276,7 @@ class TestUpscaleMesh:
         assert props.porosity[idx] > props.phi_m
 
     def test_m_vertices_must_match_mesh(self):
-        net = make_network([make_disc(0, (0.0, 0.0, 0.3), (0, 0, 1), 2.0)], 10.0)
+        net = make_network([make_disc((0.0, 0.0, 0.3), (0, 0, 1), 2.0)], 10.0)
         mesh = cube_mesh(10.0, 2.5, net, orl=1)
         upscale_mesh(mesh, net, 1e-16, 0.01, m_vertices=32)
         with pytest.raises(ValueError):
