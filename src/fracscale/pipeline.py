@@ -46,7 +46,6 @@ from .topology import (
     count_false_connections,
     dfn_percolates,
     mesh_percolates,
-    percolating_cluster,
     remove_isolated,
 )
 from .transport import (
@@ -433,7 +432,8 @@ def _generate_stage(config, records, root, key, n_fractures, unit):
     with _timed(unit, "graph_s"):
         graph = build_intersection_graph(network, m_vertices=config.m_vertices)
         removed = remove_isolated(network, graph)
-        graph_removed = graph.subset(percolating_cluster(graph))
+        # the ids in network of the fractures remove_isolated kept
+        graph_removed = graph.subset(removed.origin()[1])
 
     nets = {"retained": network, "removed": removed}
     graphs = {"retained": graph, "removed": graph_removed}

@@ -1,7 +1,8 @@
 """Connectivity analysis of fracture networks and of upscaled meshes.
 
 The intersection graph has one node per fracture plus two virtual nodes for
-the inflow (x = -L/2) and outflow (x = +L/2) domain faces.  A network
+the inflow (x = -L/2) and outflow (x = +L/2) domain faces, held as read-only
+int64 arrays and labelled into connected components once.  A network
 percolates when the virtual nodes are connected.  On the mesh side, two
 fractures that never intersect can still be upscaled into one control
 volume; those pairs are the false connections counted here, and chains of
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -23,20 +25,34 @@ from .network import FractureNetwork
 
 logger = logging.getLogger(__name__)
 
-SOURCE = -1  # inflow plane x = -L/2
-SINK = -2    # outflow plane x = +L/2
-
+_OVERLAP_EPS = 1e-9     # chord overlap two discs need to count as intersecting
 _FACE_TOUCH_EPS = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class IntersectionGraph:
-    """Undirected fracture intersection graph with boundary attachments."""
+    """Undirected fracture intersection graph with boundary attachments.  The
+    arrays are read-only copies, so the labels computed on first use stay
+    valid.  == is identity."""
 
     n_fractures: int
-    edges: list[tuple[int, int]]          # fracture-fracture pairs, i < j
-    source_ids: list[int]                 # fractures touching the inflow plane
-    sink_ids: list[int]                   # fractures touching the outflow plane
+    edges: np.ndarray         # (E, 2) fracture-fracture pairs, i < j, ascending
+    source_ids: np.ndarray    # fractures touching the inflow plane, ascending
+    sink_ids: np.ndarray      # fractures touching the outflow plane, ascending
+
+    def __post_init__(self):
+        for name in ("edges", "source_ids", "sink_ids"):
+            column = np.array(getattr(self, name), dtype=np.int64)
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Component label of every node: fractures 0..n-1, inflow plane n, outflow plane n + 1."""
+        n, source, sink = self.n_fractures, self.source_ids, self.sink_ids
+        a = np.concatenate((self.edges[:, 0], source, sink))
+        b = np.concatenate((self.edges[:, 1], np.full(len(source), n), np.full(len(sink), n + 1)))
+        return _labels(n + 2, a, b)
 
     def subset(self, keep_ids) -> "IntersectionGraph":
         """Graph of network.subset(keep_ids): kept fractures re-indexed in id order.
@@ -44,22 +60,20 @@ class IntersectionGraph:
         Equal to building the graph of the subset network afresh, because
         every edge and boundary attachment is decided per pair or per fracture.
         """
-        new_id = {old: new for new, old in enumerate(sorted(keep_ids))}
+        keep = np.unique(np.fromiter(keep_ids, dtype=np.int64))
+        new_id = np.full(self.n_fractures, -1, dtype=np.int64)
+        new_id[keep] = np.arange(len(keep))
+        # increasing on the kept ids, so every ascending order is kept
+        edges, source, sink = new_id[self.edges], new_id[self.source_ids], new_id[self.sink_ids]
         return IntersectionGraph(
-            len(new_id),
-            [(new_id[i], new_id[j]) for i, j in self.edges if i in new_id and j in new_id],
-            [new_id[i] for i in self.source_ids if i in new_id],
-            [new_id[i] for i in self.sink_ids if i in new_id],
-        )
+            len(keep), edges[(edges >= 0).all(axis=1)], source[source >= 0], sink[sink >= 0])
 
 
-def build_intersection_graph(
-    network: FractureNetwork, *, eps: float = 1e-9, m_vertices: int = 32
-) -> IntersectionGraph:
+def build_intersection_graph(network: FractureNetwork, *, m_vertices: int = 32) -> IntersectionGraph:
     """All intersecting disc pairs, pruned by a KD-tree on the disc centers.
 
-    Boundary edges attach a fracture to SOURCE/SINK when its polygon,
-    clipped to the domain, reaches the respective x face.
+    A fracture attaches to the inflow (outflow) plane when its polygon,
+    clipped to the domain, reaches the x = lo (x = hi) face.
     """
     n = len(network)
     domain = network.domain
@@ -67,7 +81,7 @@ def build_intersection_graph(
 
     # candidates: center distance within the largest possible radius sum,
     # then within this pair's radius sum; ascending (i, j) order
-    edges: list[tuple[int, int]] = []
+    edges = np.empty((0, 2), dtype=np.int64)
     if n > 1:
         pairs = cKDTree(centers).query_pairs(2.0 * radii.max(), output_type="ndarray")
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
@@ -76,14 +90,14 @@ def build_intersection_graph(
         near = gap <= radii[a] + radii[b]
         a, b = a[near], b[near]
         hit = discs_intersect_many(centers[a], normals[a], radii[a],
-                                   centers[b], normals[b], radii[b], eps)
-        edges = list(zip(a[hit].tolist(), b[hit].tolist()))
+                                   centers[b], normals[b], radii[b], _OVERLAP_EPS)
+        edges = np.column_stack((a[hit], b[hit]))
 
     flat, count = network.clipped_to_domain(m_vertices)
     x = flat[:, 0]
     loop = np.repeat(np.arange(n), count)
-    source_ids = np.unique(loop[x <= domain.lo[0] + _FACE_TOUCH_EPS]).tolist()
-    sink_ids = np.unique(loop[x >= domain.hi[0] - _FACE_TOUCH_EPS]).tolist()
+    source_ids = np.unique(loop[x <= domain.lo[0] + _FACE_TOUCH_EPS])
+    sink_ids = np.unique(loop[x >= domain.hi[0] - _FACE_TOUCH_EPS])
 
     return IntersectionGraph(n, edges, source_ids, sink_ids)
 
@@ -94,40 +108,24 @@ def _labels(n_nodes: int, a, b) -> np.ndarray:
     return connected_components(adjacency, directed=False)[1]
 
 
-def _components(graph: IntersectionGraph) -> np.ndarray:
-    # nodes 0..n-1 fractures, n = SOURCE, n+1 = SINK
-    n = graph.n_fractures
-    edges = np.array(graph.edges, dtype=int).reshape(-1, 2)
-    source = np.asarray(graph.source_ids, dtype=int)
-    sink = np.asarray(graph.sink_ids, dtype=int)
-    return _labels(
-        n + 2,
-        np.concatenate((edges[:, 0], source, sink)),
-        np.concatenate((edges[:, 1], np.full(len(source), n), np.full(len(sink), n + 1))),
-    )
-
-
 def dfn_percolates(graph: IntersectionGraph) -> bool:
     """True when a fracture path joins the inflow and outflow planes."""
-    labels = _components(graph)
-    return bool(labels[-2] == labels[-1])
+    return bool(graph.labels[-2] == graph.labels[-1])
 
 
-def percolating_cluster(graph: IntersectionGraph) -> list[int]:
+def percolating_cluster(graph: IntersectionGraph) -> np.ndarray:
     """Ids of the fractures connecting both boundary planes, ascending (empty if none do)."""
-    labels = _components(graph)
-    if labels[-2] != labels[-1]:
-        return []
-    return np.flatnonzero(labels[:-2] == labels[-2]).tolist()
+    labels = graph.labels
+    return np.flatnonzero((labels[:-2] == labels[-2]) & (labels[-2] == labels[-1]))
 
 
 def remove_isolated(network: FractureNetwork, graph: IntersectionGraph) -> FractureNetwork:
     """Keep only the cluster connecting both boundary planes (possibly nothing)."""
     keep = percolating_cluster(graph)
-    if not keep:
-        logger.info("network does not percolate; all %d fractures removed", len(network))
-    else:
+    if len(keep):
         logger.info("retained %d / %d fractures", len(keep), len(network))
+    else:
+        logger.info("network does not percolate; all %d fractures removed", len(network))
     return network.subset(keep)
 
 
@@ -189,8 +187,7 @@ def count_false_connections(
 
     # pair key i * n + j, with n large enough that keys cannot collide
     n = max(graph.n_fractures, int(ids.max(initial=-1)) + 1)
-    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
-    false = ~np.isin(ids[first] * n + ids[second], edges[:, 0] * n + edges[:, 1])
+    false = ~np.isin(ids[first] * n + ids[second], graph.edges[:, 0] * n + graph.edges[:, 1])
     return FalseConnectionReport(
         num_false_pairs=len(np.unique(ids[first[false]] * n + ids[second[false]])),
         cells_with_false=len(np.unique(cell[first[false]])),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fracscale import topology
 from fracscale.geometry import Box
 from fracscale.network import FractureNetwork, GenerationParams, aperture_from_radius
 from fracscale.octree import build_face_adjacency, build_initial_grid, refine, tag_fracture_cells
@@ -105,6 +106,20 @@ def gauss_seidel_parts(matrix):
     lower = triangle(sp.tril(matrix, -1), diagonal)
     upper = triangle(sp.tril(matrix[backwards][:, backwards], -1), diagonal[backwards])
     return lower, upper, diagonal
+
+
+@pytest.fixture
+def labellings(monkeypatch):
+    """List that grows by one on every connected-components labelling in topology."""
+    calls = []
+    label = topology.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(topology, "connected_components", counting)
+    return calls
 
 
 @pytest.fixture

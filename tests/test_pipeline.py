@@ -170,6 +170,21 @@ class TestPipeline:
             assert row["N_hat"] == 0
             assert removed[0]["k_eff"] == pytest.approx(1e-16, rel=1e-8)
 
+    def test_one_labelling_per_graph_and_per_mesh(self, tmp_path, labellings):
+        # one unit in this process: the network's graph and the graph of its
+        # percolating cluster are labelled once each, and every mesh once for
+        # its fracture-cell clusters
+        config = tiny_config(tmp_path, p_c=40, seeds=(5,), orls=(1, 2),
+                             isolated_modes=("retained", "removed"))
+        (tmp_path / "networks").mkdir()
+        records, _, _ = pipeline._run_unit(
+            config, pipeline.STAGES.index("mesh"), 5, 1.0, config.fracture_counts()[1.0])
+        assert records["failures"] == []
+        row = records["network_rows"][0]
+        assert row["dfn_percolates"] is True and 0 < row["N_hat"] < row["N"]
+        assert len(records["topology_rows"]) == 4
+        assert len(labellings) == 2 + 4
+
     def test_transport_stage_writes_btc(self, tmp_path):
         config = tiny_config(
             tmp_path, transport_enabled=True, tracers=("conservative",),

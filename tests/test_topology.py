@@ -6,6 +6,7 @@ import pytest
 from fracscale.geometry import AREA_EPS, Box, clip_polygon_to_box, disc_to_polygon, polygon_area
 from fracscale.network import FractureNetwork, GenerationParams, generate_network
 from fracscale.topology import (
+    IntersectionGraph,
     build_intersection_graph,
     count_false_connections,
     dfn_percolates,
@@ -35,15 +36,26 @@ def chain_network(L=10.0, with_bridge=True, with_outlier=False):
     return make_network(discs, L)
 
 
+def edge_set(graph):
+    """The graph's edges as a set of (i, j) tuples."""
+    return set(map(tuple, graph.edges.tolist()))
+
+
+def assert_graphs_equal(got, want):
+    assert got.n_fractures == want.n_fractures
+    for name in ("edges", "source_ids", "sink_ids"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 class TestIntersectionGraph:
     def test_empty_network(self):
         graph = build_intersection_graph(make_network([], 10.0))
-        assert graph.edges == []
+        assert graph.edges.shape == (0, 2)
         assert not dfn_percolates(graph)
 
     def test_chain_spans_source_to_sink(self):
         graph = build_intersection_graph(chain_network())
-        assert {(0, 1), (1, 2)} <= set(graph.edges)
+        assert {(0, 1), (1, 2)} <= edge_set(graph)
         assert 0 in graph.source_ids
         assert 2 in graph.sink_ids
         assert dfn_percolates(graph)
@@ -54,7 +66,7 @@ class TestIntersectionGraph:
             make_disc((2.0, 0.0, -1.0), (0, 0, 1), 1.0),
         ], 10.0)
         graph = build_intersection_graph(net)
-        assert graph.edges == []
+        assert len(graph.edges) == 0
 
     def test_removing_bridge_breaks_percolation(self):
         graph = build_intersection_graph(chain_network(with_bridge=False))
@@ -71,7 +83,7 @@ class TestIntersectionGraph:
             for j in range(i + 1, len(net))
             if discs_intersect(disc(net, i), disc(net, j))
         }
-        assert set(graph.edges) == brute
+        assert edge_set(graph) == brute
 
     @pytest.mark.parametrize("corner", [False, True])
     def test_boundary_ids_match_single_clips(self, corner):
@@ -95,7 +107,36 @@ class TestIntersectionGraph:
             if x.max() >= net.domain.hi[0] - 1e-9:
                 sink.append(idx)
         assert source and sink
-        assert (graph.source_ids, graph.sink_ids) == (source, sink)
+        assert np.array_equal(graph.source_ids, source)
+        assert np.array_equal(graph.sink_ids, sink)
+
+    def test_arrays_are_read_only_int64_in_ascending_order(self):
+        net = generate_network(GenerationParams(L=15.0, n_fractures=80, seed=2))
+        graph = build_intersection_graph(net)
+        assert graph.edges.shape == (len(graph.edges), 2) and len(graph.edges) > 10
+        i, j = graph.edges.T
+        assert (i < j).all()
+        assert np.array_equal(np.lexsort((j, i)), np.arange(len(i)))
+        for ids in (graph.source_ids, graph.sink_ids):
+            assert len(ids) and (np.diff(ids) > 0).all()
+        for column in (graph.edges, graph.source_ids, graph.sink_ids):
+            assert column.dtype == np.int64 and not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_arrays_are_copies(self):
+        edges, source, sink = np.array([[0, 1]]), np.array([0]), np.array([1])
+        graph = IntersectionGraph(2, edges, source, sink)
+        assert dfn_percolates(graph)
+        edges[0] = source[0] = sink[0] = 2
+        assert edge_set(graph) == {(0, 1)}
+        assert graph.source_ids.tolist() == [0] and graph.sink_ids.tolist() == [1]
+
+    def test_equality_is_identity(self):
+        net = chain_network()
+        a, b = build_intersection_graph(net), build_intersection_graph(net)
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
     def test_percolation_frequency_increases_with_density(self):
         # desk-scale counts bracketing the threshold (critical count ~250 at L=25)
@@ -150,14 +191,34 @@ class TestRemoveIsolated:
             keep = percolating_cluster(graph)
             kept = remove_isolated(net, graph)
             assert len(kept) == len(keep)
-            assert graph.subset(keep) == build_intersection_graph(kept)
+            assert_graphs_equal(graph.subset(keep), build_intersection_graph(kept))
             sizes.append(len(keep))
         assert 0 in sizes and max(sizes) > 3
+
+    @pytest.mark.parametrize("n, seed", [(40, 4), (60, 5), (80, 8)])
+    def test_any_subset_equals_fresh_build(self, n, seed):
+        net = generate_network(GenerationParams(L=15.0, n_fractures=n, seed=seed))
+        graph = build_intersection_graph(net)
+        assert len(graph.edges) and len(graph.source_ids) and len(graph.sink_ids)
+        rng = np.random.default_rng(seed)
+        subsets = [[], range(n), [int(rng.integers(n))], set(rng.permutation(n)[: n // 2])]
+        subsets += [rng.permutation(n)[: rng.integers(2, n)] for _ in range(6)]
+        for keep in subsets:
+            assert_graphs_equal(graph.subset(keep), build_intersection_graph(net.subset(keep)))
+
+    def test_one_labelling_per_graph(self, labellings):
+        net = generate_network(GenerationParams(L=15.0, n_fractures=80, seed=2))
+        graph = build_intersection_graph(net)
+        assert dfn_percolates(graph)
+        keep = percolating_cluster(graph)
+        kept = remove_isolated(net, graph)
+        assert dfn_percolates(graph) and len(kept) == len(keep) > 0
+        assert len(labellings) == 1
 
 
 def reference_false_connections(cell_map, graph):
     """(false pairs network-wide, cells holding one) by looping over cells and pairs."""
-    edges = set(graph.edges)
+    edges = edge_set(graph)
     pairs, cells = set(), 0
     for ids in cell_map:
         found = [p for p in combinations(sorted(set(ids)), 2) if p not in edges]
@@ -184,7 +245,7 @@ class TestFalseConnections:
             make_disc((0.6, 0.6, 0.95), (0, 0, 1), 1.0),
         ], L)
         graph = build_intersection_graph(net)
-        assert graph.edges == []
+        assert len(graph.edges) == 0
         mesh = cube_mesh(L, 2.5, net, orl=0)
         cell_map = [mesh.fracture_ids[i] for i in np.nonzero(mesh.is_fracture)[0]]
         report = count_false_connections(
