@@ -2,7 +2,7 @@
 with steady Darcy flow and tracer transport on the result."""
 
 from .flow import FlowBC, FlowField, effective_permeability, solve_steady_flow
-from .geometry import Box, PlanarPolygon, clip_polygon_to_box, disc_to_polygon, discs_intersect, polygon_area
+from .geometry import Box
 from .network import (
     FractureNetwork,
     GenerationParams,
@@ -44,7 +44,6 @@ from .transport import (
     decay_constant,
     initialize_pulse,
     normalize_btc,
-    retardation_factor,
     run_transport,
     step_transport,
 )

@@ -11,6 +11,7 @@ points failed, reporting the earliest failing stage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -63,11 +64,7 @@ def _load_config(args):
         updates["k_m"] = tuple(args.km)
     if getattr(args, "isolated", None):
         updates["isolated_modes"] = (args.isolated,)
-    if updates:
-        config = RunConfig.from_dict({**config.to_dict(), **{
-            k: list(v) if isinstance(v, tuple) else v for k, v in updates.items()
-        }})
-    return config
+    return dataclasses.replace(config, **updates)
 
 
 def main(argv=None) -> int:

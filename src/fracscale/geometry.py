@@ -8,18 +8,17 @@ test instead, so network topology never depends on the polygonization.
 Each computation is one kernel over K stacked inputs: disc_vertices,
 clip_vertices (K vertex loops against K boxes), vertex_area and
 discs_intersect_many.  Every row gets the arithmetic it would get alone, so
-a result does not depend on the batch it was computed in; disc_to_polygon,
-clip_polygon_to_box, polygon_area and discs_intersect are the K = 1 calls.
-A batch of K vertex loops has one layout: the loops back to back in one
-flat (sum(count), 3) array, with count (K,) giving each loop's vertex
-count; a (K, m, 3) stack of m-gons is the same rows.  clip_vertices takes
-and returns it, so a pass costs the vertices still alive and loops that
-die drop out of later passes; vertex_area reads it.
+a result does not depend on the batch it was computed in; one disc, loop or
+pair is a batch of K = 1.  Vertex loops have one layout: the loops back to
+back in one flat (sum(count), 3) array, with count (K,) giving each loop's
+vertex count; a (K, m, 3) stack of m-gons is the same rows.  clip_vertices
+takes and returns it, so a pass costs the vertices still alive and loops
+that die drop out of later passes; vertex_area reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,41 +54,9 @@ class Box:
         return 0.5 * (self.lo + self.hi)
 
 
-@dataclass
-class PlanarPolygon:
-    """Ordered coplanar vertices with the plane's unit normal.
-
-    An empty polygon (no intersection) keeps its plane normal and carries a
-    (0, 3) vertex array.
-    """
-
-    vertices: np.ndarray
-    plane_normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        self.plane_normal = np.asarray(self.plane_normal, dtype=float)
-
-    @classmethod
-    def empty(cls, normal=(0.0, 0.0, 1.0)) -> "PlanarPolygon":
-        return cls(np.zeros((0, 3)), np.asarray(normal, dtype=float))
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.vertices) < 3
-
-
-def disc_to_polygon(disc, m_vertices: int = 32) -> PlanarPolygon:
-    """Inscribe a regular m-gon in a disc, any object with center, normal and
-    radius (wound CCW about the normal)."""
-    n = np.asarray(disc.normal, dtype=float)
-    verts = disc_vertices(np.asarray(disc.center, dtype=float)[None], n[None],
-                          np.array([disc.radius], dtype=float), m_vertices)
-    return PlanarPolygon(verts[0], n)
-
-
 def disc_vertices(centers, normals, radii, m_vertices: int = 32) -> np.ndarray:
-    """(K, m, 3) vertices of the regular m-gons inscribed in K discs."""
+    """(K, m, 3) vertices of the regular m-gons inscribed in K discs, each
+    wound counter-clockwise about its normal."""
     if m_vertices < 8:
         raise ValueError("need at least 8 vertices to polygonize a disc")
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
@@ -191,14 +158,6 @@ def clip_vertices(flat, count, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return flat, count
 
 
-def clip_polygon_to_box(poly: PlanarPolygon, box: Box) -> PlanarPolygon:
-    """Clip against the box's six half-spaces; <3 surviving vertices counts as empty."""
-    flat, count = clip_vertices(poly.vertices, [len(poly.vertices)], box.lo, box.hi)
-    if not count[0]:
-        return PlanarPolygon.empty(poly.plane_normal)
-    return PlanarPolygon(flat, poly.plane_normal)
-
-
 def vertex_area(flat, count) -> np.ndarray:
     """Single-sided planar areas of K vertex loops stored back to back, count[k]
     vertices for loop k (Newell's formula; exact for simple planar polygons);
@@ -214,17 +173,6 @@ def vertex_area(flat, count) -> np.ndarray:
     s = np.cross(flat, flat[_successor(count)])
     s = np.stack([np.bincount(loop, s[:, c], len(count)) for c in range(3)], axis=1)
     return np.where(count >= 3, 0.5 * np.sqrt(np.vecdot(s, s)), 0.0)
-
-
-def polygon_area(poly: PlanarPolygon) -> float:
-    return float(vertex_area(poly.vertices, [len(poly.vertices)])[0])
-
-
-def discs_intersect(f1, f2, eps: float = 1e-9) -> bool:
-    """Exact disc-disc intersection of two discs, each any object with center,
-    normal and radius: the one-pair case of discs_intersect_many."""
-    return bool(discs_intersect_many(f1.center, f1.normal, f1.radius,
-                                     f2.center, f2.normal, f2.radius, eps)[0])
 
 
 def discs_intersect_many(c1, n1, r1, c2, n2, r2, eps: float = 1e-9) -> np.ndarray:

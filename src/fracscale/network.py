@@ -155,8 +155,9 @@ class FractureNetwork:
                                       self.domain.lo, self.domain.hi)
 
     def subset(self, keep_ids) -> "FractureNetwork":
-        """New network containing the given fractures, re-indexed contiguously."""
-        keep = np.array(sorted(keep_ids), dtype=int)
+        """New network containing the given fractures, re-indexed contiguously
+        in ascending id order; a repeated id is kept once."""
+        keep = np.unique(np.fromiter(keep_ids, dtype=np.int64))
         out = FractureNetwork(self.center[keep], self.normal[keep], self.radius[keep],
                               self.aperture[keep], self.domain, self.params)
         root, ids = self.origin()
@@ -334,8 +335,7 @@ def critical_fracture_count(
     """
     if override is not None:
         return int(override)
-    L = params.L if L is None else L
-    per = expected_min_radius(params, L) / L**2
+    per = percolation_parameter(1, params, L)
     return int(np.ceil(1.0 / per - 1e-12))
 
 

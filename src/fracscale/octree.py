@@ -205,11 +205,6 @@ class OctreeMesh:
     def grid_dims(self, level: int) -> tuple:
         return tuple(n * 2**level for n in self.n0)
 
-    def cell_box(self, idx: int) -> Box:
-        edge = self.cell_edge(int(self.level[idx]))
-        lo = self.domain.lo + edge * self.ijk[idx].astype(float)
-        return Box(lo, lo + edge)
-
     @property
     def num_cells(self) -> int:
         return len(self.level)
@@ -465,8 +460,7 @@ _HEX_OFFSETS = np.array([
 ], dtype=float)
 
 
-def write_vtk(mesh: OctreeMesh, path, cell_data: dict | None = None,
-              title: str = "octree continuum mesh") -> None:
+def write_vtk(mesh: OctreeMesh, path, cell_data: dict | None = None) -> None:
     """Legacy-ASCII VTK unstructured grid with hexahedral cells.
 
     Each section is one printf-style format over the whole array, which
@@ -479,7 +473,7 @@ def write_vtk(mesh: OctreeMesh, path, cell_data: dict | None = None,
     corners = lo[:, None, :] + mesh.edge[:, None, None] * _HEX_OFFSETS
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(f"{title}\n")
+        fh.write("octree continuum mesh\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {8 * n} double\n")
         fh.write("%.10g %.10g %.10g\n" * (8 * n) % tuple(corners.ravel().tolist()))

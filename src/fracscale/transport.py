@@ -75,19 +75,11 @@ def decay_constant(half_life_yr: float) -> float:
     return np.log(2.0) / (half_life_yr * YEAR_SECONDS)
 
 
-def retardation_factor(k_d: float, phi, s_l: float = 1.0, rho_w: float = 1000.0):
-    """R = 1 + K_D / (phi * s_l * rho_w); phi may be an array of cell porosities."""
-    if np.any(np.asarray(phi) <= 0) or s_l <= 0 or rho_w <= 0:
-        raise ValueError("phi, s_l and rho_w must be positive")
-    return 1.0 + k_d / (phi * s_l * rho_w)
-
-
 @dataclass(frozen=True)
 class TracerParams:
     """Tracer physics: diffusion, decay, retardation, and injected mass.
 
-    With k_d set (sorbing only), the retardation becomes cell-wise
-    R(phi) = 1 + K_D/(phi * s_l * rho_w) instead of the constant R.
+    The retardation R is one constant storage multiplier over every cell.
     """
 
     kind: str = "conservative"
@@ -95,9 +87,6 @@ class TracerParams:
     decay: float = 0.0               # 1/s
     retardation: float = 1.0
     injected_mass: float = 1.0       # mol
-    k_d: float | None = None         # kg/m^3, enables cell-wise retardation
-    s_l: float = 1.0
-    rho_w: float = 1000.0
 
     def __post_init__(self):
         if self.kind not in TRACER_KINDS:
@@ -108,8 +97,6 @@ class TracerParams:
             raise ValueError("decay is only valid (and positive) for decaying tracers")
         if self.retardation < 1 or (self.retardation > 1 and self.kind != "sorbing"):
             raise ValueError("retardation > 1 is only valid for sorbing tracers")
-        if self.k_d is not None and self.kind != "sorbing":
-            raise ValueError("k_d only applies to sorbing tracers")
         if self.injected_mass <= 0:
             raise ValueError("injected mass must be positive")
 
@@ -163,14 +150,8 @@ class TransportOperator:
     def __init__(self, mesh, props, flow, params: TracerParams):
         phi = np.asarray(props.porosity, dtype=float)
         vol = np.asarray(mesh.volume, dtype=float)
-
-        if params.k_d is not None:
-            r_cell = retardation_factor(params.k_d, phi, params.s_l, params.rho_w)
-        else:
-            r_cell = np.full(mesh.num_cells, params.retardation)
-
         pore_volume = phi * vol
-        self.storage = r_cell * pore_volume
+        self.storage = params.retardation * pore_volume
         self.decay_diag = params.decay * pore_volume
 
         spatial = flow.transport_operators.get(params.diffusion)

@@ -7,14 +7,14 @@ import pytest
 import scipy.sparse as sp
 
 from fracscale import topology
-from fracscale.geometry import Box
+from fracscale.geometry import Box, clip_vertices, disc_vertices, discs_intersect_many, vertex_area
 from fracscale.network import FractureNetwork, GenerationParams, aperture_from_radius
 from fracscale.octree import build_face_adjacency, build_initial_grid, refine, tag_fracture_cells
 from fracscale.upscale import PropertyField
 
 
 class Disc(NamedTuple):
-    """One fracture disc: what the one-disc geometry calls read, and one row
+    """One fracture disc: what the one-disc helpers below read, and one row
     of a FractureNetwork."""
 
     center: np.ndarray
@@ -46,6 +46,40 @@ def disc(network, i):
     """Fracture i of a network as a Disc."""
     return Disc(network.center[i], network.normal[i], float(network.radius[i]),
                 float(network.aperture[i]))
+
+
+def polygon(d, m_vertices=32):
+    """(m, 3) vertices of the m-gon inscribed in disc d: one row of disc_vertices."""
+    return disc_vertices(d.center, d.normal, [d.radius], m_vertices)[0]
+
+
+def clip_loop(loop, lo, hi):
+    """One vertex loop clipped to the box [lo, hi]: one row of clip_vertices
+    ((0, 3) when nothing is left)."""
+    return clip_vertices(loop, [len(loop)], lo, hi)[0]
+
+
+def loop_area(loop):
+    """Area of one vertex loop: one row of vertex_area."""
+    return float(vertex_area(loop, [len(loop)])[0])
+
+
+def clipped_area(loop, lo, hi):
+    return loop_area(clip_loop(loop, lo, hi))
+
+
+def intersects(a, b, eps=1e-9):
+    """Whether discs a and b intersect: one row of discs_intersect_many."""
+    return bool(discs_intersect_many(a.center, a.normal, a.radius,
+                                     b.center, b.normal, b.radius, eps)[0])
+
+
+def cell_bounds(mesh, idx):
+    """(lo, hi) of leaf idx as the mesh clips it: both corners from its lattice
+    index, so a face shared by two leaves is the same float in each."""
+    edge = mesh.l / 2.0 ** mesh.level[idx]
+    ijk = mesh.ijk[idx]
+    return mesh.domain.lo + edge * ijk, mesh.domain.lo + edge * (ijk + 1)
 
 
 def box_mesh(extents, l, network=None, orl=0, balance=True):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,6 @@ from scipy.integrate import quad
 
 import fracscale
 from fracscale import network as network_module
-from fracscale.geometry import clip_polygon_to_box, disc_to_polygon, polygon_area
 from fracscale.network import (
     FractureNetwork,
     GenerationParams,
@@ -30,7 +30,7 @@ from fracscale.network import (
     save_network,
 )
 
-from conftest import disc, make_disc, make_network
+from conftest import clipped_area, disc, make_disc, make_network, polygon
 
 COLUMNS = ("center", "normal", "radius", "aperture")
 
@@ -198,17 +198,18 @@ class TestDensityMetrics:
 
     def test_package_import_leaves_quadrature_unloaded(self):
         # scipy.integrate is imported only by the quadrature branch, which
-        # the closed form (alpha L >= ru) never takes
+        # the closed form (alpha L >= ru) never takes; multiprocessing only
+        # by run_pipeline when it starts a worker pool
         code = ("import importlib, pkgutil, sys, fracscale\n"
                 "for m in pkgutil.iter_modules(fracscale.__path__):\n"
                 "    importlib.import_module('fracscale.' + m.name)\n"
-                "print('scipy.integrate' in sys.modules)")
+                "print([name in sys.modules for name in ('scipy.integrate', 'multiprocessing')])")
         src = str(Path(fracscale.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[False, False]"
 
     def test_percolation_parameter_examples(self, reference_params):
         assert percolation_parameter(0, reference_params, 50.0) == 0.0
@@ -219,11 +220,15 @@ class TestDensityMetrics:
         p2 = percolation_parameter(1400, reference_params, 50.0)
         assert p2 == pytest.approx(2.0 * p1, rel=1e-14)
 
-    def test_critical_count_from_density(self, reference_params):
-        n_c = critical_fracture_count(reference_params, 50.0)
-        assert n_c == 1300  # ceil(2500 / 1.9239)
-        assert percolation_parameter(n_c, reference_params, 50.0) >= 1.0
-        assert percolation_parameter(n_c - 1, reference_params, 50.0) < 1.0
+    @pytest.mark.parametrize("alpha", [1.2, 1.8, 2.6])
+    @pytest.mark.parametrize("L", [10.0, 15.0, 20.0, 25.0, 50.0, 100.0])
+    def test_critical_count_from_density(self, reference_params, L, alpha):
+        params = dataclasses.replace(reference_params, alpha=alpha)
+        n_c = critical_fracture_count(params, L)
+        if (L, alpha) == (50.0, 1.8):
+            assert n_c == 1300  # ceil(2500 / 1.9239)
+        assert percolation_parameter(n_c, params, L) >= 1.0
+        assert percolation_parameter(n_c - 1, params, L) < 1.0
 
     def test_critical_count_pin_reproduces_density_count_pairs(self, reference_params):
         n_c = critical_fracture_count(reference_params, 50.0, override=1000)
@@ -267,7 +272,7 @@ class TestPolygonVertices:
         assert net.polygon_vertices(32) is verts
         assert net.polygon_vertices(16).shape == (25, 16, 3)
         for i, row in enumerate(verts):
-            assert np.array_equal(row, disc_to_polygon(disc(net, i), 32).vertices)
+            assert np.array_equal(row, polygon(disc(net, i), 32))
 
     def test_empty_network(self):
         net = make_network([], 50.0)
@@ -281,8 +286,7 @@ class TestPolygonVertices:
         net = generate_network(GenerationParams(L=20.0, n_fractures=40, seed=3))
         total = 0.0
         for i in range(len(net)):
-            polygon = disc_to_polygon(disc(net, i), 32)
-            total += polygon_area(clip_polygon_to_box(polygon, net.domain))
+            total += clipped_area(polygon(disc(net, i), 32), net.domain.lo, net.domain.hi)
         assert fracture_intensity(net) == total / net.domain.volume
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracscale.geometry import Box, clip_polygon_to_box, clip_vertices, disc_to_polygon, polygon_area
+from fracscale.geometry import Box, clip_vertices
 from fracscale.network import FractureNetwork, GenerationParams, generate_network
 from fracscale import octree
 from fracscale.octree import (
@@ -23,7 +23,8 @@ from fracscale.octree import (
 from fracscale.topology import build_intersection_graph, remove_isolated
 from fracscale.upscale import upscale_mesh
 
-from conftest import box_mesh, cube_mesh, disc, make_disc, make_network
+from conftest import (box_mesh, cell_bounds, clipped_area, cube_mesh, disc, loop_area, make_disc,
+                      make_network, polygon)
 
 
 class TestInitialGrid:
@@ -72,14 +73,12 @@ class TestTagging:
         # within rounding of z = 0
         net = make_network([make_disc((0.0, 0.0, z), (0, 0, 1), 1.0)], 20.0)
         mesh = cube_mesh(20.0, 5.0, net, orl=orl)
-        poly = disc_to_polygon(disc(net, 0), 32)
-        assert mesh.pair_area.sum() == pytest.approx(polygon_area(poly), rel=1e-12)
+        assert mesh.pair_area.sum() == pytest.approx(loop_area(polygon(disc(net, 0))), rel=1e-12)
 
     def test_disc_in_domain_top_face_is_kept(self):
         net = make_network([make_disc((0.0, 0.0, 10.0), (0, 0, 1), 1.0)], 20.0)
         mesh = cube_mesh(20.0, 5.0, net, orl=1)
-        poly = disc_to_polygon(disc(net, 0), 32)
-        assert mesh.pair_area.sum() == pytest.approx(polygon_area(poly), rel=1e-12)
+        assert mesh.pair_area.sum() == pytest.approx(loop_area(polygon(disc(net, 0))), rel=1e-12)
 
     def test_candidates_equal_per_fracture_enumeration(self, monkeypatch):
         # generated discs, some cut by a domain face, plus discs whose index
@@ -170,10 +169,10 @@ class TestRefine:
         net = make_network([make_disc((0.1, -0.2, 0.3), (1, 2, 3), 4.0)], 20.0)
         for orl in (1, 2):
             mesh = cube_mesh(20.0, 5.0, net, orl=orl)
-            poly = disc_to_polygon(disc(net, 0), 32)
-            domain_area = polygon_area(clip_polygon_to_box(poly, mesh.domain))
+            poly = polygon(disc(net, 0), 32)
+            domain_area = clipped_area(poly, mesh.domain.lo, mesh.domain.hi)
             tagged_area = sum(
-                polygon_area(clip_polygon_to_box(poly, mesh.cell_box(i)))
+                clipped_area(poly, *cell_bounds(mesh, i))
                 for i in np.nonzero(mesh.is_fracture)[0]
             )
             assert tagged_area == pytest.approx(domain_area, rel=1e-9)
@@ -195,8 +194,8 @@ class TestRefine:
             mesh = cube_mesh(20.0, 5.0, net, orl=orl)
             stored = np.bincount(mesh.pair_fid, mesh.pair_area, len(net))
             for fid in range(len(net)):
-                domain_area = polygon_area(
-                    clip_polygon_to_box(disc_to_polygon(disc(net, fid), 32), mesh.domain))
+                domain_area = clipped_area(
+                    polygon(disc(net, fid), 32), mesh.domain.lo, mesh.domain.hi)
                 # cells cut by a sliver of at most AREA_EPS store nothing
                 assert stored[fid] == pytest.approx(domain_area, rel=1e-9, abs=1e-9)
 
@@ -265,7 +264,7 @@ class TestPolygonAreas:
         survivors = counted.pop()
         assert counted == [] and survivors % 7 and survivors > 7
         assert whole[args[0] == 30].sum() == pytest.approx(
-            polygon_area(disc_to_polygon(disc(net, 30), 32)), rel=1e-12)
+            loop_area(polygon(disc(net, 30), 32)), rel=1e-12)
         for block in (7, 1):
             monkeypatch.setattr(octree, "CLIP_BLOCK", block)
             assert np.array_equal(polys.areas(*args), whole)
@@ -521,19 +520,19 @@ class TestExport:
             "flag": rng.random(mesh.num_cells) < 0.5,
         }
         data["noise"][:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
-        write_vtk(mesh, tmp_path / "got.vtk", data, title="mixed")
-        _per_cell_vtk(mesh, tmp_path / "want.vtk", data, title="mixed")
+        write_vtk(mesh, tmp_path / "got.vtk", data)
+        _per_cell_vtk(mesh, tmp_path / "want.vtk", data)
         assert (tmp_path / "got.vtk").read_bytes() == (tmp_path / "want.vtk").read_bytes()
 
 
-def _per_cell_vtk(mesh, path, cell_data, title):
+def _per_cell_vtk(mesh, path, cell_data):
     """The per-cell writer write_vtk replaced, kept as its byte reference."""
     n = mesh.num_cells
     data = {"level": mesh.level.astype(int), "is_fracture": mesh.is_fracture.astype(int)}
     data.update(cell_data)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(f"{title}\n")
+        fh.write("octree continuum mesh\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {8 * n} double\n")
         for idx in range(n):

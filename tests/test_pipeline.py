@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fracscale import pipeline
+from fracscale.cli import _load_config, build_parser
 from fracscale.cli import main as cli_main
 from fracscale.flow import FLOW_METHODS
 from fracscale.pipeline import (
@@ -431,6 +432,21 @@ class TestCli:
         assert code == 0
         manifest = json.loads((tmp_path / "alt" / "manifest.json").read_text())
         assert sorted(r["seed"] for r in manifest["network_rows"]) == [5, 6]
+
+    def test_overrides_equal_the_config_file_edited(self, tmp_path):
+        # each flag sets its key as writing it into the config file would
+        config_path = tmp_path / "config.json"
+        save_config(tiny_config(tmp_path / "out"), config_path)
+        args = build_parser().parse_args([
+            "mesh", "--config", str(config_path), "--out", str(tmp_path / "alt"),
+            "--seed", "5", "--seed", "6", "--orl", "2", "--km", "1e-15", "--isolated", "removed",
+        ])
+        edited = {**json.loads(config_path.read_text()), "output_dir": str(tmp_path / "alt"),
+                  "seeds": [5, 6], "orls": [2], "k_m": [1e-15], "isolated_modes": ["removed"]}
+        got, want = _load_config(args), RunConfig.from_dict(edited)
+        assert got == want and config_hash(got) == config_hash(want)
+        plain = _load_config(build_parser().parse_args(["mesh", "--config", str(config_path)]))
+        assert config_hash(plain) == config_hash(load_config(config_path))
 
     def test_report_command(self, tmp_path):
         out = tmp_path / "out"

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fracscale.geometry import AREA_EPS, Box, clip_polygon_to_box, disc_to_polygon, polygon_area
+from fracscale.geometry import AREA_EPS, Box
 from fracscale.network import FractureNetwork, GenerationParams, generate_network
 from fracscale.topology import (
     IntersectionGraph,
@@ -16,7 +16,8 @@ from fracscale.topology import (
     remove_isolated,
 )
 
-from conftest import cube_mesh, disc, make_disc, make_network, two_plate_network
+from conftest import (cell_bounds, clip_loop, clipped_area, cube_mesh, disc, intersects, make_disc,
+                      make_network, polygon, two_plate_network)
 
 
 def chain_network(L=10.0, with_bridge=True, with_outlier=False):
@@ -73,15 +74,13 @@ class TestIntersectionGraph:
         assert not dfn_percolates(graph)
 
     def test_matches_brute_force_on_random_network(self):
-        from fracscale.geometry import discs_intersect
-
         net = generate_network(GenerationParams(L=15.0, n_fractures=40, seed=3))
         graph = build_intersection_graph(net)
         brute = {
             (i, j)
             for i in range(len(net))
             for j in range(i + 1, len(net))
-            if discs_intersect(disc(net, i), disc(net, j))
+            if intersects(disc(net, i), disc(net, j))
         }
         assert edge_set(graph) == brute
 
@@ -98,10 +97,10 @@ class TestIntersectionGraph:
         graph = build_intersection_graph(net)
         source, sink = [], []
         for idx in range(len(net)):
-            clipped = clip_polygon_to_box(disc_to_polygon(disc(net, idx), 32), net.domain)
-            if clipped.is_empty:
+            clipped = clip_loop(polygon(disc(net, idx)), net.domain.lo, net.domain.hi)
+            if not len(clipped):
                 continue
-            x = clipped.vertices[:, 0]
+            x = clipped[:, 0]
             if x.min() <= net.domain.lo[0] + 1e-9:
                 source.append(idx)
             if x.max() >= net.domain.hi[0] - 1e-9:
@@ -203,8 +202,11 @@ class TestRemoveIsolated:
         rng = np.random.default_rng(seed)
         subsets = [[], range(n), [int(rng.integers(n))], set(rng.permutation(n)[: n // 2])]
         subsets += [rng.permutation(n)[: rng.integers(2, n)] for _ in range(6)]
+        # repeated ids are kept once by both
+        subsets += [[3, 3, 5], rng.integers(n, size=n), np.repeat(rng.permutation(n)[:5], 3)]
         for keep in subsets:
             assert_graphs_equal(graph.subset(keep), build_intersection_graph(net.subset(keep)))
+        assert len(net.subset([3, 3, 5])) == 2
 
     def test_one_labelling_per_graph(self, labellings):
         net = generate_network(GenerationParams(L=15.0, n_fractures=80, seed=2))
@@ -253,11 +255,11 @@ class TestFalseConnections:
         )
         assert report.num_false_pairs == 1
         # oracle: enumerate cells both discs reach with positive area
-        polys = [disc_to_polygon(disc(net, i)) for i in range(len(net))]
+        polys = [polygon(disc(net, i)) for i in range(len(net))]
         shared = 0
         for idx in range(mesh.num_cells):
-            box = mesh.cell_box(idx)
-            if all(polygon_area(clip_polygon_to_box(p, box)) > AREA_EPS for p in polys):
+            lo, hi = cell_bounds(mesh, idx)
+            if all(clipped_area(p, lo, hi) > AREA_EPS for p in polys):
                 shared += 1
         assert shared >= 1
         assert report.cells_with_false == shared

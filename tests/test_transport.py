@@ -23,7 +23,6 @@ from fracscale.transport import (
     initialize_pulse,
     normalize_btc,
     prepare_transport,
-    retardation_factor,
     run_transport,
     step_transport,
     write_btc_csv,
@@ -51,24 +50,6 @@ def zero_flow(mesh):
         q_in=0.0, q_out=0.0, k_eff=0.0, iterations=0, residual=0.0,
         k_harmonic=0.0, k_arithmetic=0.0,
     )
-
-
-class TestRetardation:
-    def test_no_sorption(self):
-        assert retardation_factor(0.0, 0.01) == 1.0
-
-    def test_reference_inversion(self):
-        # K_D chosen so that R = 4000 at phi = 0.01, s_l = 1, rho_w = 1000
-        assert retardation_factor(39990.0, 0.01, 1.0, 1000.0) == pytest.approx(4000.0)
-
-    def test_linear_in_distribution_coefficient(self):
-        r1 = retardation_factor(100.0, 0.02)
-        r2 = retardation_factor(200.0, 0.02)
-        assert (r2 - 1.0) == pytest.approx(2.0 * (r1 - 1.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            retardation_factor(1.0, 0.0)
 
 
 class TestTracerParams:
@@ -213,13 +194,6 @@ class TestRunTransport:
             output_times_yr=[0.05, 0.1], dt0_yr=1e-3,
         )
         assert btc.initial_total_mass == pytest.approx(100.0 * btc.injected_mass, rel=1e-12)
-
-    def test_cellwise_retardation_from_distribution_coefficient(self):
-        mesh, props, flow = channel(20)
-        params = TracerParams(kind="sorbing", k_d=39990.0)
-        state = prepare_transport(mesh, props, flow, params)
-        # phi = 0.01 everywhere, so R(phi) = 4000 in every cell
-        assert state.in_domain_mass() == pytest.approx(4000.0, rel=1e-12)
 
     def test_min_concentration_is_lowest_over_the_run(self, monkeypatch):
         btc = run_sign_flipping(monkeypatch)

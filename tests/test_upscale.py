@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fracscale.geometry import AREA_EPS, clip_polygon_to_box, disc_to_polygon, polygon_area
+from fracscale.geometry import AREA_EPS
 from fracscale.network import GenerationParams, generate_network
 from fracscale.upscale import UpscaleError, spectral_radius, transformation_tensor, upscale_mesh
 
-from conftest import box_mesh, cube_mesh, disc, make_disc, make_network, two_plate_network
+from conftest import (box_mesh, cell_bounds, clipped_area, cube_mesh, disc, loop_area, make_disc,
+                      make_network, polygon, two_plate_network)
 
 # one cell of edge 15.625 m cut across by a disc of aperture 5e-4 m holds
 # fracture porosity 15.625^2 * 5e-4 / 15.625^3 = 3.2e-5
@@ -38,12 +39,12 @@ def reference_upscale(mesh, network, k_m, phi_m, *, m_vertices=32,
     k, phi = np.full(n, float(k_m)), np.full(n, float(phi_m))
     phi_F, tag = np.zeros(n), np.zeros(n, dtype=bool)
     for idx in range(n):
-        cell = mesh.cell_box(idx)
-        v_c = cell.volume
+        lo, hi = cell_bounds(mesh, idx)
+        v_c = float(np.prod(hi - lo))
         v_F, K = 0.0, np.zeros((3, 3))
         for fid in mesh.fracture_ids[idx]:
             f = disc(network, fid)
-            a_f = polygon_area(clip_polygon_to_box(disc_to_polygon(f, m_vertices), cell))
+            a_f = clipped_area(polygon(f, m_vertices), lo, hi)
             if a_f <= AREA_EPS:
                 continue
             v_f = a_f * f.aperture
@@ -101,7 +102,7 @@ class TestCellFractureData:
         disc = make_disc((1.25, 1.25, 1.2), (0, 0, 1), 0.8, aperture=5e-4)
         mesh, net = one_cell([disc], edge=2.5)
         props = upscale_mesh(mesh, net, 1e-16, 0.01)
-        poly_area = polygon_area(disc_to_polygon(disc, 32))
+        poly_area = loop_area(polygon(disc, 32))
         assert [list(ids) for ids in mesh.fracture_ids] == [[0]]
         assert mesh.pair_cell.tolist() == [0]
         assert mesh.pair_area[0] == pytest.approx(poly_area, rel=1e-12)
@@ -119,7 +120,7 @@ class TestCellFractureData:
         mesh = box_mesh((5.0, 2.5, 2.5), 2.5, make_network([disc], 5.0))
         assert [list(ids) for ids in mesh.fracture_ids] == [[0], [0]]
         assert mesh.pair_cell.tolist() == [0, 1]
-        assert mesh.pair_area.sum() == pytest.approx(polygon_area(disc_to_polygon(disc, 32)), rel=1e-9)
+        assert mesh.pair_area.sum() == pytest.approx(loop_area(polygon(disc, 32)), rel=1e-9)
 
 
 class TestPermeabilityTensor:
